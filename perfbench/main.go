@@ -49,9 +49,18 @@ type config struct {
 	historyDir string
 }
 
-// setupReps is how many times every workload repeats its set-up; setup_s
-// reports the median.
-const setupReps = 5
+// Every workload repeats its set-up setupMinReps times, and more while
+// the repetitions have taken less than setupSeconds, up to setupMaxReps;
+// setup_s reports the fastest. On a shared machine set-up times come in
+// blocks of fast and slow repetitions (a neighbour on the same core makes
+// a set-up of a few milliseconds up to twice as slow), so the median of
+// each run moves with the machine, while the fastest repetition measures
+// the set-up's own work.
+const (
+	setupMinReps = 5
+	setupMaxReps = 200
+	setupSeconds = 3.0
+)
 
 //go:embed pinned.json
 var pinnedJSON []byte
@@ -65,7 +74,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "seed the workload's inputs are generated from")
 	seconds := flag.Float64("seconds", 30, "length of the measured phase in seconds")
 	trace := flag.Int("trace", 0, "1 runs traced and prints the per-layer metrics instead of the end-to-end ones")
-	pin := flag.Bool("pin", false, "record this run's speedup as the pinned value for its inputs in perfbench/pinned.json")
 	flag.Parse()
 	drive, ok := workloads[*name]
 	if !ok || *seconds <= 0 || (*trace != 0 && *trace != 1) || flag.NArg() > 0 {
@@ -97,12 +105,6 @@ func run() int {
 	if err := res.checkPinned(); err != nil {
 		res.fail("%v", err)
 	}
-	if *pin {
-		if err := res.pin(filepath.Join("perfbench", "pinned.json")); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			return 1
-		}
-	}
 	if err := res.finish(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		return 1
@@ -122,43 +124,24 @@ func run() int {
 	return 0
 }
 
-// pinnedSpeedups decodes a pinned.json: speedup_vs_o3_pct per input key.
-func pinnedSpeedups(data []byte) (map[string]float64, error) {
-	pinned := map[string]float64{}
-	if err := json.Unmarshal(data, &pinned); err != nil {
-		return nil, fmt.Errorf("pinned.json: %w", err)
-	}
-	return pinned, nil
-}
-
-// checkPinned compares the run's speedup with the committed value for the
-// same inputs, when one is committed. The speedup is a deterministic
-// function of the inputs, so any difference means search results changed.
+// checkPinned compares the run's speedup with the value committed in
+// pinned.json for the same inputs. The speedup is a deterministic function
+// of the inputs, so any difference means search results changed. Inputs
+// with no committed value fail too, so that a correct run always means the
+// check ran; the message gives the entry to add by hand.
 func (r *result) checkPinned() error {
-	pinned, err := pinnedSpeedups(pinnedJSON)
-	if err != nil {
-		return err
+	pinned := map[string]float64{}
+	if err := json.Unmarshal(pinnedJSON, &pinned); err != nil {
+		return fmt.Errorf("pinned.json: %w", err)
 	}
-	if want, ok := pinned[r.inputKey]; ok && want != r.speedup {
-		return fmt.Errorf("%s: speedup_vs_o3_pct %v, pinned %v", r.inputKey, r.speedup, want)
+	want, ok := pinned[r.inputKey]
+	switch {
+	case !ok:
+		return fmt.Errorf("%s: speedup_vs_o3_pct %v, none pinned; if it is right, add \"%s\": %v to pinned.json",
+			r.inputKey, r.speedup, r.inputKey, r.speedup)
+	case want != r.speedup:
+		return fmt.Errorf("%s: speedup_vs_o3_pct %v, pinned %v; if the change is intended, set \"%s\": %v in pinned.json",
+			r.inputKey, r.speedup, want, r.inputKey, r.speedup)
 	}
 	return nil
-}
-
-// pin records the run's speedup under its input key in the pinned file.
-func (r *result) pin(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	pinned, err := pinnedSpeedups(data)
-	if err != nil {
-		return err
-	}
-	pinned[r.inputKey] = r.speedup
-	out, err := json.MarshalIndent(pinned, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

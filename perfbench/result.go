@@ -92,7 +92,7 @@ func (r *result) endToEnd() map[string]float64 {
 		measured += d.Seconds()
 	}
 	return map[string]float64{
-		"setup_s":                quantile(r.setups, 0.5).Seconds(),
+		"setup_s":                quantile(r.setups, 0).Seconds(),
 		"wall_s":                 quantile(r.rounds, 0.5).Seconds(),
 		"samples_per_s":          float64(r.samples) / measured,
 		"evals_per_s":            float64(r.evals) / measured,
@@ -139,8 +139,8 @@ func (r *result) finish(cfg config) error {
 	if len(r.rounds) == 0 || r.samples == 0 || len(r.jobs) == 0 {
 		return fmt.Errorf("%s: nothing measured", cfg.workload)
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: %s seed %d: rounds %v, process CPU %.3f s, GC %.1f%%, set-ups %v\n",
-		cfg.workload, cfg.seed, r.rounds, r.use.procCPU, 100*r.use.gcFrac(), r.setups)
+	fmt.Fprintf(os.Stderr, "perfbench: %s seed %d: rounds %v, process CPU %.3f s, GC %.1f%%, %d set-ups: fastest %v, median %v\n",
+		cfg.workload, cfg.seed, r.rounds, r.use.procCPU, 100*r.use.gcFrac(), len(r.setups), quantile(r.setups, 0), quantile(r.setups, 0.5))
 	if !cfg.trace {
 		return r.recordWall(cfg)
 	}
@@ -214,21 +214,27 @@ func measure(cfg config, round func() error) ([]time.Duration, error) {
 	}
 }
 
-// setUp times setupReps repetitions of up; down, when non-nil, undoes one
-// between repetitions, untimed. The workload keeps the last repetition.
+// setUp times repetitions of up: setupMinReps, then more while they have
+// taken less than setupSeconds in all, up to setupMaxReps. down, when
+// non-nil, undoes one between repetitions, untimed, and each repetition
+// starts after a collection. The workload keeps the last repetition.
 func setUp(up, down func() error) ([]time.Duration, error) {
 	var ds []time.Duration
-	for i := 0; i < setupReps; i++ {
+	var total time.Duration
+	for i := 0; i < setupMaxReps && (i < setupMinReps || total.Seconds() < setupSeconds); i++ {
 		if i > 0 && down != nil {
 			if err := down(); err != nil {
 				return nil, err
 			}
 		}
+		runtime.GC()
 		t0 := time.Now()
 		if err := up(); err != nil {
 			return nil, err
 		}
-		ds = append(ds, time.Since(t0))
+		d := time.Since(t0)
+		ds = append(ds, d)
+		total += d
 	}
 	return ds, nil
 }

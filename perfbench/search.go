@@ -11,11 +11,15 @@ import (
 // search-sweep is the black-box half of Figure 7. Every round runs Greedy,
 // OpenTuner, the DEAP-style genetic algorithm and random search on each of
 // the nine benchmarks, one job per (program, algorithm). Each job builds a
-// fresh core.Program and a two-worker core.Evaluator with no artifact
+// fresh core.Program and a one-worker core.Evaluator with no artifact
 // store, so nearly every sample applies a full-length pass sequence from
 // scratch: the reward path (passes, then the engines) does almost all the
-// work and the two workers contend for the program's cache locks. No RL
-// runs. The seed orders the jobs; each job's search seed is fixed, so the
+// work. No RL runs.
+//
+// One worker, because on a two-vCPU VM the second vCPU delivers anywhere
+// from about 60% to all of a core, changing within seconds: two workers
+// kept both busy and their throughput drifted by more than the benchmark's
+// bounds between sets of runs, while one-thread work stays steady. The seed orders the jobs; each job's search seed is fixed, so the
 // work and the results are the same for every seed (speedup_vs_o3_pct is
 // pinned), and every round must find the same results as the first.
 
@@ -73,7 +77,7 @@ func runSearchSweep(cfg config) (*result, error) {
 			if err != nil {
 				return err
 			}
-			ev := core.NewEvaluator(p, 2)
+			ev := core.NewEvaluator(p, 1)
 			obj := ev.Objective(sweepSeqLen)
 			tr.wrapObjective(obj, ref.mod)
 			tr.client(func() {
@@ -134,7 +138,7 @@ func runSearchSweep(cfg config) (*result, error) {
 		return nil, err
 	}
 	res.notes = append(res.notes,
-		"client.call_s is the time inside core.Evaluator.EvalBatch (the reward path, two workers); client.self_s is the search algorithms' own time.",
+		"client.call_s is the time inside core.Evaluator.EvalBatch (the reward path, one worker); client.self_s is the search algorithms' own time.",
 		"passes.RunSequence is counted once per sample: a sample is a sequence-cache miss, and every miss builds its IR; fingerprint hits skip only the engine.")
 	return res, nil
 }

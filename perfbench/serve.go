@@ -32,7 +32,8 @@ import (
 // connections. Jobs come from four tenants over eight generated modules:
 // random search, budget 40, 18-pass sequences, and a deadline far above
 // any job's latency. The store is primed once per invocation with the same
-// job list and copied for each set-up, so it does not grow across runs.
+// job list, a few jobs outstanding at a time, and copied for each set-up,
+// so it does not grow across runs.
 // There is one submitter because the server derives each job's search
 // seed from the ID it assigns, and one submitter keeps the ID → module
 // mapping, and so every result, deterministic.
@@ -48,7 +49,8 @@ const (
 	serveBudget   = 40
 	serveSeqLen   = 18
 	serveWorkers  = 2
-	serveRate     = 3.4              // jobs per second: about 0.6 of the 2 cores busy, little queueing
+	serveRate     = 3.4              // jobs per second: a quarter to a third of the 2 cores busy, little queueing
+	primeWindow   = serveWorkers + 1 // jobs outstanding while priming the store
 	serveDeadline = 10 * time.Minute // far above any job's latency; the service's maximum
 )
 
@@ -149,7 +151,6 @@ func runServe(cfg config) (*result, error) {
 		if err := srv.stop(); err != nil {
 			return err
 		}
-		runtime.GC()
 		return os.RemoveAll(srv.dir)
 	})
 	if err != nil {
@@ -352,23 +353,31 @@ type jobOutcome struct {
 }
 
 // drive submits every body, at rate per second from one generator
-// goroutine (all at once when rate is 0), while this goroutine long-polls
-// each accepted job to a terminal state in submission order. It returns
-// when every job is settled, with the time from the first due send.
+// goroutine, while this goroutine long-polls each accepted job to a
+// terminal state in submission order. When rate is 0 the generator instead
+// keeps primeWindow jobs outstanding, so the service never queues more
+// than its admission quotas allow. It returns when every job is settled,
+// with the time from the first send.
 func (s *server) drive(bodies [][]byte, rate float64, tr *tracer) ([]jobOutcome, time.Duration) {
 	outs := make([]jobOutcome, len(bodies))
 	// Sized to every job, so the generator never waits for the poller.
 	sent := make(chan int, len(bodies))
+	var window chan struct{}
+	if rate == 0 {
+		window = make(chan struct{}, primeWindow)
+	}
 	var genCall, genSelf time.Duration
 	start := time.Now()
 	go func() {
 		defer close(sent)
 		for i, body := range bodies {
 			o := &outs[i]
-			o.scheduled = start
 			if rate > 0 {
 				o.scheduled = start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
 				time.Sleep(time.Until(o.scheduled))
+			} else {
+				window <- struct{}{}
+				o.scheduled = time.Now()
 			}
 			t0 := time.Now()
 			o.late = t0.Sub(o.scheduled)
@@ -383,14 +392,16 @@ func (s *server) drive(bodies [][]byte, rate float64, tr *tracer) ([]jobOutcome,
 	var pollCall, pollSelf time.Duration
 	for i := range sent {
 		o := &outs[i]
-		if o.err != nil {
-			continue
+		if o.err == nil {
+			t0 := time.Now()
+			var call time.Duration
+			o.status, o.polls, call, o.err = s.wait(o.status.ID)
+			pollCall += call
+			pollSelf += time.Since(t0) - call
 		}
-		t0 := time.Now()
-		var call time.Duration
-		o.status, o.polls, call, o.err = s.wait(o.status.ID)
-		pollCall += call
-		pollSelf += time.Since(t0) - call
+		if window != nil {
+			<-window
+		}
 	}
 	wall := time.Since(start)
 	if tr != nil {
