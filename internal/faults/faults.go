@@ -33,7 +33,7 @@ const (
 	// interp.ErrDeadline).
 	InterpStall
 	// ProfileErr fails an HLS profile invocation with an error (registered
-	// in hls.ProfileFast / hls.ProfileChecked).
+	// in hls.Profiler's Profile and ProfileFP).
 	ProfileErr
 	// FeaturePanic panics inside feature extraction (registered in
 	// features.Extract).

@@ -97,7 +97,7 @@ func TestCyclesEqualStatesTimesCounts(t *testing.T) {
 	// overhead for main itself).
 	m := chainBlock(6)
 	// Give the param a value: main(arg) is invoked with 0 by the runtime.
-	rep, err := Profile(m, DefaultConfig, interp.DefaultLimits)
+	rep, _, err := interpProfile(m, DefaultConfig, interp.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestProfileMonotoneInTrips(t *testing.T) {
 			b.Ret(iv)
 			return m
 		}
-		a, err1 := Profile(build(trips), DefaultConfig, interp.DefaultLimits)
-		bb, err2 := Profile(build(trips+1), DefaultConfig, interp.DefaultLimits)
+		a, _, err1 := interpProfile(build(trips), DefaultConfig, interp.DefaultLimits)
+		bb, _, err2 := interpProfile(build(trips+1), DefaultConfig, interp.DefaultLimits)
 		return err1 == nil && err2 == nil && bb.Cycles > a.Cycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

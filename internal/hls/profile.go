@@ -25,18 +25,6 @@ type Report struct {
 	Engine Engine
 }
 
-// Profile schedules the module and executes it under the tree-walking
-// interpreter to estimate the clock-cycle count of the synthesized circuit.
-// It returns an error when the program fails to execute (trap, limit),
-// which search drivers treat as an invalid candidate.
-//
-// Deprecated: use Profiler with EngineInterp pinned; Profile remains as the
-// interpreter engine's implementation.
-func Profile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, error) {
-	rep, _, err := interpProfile(m, cfg, lim)
-	return rep, err
-}
-
 // interpProfile is the interpreter engine: it returns the raw interp.Result
 // alongside the report so the cross-check can compare print traces.
 func interpProfile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, *interp.Result, error) {
@@ -62,13 +50,4 @@ func interpProfile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, *inter
 		Exit:    res.Exit,
 		Engine:  EngineInterp,
 	}, res, nil
-}
-
-// Cycles is a convenience wrapper returning only the cycle estimate.
-func Cycles(m *ir.Module, cfg Config) (int64, error) {
-	r, err := Profile(m, cfg, interp.DefaultLimits)
-	if err != nil {
-		return 0, err
-	}
-	return r.Cycles, nil
 }

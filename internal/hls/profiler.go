@@ -76,9 +76,7 @@ type ProfileOptions struct {
 
 // Profiler is the unified profiling surface: one object owning the
 // synthesis config, the execution limits, the engine policy, and the
-// per-config cache of VM-lowered programs. It replaces the former
-// Profile / ProfileFast / ProfileChecked / StaticProfile call sprawl; those
-// remain as thin deprecated wrappers for one release.
+// per-config cache of VM-lowered programs.
 //
 // A Profiler is safe for concurrent use. The synthesis config is fixed at
 // construction (the lowered-program cache folds per-block schedule weights,
@@ -94,7 +92,7 @@ type Profiler struct {
 	engine Engine          // guarded by mu
 	check  bool            // guarded by mu
 	store  *artifact.Store // guarded by mu; nil = no persistence
-	limKey uint64          // guarded by mu; artifact.HashString of the rendered limits
+	limKey uint64          // guarded by mu; limitsKey(lim)
 
 	staticHits atomic.Int64
 	vmHits     atomic.Int64
@@ -145,7 +143,7 @@ func NewProfiler(opts ProfileOptions) *Profiler {
 		cfgKey: artifact.HashString(fmt.Sprintf("%#v", opts.Config)),
 		cache:  vm.NewCache(0),
 		lim:    opts.Limits,
-		limKey: artifact.HashString(fmt.Sprintf("%#v", opts.Limits)),
+		limKey: limitsKey(opts.Limits),
 		engine: opts.Engine,
 		check:  opts.CrossCheck,
 	}
@@ -178,8 +176,18 @@ func (p *Profiler) Limits() interp.Limits {
 func (p *Profiler) SetLimits(lim interp.Limits) {
 	p.mu.Lock()
 	p.lim = lim
-	p.limKey = artifact.HashString(fmt.Sprintf("%#v", lim))
+	p.limKey = limitsKey(lim)
 	p.mu.Unlock()
+}
+
+// limitsKey hashes the limits a stored profile depends on. The wall-clock
+// Deadline is left out: it can only turn a success into an error, and
+// errors are never persisted, so a stored profile holds under any
+// deadline. Keying on it would make every per-job deadline (as serve
+// sets them) miss the store.
+func limitsKey(lim interp.Limits) uint64 {
+	lim.Deadline = 0
+	return artifact.HashString(fmt.Sprintf("%#v", lim))
 }
 
 // Engine returns the current engine policy.

@@ -41,7 +41,7 @@ func TestParseEngine(t *testing.T) {
 // classes. It returns the interpreter report for further checks.
 func diffEngines(t *testing.T, label string, m *ir.Module) *hls.Report {
 	t.Helper()
-	iref, ierr := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
+	iref, ierr := interpReport(m, hls.DefaultConfig, interp.DefaultLimits)
 	vprof := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineVM})
 	vrep, verr := vprof.Profile(m)
 	if errors.Is(verr, hls.ErrEngineDeclined) {
@@ -186,25 +186,24 @@ entry:
 	}
 }
 
-// TestDeprecatedWrappersAgree: the kept-one-release Profile/ProfileFast/
-// ProfileChecked wrappers answer exactly like the Profiler surface.
-func TestDeprecatedWrappersAgree(t *testing.T) {
+// TestProfilerPoliciesAgree: the automatic cascade, the cross-checked
+// sanitizer mode and the pinned interpreter report the same cycles.
+func TestProfilerPoliciesAgree(t *testing.T) {
 	m := mem2reg(progen.Benchmark("qsort"))
-	fast, err := hls.ProfileFast(m, hls.DefaultConfig, interp.DefaultLimits)
-	if err != nil {
-		t.Fatal(err)
+	var cycles []int64
+	for _, opts := range []hls.ProfileOptions{
+		{},
+		{CrossCheck: true},
+		{Engine: hls.EngineInterp},
+	} {
+		rep, err := hls.NewProfiler(opts).Profile(m)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		cycles = append(cycles, rep.Cycles)
 	}
-	checked, err := hls.ProfileChecked(m, hls.DefaultConfig, interp.DefaultLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Cycles != slow.Cycles || checked.Cycles != slow.Cycles {
-		t.Fatalf("wrapper disagreement: fast=%d checked=%d interp=%d",
-			fast.Cycles, checked.Cycles, slow.Cycles)
+	if cycles[0] != cycles[2] || cycles[1] != cycles[2] {
+		t.Fatalf("policy disagreement: auto=%d checked=%d interp=%d", cycles[0], cycles[1], cycles[2])
 	}
 }
 
@@ -238,7 +237,7 @@ func FuzzVMDifferential(f *testing.F) {
 		}
 		passes.Apply(m, seq)
 
-		iref, ierr := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
+		iref, ierr := interpReport(m, hls.DefaultConfig, interp.DefaultLimits)
 		vrep, verr := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineVM}).Profile(m)
 		if errors.Is(verr, hls.ErrEngineDeclined) {
 			return

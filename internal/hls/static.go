@@ -206,36 +206,13 @@ func StaticProfile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, bool) 
 	return rep, true
 }
 
-// ProfileFast profiles with automatic engine selection (static estimate
-// when the module admits one, the bytecode VM when it lowers, the
-// interpreter otherwise). It carries the profile-err fault-injection point:
-// one draw per profile operation, regardless of which engine answers.
-//
-// Deprecated: use Profiler (NewProfiler(ProfileOptions{Config: cfg,
-// Limits: lim}).Profile(m)); kept one release while callers migrate. Note
-// that a long-lived Profiler also reuses its lowered-program cache, which
-// this per-call wrapper cannot.
-func ProfileFast(m *ir.Module, cfg Config, lim interp.Limits) (*Report, error) {
-	return NewProfiler(ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
-}
-
-// ProfileChecked runs every applicable engine and errors when any of them
-// disagrees with the interpreter — the sanitizer cross-check for the fast
-// paths. The returned report is the interpreter's.
-//
-// Deprecated: use Profiler with ProfileOptions.CrossCheck; kept one release
-// while callers migrate.
-func ProfileChecked(m *ir.Module, cfg Config, lim interp.Limits) (*Report, error) {
-	return NewProfiler(ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
-}
-
 // Recheck profiles m from scratch on the fully cross-checked path and
 // errors when the result disagrees with the expected cycle count or area —
 // the differential probe for results shared between pass sequences by IR
 // fingerprint: the caller asserts that a stored (cycles, area) verdict is
 // exactly what recomputation yields.
 func Recheck(m *ir.Module, cfg Config, lim interp.Limits, wantCycles, wantArea int64) error {
-	rep, err := ProfileChecked(m, cfg, lim)
+	rep, err := NewProfiler(ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
 	if err != nil {
 		return fmt.Errorf("hls recheck: %w", err)
 	}

@@ -57,8 +57,14 @@ func mem2reg(m *ir.Module) *ir.Module {
 	return m
 }
 
-// TestStaticProfileCrafted: the crafted fixture takes the fast path and all
-// three entry points agree with the interpreter exactly.
+// interpReport profiles m on the pinned interpreter, the reference engine.
+func interpReport(m *ir.Module, cfg hls.Config, lim interp.Limits) (*hls.Report, error) {
+	return hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, Engine: hls.EngineInterp}).Profile(m)
+}
+
+// TestStaticProfileCrafted: the crafted fixture takes the fast path, and
+// the automatic and cross-checked profilers agree with the interpreter
+// exactly.
 func TestStaticProfileCrafted(t *testing.T) {
 	m := mem2reg(staticFixture())
 	cfg, lim := hls.DefaultConfig, interp.DefaultLimits
@@ -66,7 +72,7 @@ func TestStaticProfileCrafted(t *testing.T) {
 	if !ok {
 		t.Fatal("crafted static fixture declined the fast path")
 	}
-	ref, err := hls.Profile(m, cfg, lim)
+	ref, err := interpReport(m, cfg, lim)
 	if err != nil {
 		t.Fatalf("interpreted profile failed: %v", err)
 	}
@@ -80,33 +86,34 @@ func TestStaticProfileCrafted(t *testing.T) {
 	if static.Exit != 7 || ref.Exit != 7 {
 		t.Fatalf("exit: static=%d interp=%d, want 7", static.Exit, ref.Exit)
 	}
-	fast, err := hls.ProfileFast(m, cfg, lim)
+	fast, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
 	if err != nil || !fast.Static || fast.Cycles != ref.Cycles {
-		t.Fatalf("ProfileFast: %+v, %v", fast, err)
+		t.Fatalf("auto profile: %+v, %v", fast, err)
 	}
-	checked, err := hls.ProfileChecked(m, cfg, lim)
+	checked, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
 	if err != nil || !checked.Static || checked.Cycles != ref.Cycles {
-		t.Fatalf("ProfileChecked: %+v, %v", checked, err)
+		t.Fatalf("cross-checked profile: %+v, %v", checked, err)
 	}
 }
 
 // TestStaticProfileDeclines: a data-dependent branch must push the module
-// off the fast path, and ProfileFast must still answer via the interpreter.
+// off the fast path, and the automatic profiler must still answer via
+// another engine.
 func TestStaticProfileDeclines(t *testing.T) {
 	m := mem2reg(dynamicFixture())
 	cfg, lim := hls.DefaultConfig, interp.DefaultLimits
 	if _, ok := hls.StaticProfile(m, cfg, lim); ok {
 		t.Fatal("load-dependent branch must decline the static path")
 	}
-	rep, err := hls.ProfileFast(m, cfg, lim)
+	rep, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
 	if err != nil || rep.Static {
-		t.Fatalf("fallback ProfileFast: %+v, %v", rep, err)
+		t.Fatalf("fallback auto profile: %+v, %v", rep, err)
 	}
 	if rep.Exit != 2 {
 		t.Fatalf("fallback exit = %d, want 2", rep.Exit)
 	}
-	if _, err := hls.ProfileChecked(m, cfg, lim); err != nil {
-		t.Fatalf("ProfileChecked on declined module: %v", err)
+	if _, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m); err != nil {
+		t.Fatalf("cross-checked profile on declined module: %v", err)
 	}
 }
 
@@ -131,7 +138,7 @@ func TestStaticProfileDifferential(t *testing.T) {
 				continue
 			}
 			hits++
-			ref, err := hls.Profile(m, cfg, lim)
+			ref, err := interpReport(m, cfg, lim)
 			if err != nil {
 				t.Errorf("%s/%s: static claimed success, interpreter failed: %v", name, pname, err)
 				continue
@@ -174,7 +181,7 @@ func TestProfileLimitErrors(t *testing.T) {
 		{"cells", progen.Benchmark("matmul"), interp.Limits{MaxSteps: 4_000_000, MaxDepth: 256, MaxCells: 8}, interp.ErrMemLimit},
 	}
 	for _, tc := range cases {
-		_, err := hls.Profile(tc.mod, hls.DefaultConfig, tc.lim)
+		_, err := interpReport(tc.mod, hls.DefaultConfig, tc.lim)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
@@ -239,7 +246,8 @@ func BenchmarkTripCount(b *testing.B) {
 // the two call-bearing programs it was built for: blowfish (a benchmark
 // whose round function previously forced the interpreter on every
 // pipeline) and the callheavy stress program (a three-level call chain).
-// ProfileChecked asserts exact static/interp equality internally.
+// The cross-checked profiler asserts exact static/interp equality
+// internally.
 func TestStaticProfileInterprocedural(t *testing.T) {
 	preludes := map[string][]int{
 		"mem2reg":       {38},
@@ -257,9 +265,9 @@ func TestStaticProfileInterprocedural(t *testing.T) {
 		for pname, seq := range preludes {
 			m := prog.mod()
 			passes.Apply(m, seq)
-			rep, err := hls.ProfileChecked(m, cfg, lim)
+			rep, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
 			if err != nil {
-				t.Errorf("%s/%s: ProfileChecked: %v", prog.name, pname, err)
+				t.Errorf("%s/%s: cross-checked profile: %v", prog.name, pname, err)
 				continue
 			}
 			if !rep.Static {
@@ -309,8 +317,9 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 			}
 		})
 		b.Run(tc.name+"/interp", func(b *testing.B) {
+			prof := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, Engine: hls.EngineInterp})
 			for i := 0; i < b.N; i++ {
-				if _, err := hls.Profile(tc.mod, cfg, lim); err != nil {
+				if _, err := prof.Profile(tc.mod); err != nil {
 					b.Fatal(err)
 				}
 			}

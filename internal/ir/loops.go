@@ -8,6 +8,8 @@ type Loop struct {
 	Latches []*Block // blocks with an edge Body -> Header
 	Parent  *Loop    // enclosing loop, if any
 	Depth   int      // nesting depth, 1 = outermost
+
+	dt *DomTree // the tree the loop was found with; answers Preheader
 }
 
 // Contains reports whether b belongs to the loop body.
@@ -52,22 +54,27 @@ func (l *Loop) ExitingBlocks() []*Block {
 
 // Preheader returns the unique out-of-loop predecessor of the header whose
 // only successor is the header, or nil if the loop has not been simplified.
+// Predecessors come from the dominator tree the loop was found with, so
+// the answer describes the CFG as it was then.
 func (l *Loop) Preheader() *Block {
-	var outside []*Block
-	for _, p := range l.Header.Preds() {
+	var outside *Block
+	for _, p := range l.dt.Preds(l.Header) {
 		if !l.Contains(p) {
-			outside = append(outside, p)
+			if outside != nil {
+				return nil
+			}
+			outside = p
 		}
 	}
-	if len(outside) != 1 {
+	if outside == nil || len(outside.Succs()) != 1 {
 		return nil
 	}
-	p := outside[0]
-	if len(p.Succs()) != 1 {
-		return nil
-	}
-	return p
+	return outside
 }
+
+// Dom returns the dominator tree the loop was found with. Its Preds answer
+// for the CFG as it was then, without rescanning the function.
+func (l *Loop) Dom() *DomTree { return l.dt }
 
 // SingleLatch returns the latch when the loop has exactly one, else nil.
 func (l *Loop) SingleLatch() *Block {
@@ -80,62 +87,69 @@ func (l *Loop) SingleLatch() *Block {
 // FindLoops discovers the natural loops of f using dominator-based back-edge
 // detection, merging loops that share a header and linking nesting parents.
 // Loops are returned innermost-last within each nest, outermost headers in
-// block order.
+// block order. It reads the CFG through dt's tables, so f must not have
+// changed since dt was built.
 func FindLoops(f *Func, dt *DomTree) []*Loop {
-	byHeader := make(map[*Block]*Loop)
-	var headers []*Block
-	for _, b := range dt.RPO() {
-		for _, s := range b.Succs() {
-			if dt.Dominates(s, b) {
-				// Back edge b -> s.
-				l, ok := byHeader[s]
-				if !ok {
-					l = &Loop{Header: s}
-					byHeader[s] = l
-					headers = append(headers, s)
-				}
-				l.Latches = append(l.Latches, b)
+	var loops []*Loop
+	var headers []int32 // headers[i] is the number of loops[i].Header
+	for _, b := range dt.order {
+		bi := dt.index[b]
+		for _, s := range dt.succs[dt.succOff[bi]:dt.succOff[bi+1]] {
+			if !dt.dominates(s, bi) {
+				continue
 			}
+			// Back edge b -> s.
+			var l *Loop
+			for i, h := range headers {
+				if h == s {
+					l = loops[i]
+					break
+				}
+			}
+			if l == nil {
+				l = &Loop{Header: dt.blocks[s], dt: dt}
+				loops = append(loops, l)
+				headers = append(headers, s)
+			}
+			l.Latches = append(l.Latches, b)
 		}
 	}
 	// Populate bodies: reverse reachability from latches without passing
-	// through the header.
-	for _, h := range headers {
-		l := byHeader[h]
-		inBody := map[*Block]bool{h: true}
-		var stack []*Block
+	// through the header. Row i of inBody is loop i's body set.
+	nb := len(dt.blocks)
+	inBody := make([]bool, len(loops)*nb)
+	var stack []int32
+	for i, l := range loops {
+		in := inBody[i*nb : (i+1)*nb]
+		in[headers[i]] = true
 		for _, latch := range l.Latches {
-			if !inBody[latch] {
-				inBody[latch] = true
-				stack = append(stack, latch)
+			if li := dt.index[latch]; !in[li] {
+				in[li] = true
+				stack = append(stack, li)
 			}
 		}
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, p := range b.Preds() {
-				if !inBody[p] {
-					inBody[p] = true
+			for _, p := range dt.preds[dt.predOff[b]:dt.predOff[b+1]] {
+				if !in[p] {
+					in[p] = true
 					stack = append(stack, p)
 				}
 			}
 		}
 		// Keep function block order for determinism.
-		for _, b := range f.Blocks {
-			if inBody[b] {
+		for bi, b := range dt.blocks[:dt.nFunc] {
+			if in[bi] {
 				l.Body = append(l.Body, b)
 			}
 		}
 	}
 	// Nesting: loop A is nested in B if B != A and B contains A's header.
-	loops := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		loops = append(loops, byHeader[h])
-	}
-	for _, l := range loops {
+	for i, l := range loops {
 		var best *Loop
-		for _, o := range loops {
-			if o == l || !o.Contains(l.Header) {
+		for j, o := range loops {
+			if j == i || !inBody[j*nb+int(headers[i])] {
 				continue
 			}
 			if best == nil || len(o.Body) < len(best.Body) {

@@ -6,25 +6,49 @@ import "autophase/internal/ir"
 // single latch block, and dedicated exits whose predecessors are all inside
 // the loop — the form the other loop passes require (LLVM's -loop-simplify).
 func loopSimplify(f *ir.Func) bool {
-	changed := false
-	for again := true; again; {
-		again = false
-		for _, l := range loopsOf(f) {
-			if insertPreheader(f, l) {
-				changed, again = true, true
-				break
-			}
-			if mergeLatches(f, l) {
-				changed, again = true, true
-				break
-			}
-			if dedicateExits(f, l) {
-				changed, again = true, true
+	_, changed := simplifiedLoops(f)
+	return changed
+}
+
+// simplifiedLoops runs loopSimplify and also returns the loops of its last
+// round, which changed nothing: they describe the CFG it leaves, so the
+// loop passes start from them instead of recomputing loopsOf.
+func simplifiedLoops(f *ir.Func) (loops []*ir.Loop, changed bool) {
+	for {
+		loops = loopsOf(f)
+		again := false
+		for _, l := range loops {
+			if insertPreheader(f, l) || mergeLatches(f, l) || dedicateExits(f, l) {
+				again = true
 				break
 			}
 		}
+		if !again {
+			return loops, changed
+		}
+		changed = true
 	}
-	return changed
+}
+
+// rewriteLoops simplifies f's loops, then applies one to them innermost
+// first; after each loop one rewrites it recomputes the loops and starts
+// over, until one leaves every loop unchanged.
+func rewriteLoops(f *ir.Func, one func(*ir.Func, *ir.Loop) bool) bool {
+	loops, changed := simplifiedLoops(f)
+	for {
+		hit := false
+		for _, l := range loops {
+			if one(f, l) {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			return changed
+		}
+		changed = true
+		loops = loopsOf(f)
+	}
 }
 
 // insertPreheader gives l a dedicated preheader when it lacks one.
@@ -34,7 +58,7 @@ func insertPreheader(f *ir.Func, l *ir.Loop) bool {
 	}
 	h := l.Header
 	var outside []*ir.Block
-	for _, p := range h.Preds() {
+	for _, p := range l.Dom().Preds(h) {
 		if !l.Contains(p) {
 			outside = append(outside, p)
 		}
@@ -113,12 +137,14 @@ func mergeLatches(f *ir.Func, l *ir.Loop) bool {
 }
 
 // dedicateExits splits edges leaving the loop that land in blocks which also
-// have predecessors outside the loop.
+// have predecessors outside the loop. It returns after the first exit it
+// splits, so the predecessors it reads are those of the loop's tree.
 func dedicateExits(f *ir.Func, l *ir.Loop) bool {
 	changed := false
 	for _, e := range l.Exits() {
+		preds := l.Dom().Preds(e)
 		mixed := false
-		for _, p := range e.Preds() {
+		for _, p := range preds {
 			if !l.Contains(p) {
 				mixed = true
 			}
@@ -126,7 +152,7 @@ func dedicateExits(f *ir.Func, l *ir.Loop) bool {
 		if !mixed {
 			continue
 		}
-		for _, p := range e.Preds() {
+		for _, p := range preds {
 			if l.Contains(p) {
 				ir.SplitEdge(f, p, e, e.Name+".loopexit")
 				changed = true
@@ -166,7 +192,7 @@ func lcssa(f *ir.Func) bool {
 				// the simple case of uses in single-pred exit blocks is
 				// rewritten (loop-simplify gives dedicated exits).
 				for _, e := range l.Exits() {
-					preds := e.Preds()
+					preds := l.Dom().Preds(e) // lcssa adds phis, never edges
 					if len(preds) != 1 || !inLoop[preds[0]] {
 						continue
 					}
@@ -197,19 +223,7 @@ func lcssa(f *ir.Func) bool {
 // exit test is duplicated into the preheader (guard) and the latch, removing
 // one block — one FSM state — from every iteration, which is why the paper's
 // forests single it out as the most impactful pass.
-func loopRotate(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for again := true; again; {
-		again = false
-		for _, l := range loopsOf(f) {
-			if rotateOne(f, l) {
-				changed, again = true, true
-				break
-			}
-		}
-	}
-	return changed
-}
+func loopRotate(f *ir.Func) bool { return rewriteLoops(f, rotateOne) }
 
 func rotateOne(f *ir.Func, l *ir.Loop) bool {
 	h := l.Header
@@ -245,10 +259,10 @@ func rotateOne(f *ir.Func, l *ir.Loop) bool {
 	if len(body.Phis()) > 0 || len(exit.Phis()) > 0 {
 		return false
 	}
-	if len(exit.Preds()) != 1 || exit.NumPredEdges() != 1 {
+	if len(l.Dom().Preds(exit)) != 1 || exit.NumPredEdges() != 1 {
 		return false
 	}
-	if len(body.Preds()) != 1 {
+	if len(l.Dom().Preds(body)) != 1 {
 		return false
 	}
 	// Header layout: phis followed by the pure condition chain and the

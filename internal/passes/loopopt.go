@@ -158,8 +158,8 @@ func ivValueAtExit(iv ivInfo, n int64, ty *ir.Type) (phiVal, nextVal int64) {
 func licm(f *ir.Func) bool {
 	// Loop passes require canonical loops; LLVM's pass manager schedules
 	// -loop-simplify implicitly, and so do we.
-	changed := loopSimplify(f)
-	for _, l := range loopsOf(f) {
+	loops, changed := simplifiedLoops(f)
+	for _, l := range loops {
 		ph := l.Preheader()
 		if ph == nil {
 			continue
@@ -346,92 +346,87 @@ func hoistable(in *ir.Instr, l *ir.Loop, lw loopWrites) bool {
 // calls or prints, no values used outside, and a provably finite trip
 // count. indvars' exit-value rewriting is what typically makes a loop's
 // results dead and exposes it to this pass.
-func loopDeletion(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for again := true; again; {
-		again = false
-		for _, l := range loopsOf(f) {
-			ph := l.Preheader()
-			latch := l.SingleLatch()
-			if ph == nil || latch == nil {
-				continue
-			}
-			exits := l.Exits()
-			if len(exits) != 1 {
-				continue
-			}
-			pure := true
-			for _, b := range l.Body {
-				for _, in := range b.Instrs {
-					switch in.Op {
-					case ir.OpStore, ir.OpMemset, ir.OpPrint, ir.OpCall:
-						pure = false
-					case ir.OpSDiv, ir.OpSRem:
-						if c, ok := ir.IsConst(in.Args[1]); !ok || c == 0 {
-							pure = false
-						}
-					}
+func loopDeletion(f *ir.Func) bool { return rewriteLoops(f, deleteOne) }
+
+// deleteOne removes l when it computes nothing observable.
+func deleteOne(f *ir.Func, l *ir.Loop) bool {
+	ph := l.Preheader()
+	latch := l.SingleLatch()
+	if ph == nil || latch == nil {
+		return false
+	}
+	exits := l.Exits()
+	if len(exits) != 1 {
+		return false
+	}
+	pure := true
+	for _, b := range l.Body {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpStore, ir.OpMemset, ir.OpPrint, ir.OpCall:
+				pure = false
+			case ir.OpSDiv, ir.OpSRem:
+				if c, ok := ir.IsConst(in.Args[1]); !ok || c == 0 {
+					pure = false
 				}
 			}
-			if !pure {
-				continue
-			}
-			usedOutside := false
-			inLoop := make(map[*ir.Block]bool)
-			for _, b := range l.Body {
-				inLoop[b] = true
-			}
-			for _, b := range l.Body {
-				for _, in := range b.Instrs {
-					if in.Ty.IsVoid() {
-						continue
-					}
-					for _, u := range f.Uses(in) {
-						if !inLoop[u.Parent()] {
-							usedOutside = true
-						}
-					}
-				}
-			}
-			if usedOutside {
-				continue
-			}
-			// Termination: a computable trip count proves it; the latch
-			// must be the only exiting block for the test to be exact.
-			if ex := l.ExitingBlocks(); len(ex) != 1 || ex[0] != latch {
-				continue
-			}
-			ivs := analyzeIVs(l, ph, latch)
-			et, ok := latchExitTest(l, latch, ivs)
-			if !ok {
-				continue
-			}
-			if _, ok := et.tripCount(); !ok {
-				continue
-			}
-			// Retarget the preheader straight to the exit. Exit phis that
-			// merged a value carried out through the latch now receive that
-			// value (a non-loop value, per the used-outside check) along
-			// the preheader edge instead.
-			exit := exits[0]
-			for _, phi := range exit.Phis() {
-				for _, pb := range append([]*ir.Block(nil), phi.Blocks...) {
-					if l.Contains(pb) {
-						if v, ok := phi.PhiIncoming(pb); ok {
-							phi.RemovePhiIncoming(pb)
-							phi.SetPhiIncoming(ph, v)
-						}
-					}
-				}
-			}
-			ph.Term().ReplaceTarget(l.Header, exit)
-			// The loop blocks are now unreachable.
-			removeUnreachableBlocks(f)
-			changed, again = true, true
-			break
 		}
 	}
-	return changed
+	if !pure {
+		return false
+	}
+	usedOutside := false
+	inLoop := make(map[*ir.Block]bool)
+	for _, b := range l.Body {
+		inLoop[b] = true
+	}
+	for _, b := range l.Body {
+		for _, in := range b.Instrs {
+			if in.Ty.IsVoid() {
+				continue
+			}
+			for _, u := range f.Uses(in) {
+				if !inLoop[u.Parent()] {
+					usedOutside = true
+				}
+			}
+		}
+	}
+	if usedOutside {
+		return false
+	}
+	// Termination: a computable trip count proves it; the latch
+	// must be the only exiting block for the test to be exact.
+	if ex := l.ExitingBlocks(); len(ex) != 1 || ex[0] != latch {
+		return false
+	}
+	ivs := analyzeIVs(l, ph, latch)
+	et, ok := latchExitTest(l, latch, ivs)
+	if !ok {
+		return false
+	}
+	if _, ok := et.tripCount(); !ok {
+		return false
+	}
+	// Retarget the preheader straight to the exit. Exit phis that
+	// merged a value carried out through the latch now receive that
+	// value (a non-loop value, per the used-outside check) along
+	// the preheader edge instead.
+	exit := exits[0]
+	for _, phi := range exit.Phis() {
+		for _, pb := range append([]*ir.Block(nil), phi.Blocks...) {
+			if l.Contains(pb) {
+				if v, ok := phi.PhiIncoming(pb); ok {
+					phi.RemovePhiIncoming(pb)
+					phi.SetPhiIncoming(ph, v)
+				}
+			}
+		}
+	}
+	ph.Term().ReplaceTarget(l.Header, exit)
+	// The loop blocks are now unreachable.
+	removeUnreachableBlocks(f)
+	return true
 }
 
 // indvars canonicalizes induction variables; its observable work here is
@@ -439,8 +434,8 @@ func loopDeletion(f *ir.Func) bool {
 // trip count are replaced by the closed-form final value, breaking the
 // dependence on the loop (and often leaving it dead for -loop-deletion).
 func indvars(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for _, l := range loopsOf(f) {
+	loops, changed := simplifiedLoops(f)
+	for _, l := range loops {
 		ph := l.Preheader()
 		latch := l.SingleLatch()
 		if ph == nil || latch == nil {
@@ -497,19 +492,7 @@ func indvars(f *ir.Func) bool {
 // only stores one invariant value through a unit-stride address — and
 // replaces them with the burst memset intrinsic the HLS backend maps to a
 // streaming write engine.
-func loopIdiom(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for again := true; again; {
-		again = false
-		for _, l := range loopsOf(f) {
-			if idiomOne(f, l) {
-				changed, again = true, true
-				break
-			}
-		}
-	}
-	return changed
-}
+func loopIdiom(f *ir.Func) bool { return rewriteLoops(f, idiomOne) }
 
 func idiomOne(f *ir.Func, l *ir.Loop) bool {
 	ph := l.Preheader()
@@ -603,8 +586,8 @@ func idiomOne(f *ir.Func, l *ir.Loop) bool {
 // loop-invariant constant become a second accumulator IV updated by
 // addition — trading the multiplier's long delay for an adder.
 func loopReduce(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for _, l := range loopsOf(f) {
+	loops, changed := simplifiedLoops(f)
+	for _, l := range loops {
 		ph := l.Preheader()
 		latch := l.SingleLatch()
 		if ph == nil || latch == nil {
@@ -654,8 +637,8 @@ func loopReduce(f *ir.Func) bool {
 // cloning the loop body for each side of the branch, so each version runs
 // branch-free. Guarded to loops whose values never escape.
 func loopUnswitch(f *ir.Func) bool {
-	loopSimplify(f)
-	for _, l := range loopsOf(f) {
+	loops, _ := simplifiedLoops(f)
+	for _, l := range loops {
 		if unswitchOne(f, l) {
 			return true // one unswitch per run (exponential growth guard)
 		}

@@ -146,7 +146,7 @@ func mem2reg(f *ir.Func) bool {
 	// incoming (verifier requires exactly the pred set).
 	for _, pi := range phis {
 		b := pi.phi.Parent()
-		for _, p := range b.Preds() {
+		for _, p := range dt.Preds(b) { // promotion adds no edges
 			if _, ok := pi.phi.PhiIncoming(p); !ok {
 				pi.phi.SetPhiIncoming(p, &ir.Undef{Ty: pi.phi.Ty})
 			}

@@ -12,20 +12,10 @@ const (
 // counts. It requires do-while (latch-exiting) form with a computable trip
 // count — which is exactly why the paper's agents learn to schedule
 // -loop-rotate before -loop-unroll.
-func loopUnroll(f *ir.Func) bool {
-	changed := loopSimplify(f)
-	for again := true; again; {
-		again = false
-		for _, l := range loopsOf(f) {
-			if unrollOne(f, l) {
-				changed, again = true, true
-				break
-			}
-		}
-	}
-	return changed
-}
+func loopUnroll(f *ir.Func) bool { return rewriteLoops(f, unrollOne) }
 
+// unrollOne fully unrolls l. A loop holding inner loops qualifies too: its
+// copies clone the inner loops' blocks with the rest of the body.
 func unrollOne(f *ir.Func, l *ir.Loop) bool {
 	ph := l.Preheader()
 	latch := l.SingleLatch()
@@ -52,13 +42,6 @@ func unrollOne(f *ir.Func, l *ir.Loop) bool {
 	}
 	if n*size > maxUnrolledSize {
 		return false
-	}
-	// Inner loops inside this body would need loop-structure surgery; only
-	// unroll innermost loops.
-	for _, other := range loopsOf(f) {
-		if other.Parent == l {
-			return false
-		}
 	}
 	exits := l.Exits()
 	if len(exits) != 1 {

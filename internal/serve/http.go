@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"autophase/internal/artifact"
 	"autophase/internal/core"
 	"autophase/internal/ir"
 )
@@ -245,6 +246,13 @@ func (s *Server) Stats() StatsReport {
 			Faults: t.agg.Faults, Flagged: t.agg.Flagged,
 		})
 	}
+	// Each job's disk counters are the shared store's totals at the time,
+	// so summing them over jobs multiplies them; read the store once.
+	var ss artifact.Stats
+	if s.store != nil {
+		ss = s.store.Stats()
+	}
+	agg.DiskWrites, agg.DiskBytes, agg.DiskCorrupt = ss.Writes, ss.Bytes, ss.Corrupt
 	agg.Tenants = int64(len(s.tenantIDs))
 	agg.Shed = s.shed429 + s.shed503
 	agg.Drained = s.drainedJobs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -453,6 +454,46 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("healthz should be 200 while accepting (err=%v)", err)
 	} else {
 		hr.Body.Close()
+	}
+}
+
+// TestStatsDiskCountersReadOnce: every job's stats carry the shared
+// store's running totals, so the /v1/stats aggregate must take disk
+// writes, bytes and corruptions from the store once instead of summing
+// them over jobs.
+func TestStatsDiskCountersReadOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.ArtifactDir = t.TempDir()
+	s := newTestServer(t, cfg)
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	defer s.Shutdown(context.Background())
+
+	const jobs = 3
+	for i := 0; i < jobs; i++ {
+		// One at a time, so each job sees the writes of those before it.
+		resp, body := submit(t, ts, SubmitRequest{Tenant: "acme", IR: testIR, Budget: 8, SeqLen: 4})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d body %s", i, resp.StatusCode, body)
+		}
+		var ack SubmitResponse
+		if err := json.Unmarshal(body, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, ts, ack.ID); st.State != "done" {
+			t.Fatalf("job %s: state %s (%s), want done", ack.ID, st.State, st.Error)
+		}
+	}
+	ss := s.store.Stats()
+	if ss.Writes == 0 {
+		t.Fatal("jobs wrote nothing to the store")
+	}
+	agg := s.Stats().Aggregate
+	want := fmt.Sprintf("disk-writes=%d disk-bytes=%d disk-corrupt=%d", ss.Writes, ss.Bytes, ss.Corrupt)
+	if !strings.Contains(agg, want) {
+		t.Fatalf("aggregate %q should carry the store's own counters %q", agg, want)
 	}
 }
 

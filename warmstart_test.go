@@ -10,10 +10,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"autophase/internal/artifact"
 	"autophase/internal/core"
 	"autophase/internal/hls"
+	"autophase/internal/interp"
 	"autophase/internal/ir"
 	"autophase/internal/passes"
 	"autophase/internal/progen"
@@ -252,5 +254,54 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 		b.StopTimer()
 		st.Close()
 		b.StartTimer()
+	}
+}
+
+// TestWarmStartDeadlineNotKeyed pins that the wall-clock deadline is not
+// part of the stored-profile key: a second Program with a different
+// Limits.Deadline on the same store answers the first one's profiles from
+// disk with no engine run. A deadline can only turn a success into an
+// error, and errors are never stored.
+func TestWarmStartDeadlineNotKeyed(t *testing.T) {
+	st, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// run compiles the sweep's three pipelines under the given deadline and
+	// returns their cycles with the engine runs and disk hits they caused
+	// (the O0/-O3 baselines NewProgram profiles are not counted).
+	run := func(deadline time.Duration) (cycles []int64, engines, diskHits int64) {
+		p, err := core.NewProgram("matmul", progen.Benchmark("matmul"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetArtifacts(st)
+		lim := interp.DefaultLimits
+		lim.Deadline = deadline
+		p.SetLimits(lim)
+		before := p.EvalStats()
+		for _, seq := range sweepPreludes {
+			c, _, ok := p.Compile(seq)
+			if !ok {
+				t.Fatalf("deadline %v: sequence %v failed", deadline, seq)
+			}
+			cycles = append(cycles, c)
+		}
+		after := p.EvalStats()
+		engines = after.StaticHits + after.VMHits + after.InterpHits -
+			(before.StaticHits + before.VMHits + before.InterpHits)
+		return cycles, engines, after.DiskHits - before.DiskHits
+	}
+	first, _, hits1 := run(time.Minute)
+	second, engines2, hits2 := run(2 * time.Minute)
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Fatalf("cycles differ across deadlines: %v vs %v", first, second)
+	}
+	if hits1 != 0 {
+		t.Fatalf("first program hit the empty store %d times", hits1)
+	}
+	if engines2 != 0 || hits2 != int64(len(sweepPreludes)) {
+		t.Fatalf("second program: %d engine runs, %d disk hits; want 0 and %d", engines2, hits2, len(sweepPreludes))
 	}
 }
