@@ -39,20 +39,27 @@ func CloneFunc(f *Func, newName string) *Func {
 	return nf
 }
 
+// cloneFuncInto copies f's body into nf. Every slice is allocated once at
+// its exact length and both maps are presized, so nothing regrows.
 func cloneFuncInto(f, nf *Func, fmap map[*Func]*Func, gmap map[*Global]*Global) {
 	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := nf.NewBlock(b.Name)
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	n := 0
+	for i, b := range f.Blocks {
+		nb := &Block{Name: b.Name, parent: nf, Instrs: make([]*Instr, len(b.Instrs))}
+		nf.Blocks[i] = nb
 		bmap[b] = nb
+		n += len(b.Instrs)
 	}
-	imap := make(map[*Instr]*Instr)
-	for _, b := range f.Blocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
+	imap := make(map[*Instr]*Instr, n)
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
+		for j, in := range b.Instrs {
 			ni := &Instr{
 				Op: in.Op, Ty: in.Ty, Name: in.Name, Pred: in.Pred,
 				AllocTy: in.AllocTy, BranchWeight: in.BranchWeight,
-				Cases: append([]int64(nil), in.Cases...),
+				Cases:  append([]int64(nil), in.Cases...),
+				parent: nb,
 			}
 			if in.Callee != nil {
 				if nc, ok := fmap[in.Callee]; ok {
@@ -61,12 +68,15 @@ func cloneFuncInto(f, nf *Func, fmap map[*Func]*Func, gmap map[*Global]*Global) 
 					ni.Callee = in.Callee
 				}
 			}
-			for _, t := range in.Blocks {
-				ni.Blocks = append(ni.Blocks, bmap[t])
+			if len(in.Blocks) > 0 {
+				ni.Blocks = make([]*Block, len(in.Blocks))
+				for k, t := range in.Blocks {
+					ni.Blocks[k] = bmap[t]
+				}
 			}
 			ni.Args = make([]Value, len(in.Args))
 			imap[in] = ni
-			nb.Append(ni)
+			nb.Instrs[j] = ni
 		}
 	}
 	// Second sweep: remap operands now that every instruction exists.
@@ -93,11 +103,12 @@ func cloneFuncInto(f, nf *Func, fmap map[*Func]*Func, gmap map[*Global]*Global) 
 			return v
 		}
 	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			ni := imap[in]
-			for i, a := range in.Args {
-				ni.Args[i] = remap(a)
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
+		for j, in := range b.Instrs {
+			ni := nb.Instrs[j]
+			for k, a := range in.Args {
+				ni.Args[k] = remap(a)
 			}
 		}
 	}

@@ -14,10 +14,17 @@ package ir
 // was replaced in it. Owned functions are fixed up eagerly on every
 // replacement; still-borrowed functions that call a replaced function are
 // materialized by Seal, which pass pipelines run once at the end.
+//
+// A scratch clone that a RunOwned transformation left unchanged is kept as
+// the borrowed function's spare: by the changed-reporting contract it is
+// still identical to the parent, so the next RunOwned or Materialize of that
+// function takes it instead of cloning again. Spares live only for the
+// duration of a pass pipeline; Seal and MaterializeAll drop them.
 
 type cowState struct {
 	shared map[*Func]bool  // borrowed from the parent; must not be mutated
 	remap  map[*Func]*Func // parent function -> owned replacement
+	spare  map[*Func]*Func // parent function -> unchanged scratch clone
 }
 
 // CloneCOW returns a copy-on-write clone of m: a new module sharing every
@@ -59,9 +66,21 @@ func (m *Module) cowClone(f *Func) *Func {
 	return nf
 }
 
+// scratch returns a private copy of the borrowed function f: its spare when
+// one is kept (removing it, so a transformation that panics midway cannot
+// leave a half-rewritten spare behind), a fresh clone otherwise.
+func (m *Module) scratch(f *Func) *Func {
+	if nf, ok := m.cow.spare[f]; ok {
+		delete(m.cow.spare, f)
+		return nf
+	}
+	return m.cowClone(f)
+}
+
 // install replaces borrowed old with owned nf in the function list, records
 // the remapping, and reroutes calls to old inside every already-owned
-// function (they may have been cloned before old was replaced).
+// function and every spare (they may have been cloned before old was
+// replaced).
 func (m *Module) install(old, nf *Func) {
 	for i, x := range m.Funcs {
 		if x == old {
@@ -75,33 +94,42 @@ func (m *Module) install(old, nf *Func) {
 	}
 	m.cow.remap[old] = nf
 	for _, g := range m.Funcs {
-		if g == nf || m.cow.shared[g] {
-			continue
+		if g != nf && !m.cow.shared[g] {
+			reroute(g, old, nf)
 		}
-		for _, b := range g.Blocks {
-			for _, in := range b.Instrs {
-				if in.Callee == old {
-					in.Callee = nf
-				}
+	}
+	for _, g := range m.cow.spare {
+		reroute(g, old, nf)
+	}
+}
+
+// reroute points every call to old inside g at nf.
+func reroute(g, old, nf *Func) {
+	for _, b := range g.Blocks {
+		for _, in := range b.Instrs {
+			if in.Callee == old {
+				in.Callee = nf
 			}
 		}
 	}
 }
 
-// Materialize ensures f is owned by m, deep-copying it if it is still
-// borrowed, and returns the owned function (f itself when already owned).
+// Materialize ensures f is owned by m, deep-copying it (or taking its spare)
+// if it is still borrowed, and returns the owned function (f itself when
+// already owned).
 func (m *Module) Materialize(f *Func) *Func {
 	if !m.IsShared(f) {
 		return f
 	}
-	nf := m.cowClone(f)
+	nf := m.scratch(f)
 	m.install(f, nf)
 	return nf
 }
 
 // MaterializeAll takes ownership of every function, after which the module
 // behaves exactly like a deep clone (module passes that walk or rewrite
-// arbitrary functions run on a fully materialized module).
+// arbitrary functions run on a fully materialized module). Spares are taken
+// by the functions they copy; none survives.
 func (m *Module) MaterializeAll() {
 	if m.cow == nil {
 		return
@@ -113,16 +141,22 @@ func (m *Module) MaterializeAll() {
 }
 
 // RunOwned applies fn to f with copy-on-write semantics: an owned f is
-// transformed in place; a borrowed f is transformed on a scratch deep copy
-// that is installed only when fn reports a change, leaving the parent
-// untouched and the clone cost unpaid for no-op runs. fn must return true
-// whenever it mutated the function (the pass changed-reporting contract).
+// transformed in place; a borrowed f is transformed on a scratch copy (its
+// spare, or a fresh deep copy) that is installed only when fn reports a
+// change, leaving the parent untouched. An unchanged scratch copy becomes
+// f's spare, so a run of no-op passes over f clones it at most once. fn must
+// return true whenever it mutated the function (the pass changed-reporting
+// contract): a spare is reused as if it were the parent.
 func (m *Module) RunOwned(f *Func, fn func(*Func) bool) bool {
 	if !m.IsShared(f) {
 		return fn(f)
 	}
-	nf := m.cowClone(f)
+	nf := m.scratch(f)
 	if !fn(nf) {
+		if m.cow.spare == nil {
+			m.cow.spare = make(map[*Func]*Func)
+		}
+		m.cow.spare[f] = nf
 		return false
 	}
 	m.install(f, nf)
@@ -131,13 +165,15 @@ func (m *Module) RunOwned(f *Func, fn func(*Func) bool) bool {
 
 // Seal restores the no-dangling-callee invariant after a pass pipeline:
 // every still-borrowed function that calls a replaced function is
-// materialized (which reroutes the call), repeating until settled. Cheap
-// when nothing was replaced. Idempotent.
+// materialized (which reroutes the call), repeating until settled. It then
+// drops every spare, so a sealed module (the form the compile cache
+// publishes) holds no scratch copies. Cheap when nothing was replaced.
+// Idempotent.
 func (m *Module) Seal() {
-	if m.cow == nil || len(m.cow.remap) == 0 {
+	if m.cow == nil {
 		return
 	}
-	for again := true; again; {
+	for again := len(m.cow.remap) > 0; again; {
 		again = false
 		for _, f := range m.Funcs {
 			if !m.cow.shared[f] || !m.refsReplaced(f) {
@@ -147,6 +183,7 @@ func (m *Module) Seal() {
 			again = true
 		}
 	}
+	m.cow.spare = nil
 }
 
 // refsReplaced reports whether f calls a function that was replaced in m.

@@ -137,3 +137,119 @@ func TestMaterializeAllBehavesLikeDeepClone(t *testing.T) {
 		t.Fatal("mutation after MaterializeAll reached the parent")
 	}
 }
+
+// addAlloca is a minimal mutation for RunOwned callbacks.
+func addAlloca(f *ir.Func) bool {
+	f.Blocks[0].Prepend(&ir.Instr{Op: ir.OpAlloca, Ty: ir.PointerTo(ir.I32), AllocTy: ir.I32})
+	return true
+}
+
+// TestRunOwnedReusesUnchangedClone runs a no-op and then a changing
+// transformation over the same borrowed function: the second run must get
+// the first run's scratch copy (one clone in all), and the parent must be
+// untouched.
+func TestRunOwnedReusesUnchangedClone(t *testing.T) {
+	m := progen.Benchmark("matmul")
+	before := m.String()
+	cow := m.CloneCOW()
+	target := cow.Funcs[0]
+
+	var first, second *ir.Func
+	cow.RunOwned(target, func(f *ir.Func) bool { first = f; return false })
+	if !cow.IsShared(target) || cow.Funcs[0] != target {
+		t.Fatal("no-op run took ownership")
+	}
+	cow.RunOwned(target, func(f *ir.Func) bool { second = f; return addAlloca(f) })
+	if first == target || second != first {
+		t.Fatal("the changing run did not reuse the no-op run's copy")
+	}
+	if cow.Funcs[0] != second || cow.IsShared(second) {
+		t.Fatal("reused copy not installed")
+	}
+	if m.String() != before {
+		t.Fatal("the parent changed")
+	}
+}
+
+// callPair finds a function of m that calls another function of m.
+func callPair(m *ir.Module) (caller, callee *ir.Func) {
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Callee != nil && in.Callee != f {
+					return f, in.Callee
+				}
+			}
+		}
+	}
+	return nil, nil
+}
+
+// TestSpareCallsReplacedCallee keeps the caller as a spare, replaces the
+// callee, then changes the caller: the installed caller must call the new
+// callee, not the parent's.
+func TestSpareCallsReplacedCallee(t *testing.T) {
+	for _, name := range progen.BenchmarkNames {
+		m := progen.Benchmark(name)
+		cow := m.CloneCOW()
+		f, g := callPair(cow)
+		if f == nil {
+			continue
+		}
+		cow.RunOwned(f, func(*ir.Func) bool { return false })
+		cow.RunOwned(g, addAlloca)
+		newG := cow.Func(g.Name)
+		if newG == g {
+			t.Fatalf("%s: callee not replaced", name)
+		}
+		cow.RunOwned(f, addAlloca)
+		newF := cow.Func(f.Name)
+		for _, b := range newF.Blocks {
+			for _, in := range b.Instrs {
+				if in.Callee == g {
+					t.Fatalf("%s: installed %s still calls the parent's %s", name, f.Name, g.Name)
+				}
+			}
+		}
+		if c, _ := callPair(&ir.Module{Funcs: []*ir.Func{newF}}); c == nil {
+			t.Fatalf("%s: installed %s lost its call", name, f.Name)
+		}
+		return
+	}
+	t.Fatal("no benchmark has a call between two functions")
+}
+
+// TestSealAndMaterializeAllDropSpares leaves a spare behind, then checks
+// that Seal and MaterializeAll each either hand it to its function or drop
+// it, so no later materialization can pick it up.
+func TestSealAndMaterializeAllDropSpares(t *testing.T) {
+	m := progen.Benchmark("qsort")
+	leaveSpare := func() (cow *ir.Module, target, spare *ir.Func) {
+		cow = m.CloneCOW()
+		target = cow.Funcs[0]
+		cow.RunOwned(target, func(f *ir.Func) bool { spare = f; return false })
+		cow.RunOwned(cow.Funcs[len(cow.Funcs)-1], addAlloca) // something to seal
+		return cow, target, spare
+	}
+
+	cow, target, spare := leaveSpare()
+	cow.Seal()
+	if cow.IsShared(target) {
+		if cow.Materialize(target) == spare {
+			t.Fatal("a spare survived Seal")
+		}
+	} else if cow.Func(target.Name) != spare {
+		t.Fatal("Seal cloned a function that had a spare")
+	}
+
+	cow, target, spare = leaveSpare()
+	cow.MaterializeAll()
+	if cow.Func(target.Name) != spare {
+		t.Fatal("MaterializeAll cloned a function that had a spare")
+	}
+	for _, f := range cow.Funcs {
+		if cow.IsShared(f) {
+			t.Fatalf("%s still shared after MaterializeAll", f.Name)
+		}
+	}
+}

@@ -169,10 +169,19 @@ func dedicateExits(f *ir.Func, l *ir.Loop) bool {
 // used outside the loop, putting the function in loop-closed SSA form.
 func lcssa(f *ir.Func) bool {
 	changed := false
+	var uses *useIndex
+	stale := true
 	for _, l := range loopsOf(f) {
 		inLoop := make(map[*ir.Block]bool)
 		for _, b := range l.Body {
 			inLoop[b] = true
+		}
+		// At most one index per loop: the rewrites below only redirect uses
+		// of the instruction being processed, so the users of every later
+		// one are unchanged. The next loop may contain this one's new exit
+		// phis, so an index is rebuilt after a loop that inserted any.
+		if stale {
+			uses, stale = newUseIndex(f), false
 		}
 		for _, b := range l.Body {
 			for _, in := range b.Instrs {
@@ -180,7 +189,7 @@ func lcssa(f *ir.Func) bool {
 					continue
 				}
 				var outsideUses []*ir.Instr
-				for _, u := range f.Uses(in) {
+				for _, u := range uses.of(in) {
 					if !inLoop[u.Parent()] {
 						outsideUses = append(outsideUses, u)
 					}
@@ -211,7 +220,7 @@ func lcssa(f *ir.Func) bool {
 					for _, u := range usesHere {
 						u.ReplaceUses(in, phi)
 					}
-					changed = true
+					changed, stale = true, true
 				}
 			}
 		}

@@ -637,13 +637,13 @@ func loopReduce(f *ir.Func) bool {
 // cloning the loop body for each side of the branch, so each version runs
 // branch-free. Guarded to loops whose values never escape.
 func loopUnswitch(f *ir.Func) bool {
-	loops, _ := simplifiedLoops(f)
+	loops, changed := simplifiedLoops(f)
 	for _, l := range loops {
 		if unswitchOne(f, l) {
 			return true // one unswitch per run (exponential growth guard)
 		}
 	}
-	return false
+	return changed
 }
 
 func unswitchOne(f *ir.Func, l *ir.Loop) bool {

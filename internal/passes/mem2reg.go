@@ -7,17 +7,24 @@ import "autophase/internal/ir"
 // classic enabling pass without which the scalar optimizations see only
 // loads and stores.
 func mem2reg(f *ir.Func) bool {
-	var allocas []*ir.Instr
-	for _, in := range f.Entry().Instrs {
-		if in.Op == ir.OpAlloca && promotableAlloca(f, in) {
-			allocas = append(allocas, in)
-		}
-	}
 	// Allocas outside the entry block are also promotable if they dominate
 	// all their uses; keep to entry-block allocas (the common case our
 	// frontends produce) for safety.
+	allocas := promotableAllocas(f)
 	if len(allocas) == 0 {
 		return false
+	}
+	slot := make(map[*ir.Instr]int, len(allocas)) // promoted alloca -> index
+	for i, al := range allocas {
+		slot[al] = i
+	}
+	promoted := func(v ir.Value) (int, bool) {
+		al, ok := v.(*ir.Instr)
+		if !ok {
+			return 0, false
+		}
+		i, ok := slot[al]
+		return i, ok
 	}
 
 	dt := ir.NewDomTree(f)
@@ -30,21 +37,24 @@ func mem2reg(f *ir.Func) bool {
 	}
 	var phis []phiInfo
 
-	for _, al := range allocas {
-		// Blocks containing stores to al.
-		var defBlocks []*ir.Block
-		seen := make(map[*ir.Block]bool)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpStore && in.Args[1] == al && !seen[b] {
-					seen[b] = true
-					defBlocks = append(defBlocks, b)
+	// Blocks containing stores to each alloca, in block order.
+	defBlocks := make([][]*ir.Block, len(allocas))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpStore {
+				continue
+			}
+			if i, ok := promoted(in.Args[1]); ok {
+				if d := defBlocks[i]; len(d) == 0 || d[len(d)-1] != b {
+					defBlocks[i] = append(d, b)
 				}
 			}
 		}
+	}
+	for i, al := range allocas {
 		// Iterated dominance frontier.
 		placed := make(map[*ir.Block]bool)
-		work := append([]*ir.Block(nil), defBlocks...)
+		work := defBlocks[i]
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
@@ -62,13 +72,9 @@ func mem2reg(f *ir.Func) bool {
 	}
 
 	// Renaming walk over the dominator tree.
-	phiAlloca := make(map[*ir.Instr]*ir.Instr, len(phis))
+	phiAlloca := make(map[*ir.Instr]int, len(phis))
 	for _, pi := range phis {
-		phiAlloca[pi.phi] = pi.alloca
-	}
-	isPromoted := make(map[*ir.Instr]bool, len(allocas))
-	for _, al := range allocas {
-		isPromoted[al] = true
+		phiAlloca[pi.phi] = slot[pi.alloca]
 	}
 
 	// Children lists for the dominator tree walk.
@@ -82,39 +88,61 @@ func mem2reg(f *ir.Func) bool {
 		}
 	}
 
-	type stackFrame struct {
-		block *ir.Block
-		saved map[*ir.Instr]ir.Value
+	// cur holds each alloca's current value; every assignment is logged so
+	// leaving a dominator subtree undoes it. Promoted loads are not
+	// rewritten one by one (each a sweep over f): repl records the value
+	// each stands for, and one sweep at the end rewrites every use.
+	// Stored values are resolved through repl when recorded, so cur and
+	// every phi incoming hold final values.
+	cur := make([]ir.Value, len(allocas))
+	type undo struct {
+		slot int
+		old  ir.Value
 	}
-	cur := make(map[*ir.Instr]ir.Value, len(allocas)) // alloca -> current value
+	var log []undo
+	set := func(i int, v ir.Value) {
+		log = append(log, undo{i, cur[i]})
+		cur[i] = v
+	}
+	repl := make(map[*ir.Instr]ir.Value)
+	resolve := func(v ir.Value) ir.Value {
+		for {
+			in, ok := v.(*ir.Instr)
+			if !ok {
+				return v
+			}
+			r, ok := repl[in]
+			if !ok {
+				return v
+			}
+			v = r
+		}
+	}
 
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		saved := make(map[*ir.Instr]ir.Value, len(cur))
-		for k, v := range cur {
-			saved[k] = v
-		}
+		mark := len(log)
 		// Phis at block head define new current values.
 		for _, in := range b.Phis() {
-			if al, ok := phiAlloca[in]; ok {
-				cur[al] = in
+			if i, ok := phiAlloca[in]; ok {
+				set(i, in)
 			}
 		}
 		// Rewrite loads, record stores.
 		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
 			switch in.Op {
 			case ir.OpLoad:
-				if al, ok := in.Args[0].(*ir.Instr); ok && isPromoted[al] {
-					v := cur[al]
+				if i, ok := promoted(in.Args[0]); ok {
+					v := cur[i]
 					if v == nil {
 						v = &ir.Undef{Ty: in.Ty}
 					}
-					f.ReplaceAllUses(in, v)
+					repl[in] = v
 					b.Remove(in)
 				}
 			case ir.OpStore:
-				if al, ok := in.Args[1].(*ir.Instr); ok && isPromoted[al] {
-					cur[al] = in.Args[0]
+				if i, ok := promoted(in.Args[1]); ok {
+					set(i, resolve(in.Args[0]))
 					b.Remove(in)
 				}
 			}
@@ -122,8 +150,8 @@ func mem2reg(f *ir.Func) bool {
 		// Fill successor phi incomings.
 		for _, s := range b.Succs() {
 			for _, phi := range s.Phis() {
-				if al, ok := phiAlloca[phi]; ok {
-					v := cur[al]
+				if i, ok := phiAlloca[phi]; ok {
+					v := cur[i]
 					if v == nil {
 						v = &ir.Undef{Ty: phi.Ty}
 					}
@@ -134,9 +162,22 @@ func mem2reg(f *ir.Func) bool {
 		for _, c := range children[b] {
 			walk(c)
 		}
-		cur = saved
+		for len(log) > mark {
+			u := log[len(log)-1]
+			log = log[:len(log)-1]
+			cur[u.slot] = u.old
+		}
 	}
 	walk(f.Entry())
+	if len(repl) > 0 {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				for k, a := range in.Args {
+					in.Args[k] = resolve(a)
+				}
+			}
+		}
+	}
 
 	// Remove the promoted allocas.
 	for _, al := range allocas {

@@ -289,7 +289,7 @@ func reassociate(f *ir.Func) bool {
 	return changed
 }
 
-func isChainInterior(in *ir.Instr, uses map[ir.Value]int) bool {
+func isChainInterior(in *ir.Instr, uses map[*ir.Instr]int32) bool {
 	if uses[in] != 1 {
 		return false
 	}
@@ -299,7 +299,7 @@ func isChainInterior(in *ir.Instr, uses map[ir.Value]int) bool {
 
 // flattenChain collects the leaves of the same-op single-use tree rooted at
 // in, restricted to instructions in block b.
-func flattenChain(in *ir.Instr, op ir.Op, uses map[ir.Value]int, b *ir.Block) []ir.Value {
+func flattenChain(in *ir.Instr, op ir.Op, uses map[*ir.Instr]int32, b *ir.Block) []ir.Value {
 	var leaves []ir.Value
 	var walk func(v ir.Value)
 	walk = func(v ir.Value) {

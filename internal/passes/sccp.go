@@ -25,6 +25,7 @@ func sccp(f *ir.Func) bool {
 	lat := make(map[ir.Value]latVal)
 	execEdge := make(map[[2]*ir.Block]bool)
 	execBlock := make(map[*ir.Block]bool)
+	uses := newUseIndex(f) // the solve reads the IR without changing it
 
 	valOf := func(v ir.Value) latVal {
 		switch x := v.(type) {
@@ -75,9 +76,7 @@ func sccp(f *ir.Func) bool {
 			nv = latVal{latOver, 0}
 		}
 		lat[in] = nv
-		for _, u := range f.Uses(in) {
-			instrWL = append(instrWL, u)
-		}
+		instrWL = append(instrWL, uses.of(in)...)
 	}
 
 	visit := func(in *ir.Instr) {

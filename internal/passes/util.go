@@ -2,14 +2,18 @@ package passes
 
 import "autophase/internal/ir"
 
-// buildUseCounts returns a map from value to the number of operand slots
-// referencing it within f.
-func buildUseCounts(f *ir.Func) map[ir.Value]int {
-	uses := make(map[ir.Value]int)
+// buildUseCounts returns, for each instruction used within f, the number of
+// operand slots referencing it. Only instructions are counted: every caller
+// asks about instructions, and a pointer-keyed map is far cheaper to fill
+// than one keyed by every operand value.
+func buildUseCounts(f *ir.Func) map[*ir.Instr]int32 {
+	uses := make(map[*ir.Instr]int32, f.NumInstrs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				uses[a]++
+				if ai, ok := a.(*ir.Instr); ok {
+					uses[ai]++
+				}
 			}
 		}
 	}
@@ -18,11 +22,13 @@ func buildUseCounts(f *ir.Func) map[ir.Value]int {
 
 // removeTriviallyDead iteratively deletes instructions whose results are
 // unused and that have no side effects. Returns whether anything was
-// removed. This is the cheap DCE sweep many passes run as a clean-up.
+// removed. This is the cheap DCE sweep many passes run as a clean-up. The
+// use counts are built once and decremented as users go, so a round that
+// frees an operand earlier in the function only costs another sweep.
 func removeTriviallyDead(f *ir.Func) bool {
+	uses := buildUseCounts(f)
 	changed := false
 	for {
-		uses := buildUseCounts(f)
 		removed := false
 		for _, b := range f.Blocks {
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
@@ -35,6 +41,11 @@ func removeTriviallyDead(f *ir.Func) bool {
 				}
 				if uses[in] == 0 {
 					b.Remove(in)
+					for _, a := range in.Args {
+						if ai, ok := a.(*ir.Instr); ok {
+							uses[ai]--
+						}
+					}
 					removed = true
 				}
 			}
@@ -207,17 +218,25 @@ func lessValue(a, b ir.Value) bool {
 	return a.Ref() < b.Ref()
 }
 
-// singleStoreAlloca reports whether the alloca's address is only used
-// directly by loads and stores (no GEP/bitcast/call escapes), i.e. it is
-// promotable by mem2reg.
-func promotableAlloca(f *ir.Func, al *ir.Instr) bool {
-	if al.AllocTy.Kind == ir.ArrayKind {
-		return false
+// promotableAllocas returns, in order, the entry-block allocas of f whose
+// address is only used directly by loads and stores (no GEP/bitcast/call
+// escapes, and never stored as a value), i.e. the ones mem2reg promotes.
+// One sweep over f decides all of them.
+func promotableAllocas(f *ir.Func) []*ir.Instr {
+	ok := make(map[*ir.Instr]bool)
+	for _, in := range f.Entry().Instrs {
+		if in.Op == ir.OpAlloca && in.AllocTy.Kind != ir.ArrayKind {
+			ok[in] = true
+		}
+	}
+	if len(ok) == 0 {
+		return nil
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for ai, a := range in.Args {
-				if a != al {
+				al, isInstr := a.(*ir.Instr)
+				if !isInstr || !ok[al] {
 					continue
 				}
 				switch {
@@ -225,10 +244,16 @@ func promotableAlloca(f *ir.Func, al *ir.Instr) bool {
 				case in.Op == ir.OpStore && ai == 1:
 					// address operand only; storing the pointer escapes it
 				default:
-					return false
+					ok[al] = false
 				}
 			}
 		}
 	}
-	return true
+	var allocas []*ir.Instr
+	for _, in := range f.Entry().Instrs {
+		if ok[in] {
+			allocas = append(allocas, in)
+		}
+	}
+	return allocas
 }

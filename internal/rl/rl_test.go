@@ -209,61 +209,3 @@ func TestSnapshotRejectsBadKind(t *testing.T) {
 		t.Fatal("accepted missing file")
 	}
 }
-
-func TestDQNLearnsContextualTask(t *testing.T) {
-	cfg := DefaultDQN()
-	cfg.Hidden = []int{32}
-	cfg.Seed = 13
-	d := NewDQN(cfg, 4, 4)
-	env := newChainEnv(31)
-	var last Stats
-	d.Train(env, 10000, func(s Stats) { last = s })
-	if last.EpisodeRewardMean < 4.0 { // max 6
-		t.Fatalf("DQN failed to learn: reward mean %.2f", last.EpisodeRewardMean)
-	}
-	correct := 0
-	for ctx := 0; ctx < 4; ctx++ {
-		o := make([]float64, 4)
-		o[ctx] = 1
-		if d.Act(o, true)[0] == ctx {
-			correct++
-		}
-	}
-	if correct < 3 {
-		t.Fatalf("greedy DQN policy only matches %d/4 contexts", correct)
-	}
-}
-
-func TestDQNEpsilonSchedule(t *testing.T) {
-	cfg := DefaultDQN()
-	d := NewDQN(cfg, 2, 3)
-	if e := d.epsilon(); e != cfg.EpsStart {
-		t.Fatalf("initial epsilon %f", e)
-	}
-	d.steps = cfg.EpsDecaySteps * 2
-	if e := d.epsilon(); e < cfg.EpsEnd-1e-9 || e > cfg.EpsEnd+1e-9 {
-		t.Fatalf("final epsilon %f", e)
-	}
-}
-
-func TestDQNReplayRingBuffer(t *testing.T) {
-	cfg := DefaultDQN()
-	cfg.BufferSize = 8
-	d := NewDQN(cfg, 2, 2)
-	for i := 0; i < 20; i++ {
-		d.push(replayItem{reward: float64(i)})
-	}
-	if len(d.buf) != 8 {
-		t.Fatalf("buffer grew past capacity: %d", len(d.buf))
-	}
-	// Oldest entries must have been overwritten.
-	minR := d.buf[0].reward
-	for _, it := range d.buf {
-		if it.reward < minR {
-			minR = it.reward
-		}
-	}
-	if minR < 8 {
-		t.Fatalf("ring buffer kept stale entries: min reward %f", minR)
-	}
-}
