@@ -7,13 +7,22 @@ import (
 
 // Softmax returns the softmax of logits (numerically stabilized).
 func Softmax(logits []float64) []float64 {
+	p := make([]float64, len(logits))
+	SoftmaxInto(p, logits)
+	return p
+}
+
+// SoftmaxInto writes the softmax of logits into p, which must have the same
+// length, and returns lse = log Σ_i exp(logits[i]), so that
+// logits[i]-lse is the log-probability of i without a second pass.
+func SoftmaxInto(p, logits []float64) (lse float64) {
 	maxv := math.Inf(-1)
 	for _, v := range logits {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	p := make([]float64, len(logits))
+	p = p[:len(logits)]
 	var sum float64
 	for i, v := range logits {
 		e := math.Exp(v - maxv)
@@ -23,27 +32,7 @@ func Softmax(logits []float64) []float64 {
 	for i := range p {
 		p[i] /= sum
 	}
-	return p
-}
-
-// LogSoftmax returns log probabilities.
-func LogSoftmax(logits []float64) []float64 {
-	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range logits {
-		sum += math.Exp(v - maxv)
-	}
-	lse := maxv + math.Log(sum)
-	out := make([]float64, len(logits))
-	for i, v := range logits {
-		out[i] = v - lse
-	}
-	return out
+	return maxv + math.Log(sum)
 }
 
 // SampleCategorical draws an index from the distribution given by probs.
@@ -81,27 +70,24 @@ func Entropy(p []float64) float64 {
 	return h
 }
 
-// CategoricalGrad returns dL/dlogits for L = -coef*logp[action] (policy
-// gradient through a softmax): grad = coef * (softmax - onehot(action)).
-func CategoricalGrad(logits []float64, action int, coef float64) []float64 {
-	p := Softmax(logits)
-	g := make([]float64, len(p))
+// CategoricalGrad writes dL/dlogits for L = -coef*logp[action] (policy
+// gradient through a softmax) into g, given p = softmax(logits):
+// g = coef * (p - onehot(action)).
+func CategoricalGrad(g, p []float64, action int, coef float64) {
+	g = g[:len(p)]
 	for i := range p {
 		g[i] = coef * p[i]
 	}
 	g[action] -= coef
-	return g
 }
 
-// EntropyGrad returns dH/dlogits for the softmax entropy H (ascending):
-// dH/dlogit_i = -p_i * (log p_i + H)... negated by the caller as needed.
-func EntropyGrad(logits []float64) []float64 {
-	p := Softmax(logits)
-	h := Entropy(p)
-	g := make([]float64, len(p))
+// EntropyGrad writes dH/dlogits for the softmax entropy H (ascending) into
+// g, given p = softmax(logits) and h = Entropy(p):
+// dH/dlogit_i = -p_i * (log p_i + H); the caller negates it as needed.
+func EntropyGrad(g, p []float64, h float64) {
+	g = g[:len(p)]
 	for i := range p {
 		lp := math.Log(math.Max(p[i], 1e-12))
 		g[i] = -p[i] * (lp + h)
 	}
-	return g
 }

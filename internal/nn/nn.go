@@ -161,66 +161,6 @@ func (g *Grads) Scale(k float64) {
 	}
 }
 
-// Backward runs forward on x, then backpropagates dL/dy (gradOut) through
-// the network, accumulating parameter gradients into g and returning
-// dL/dx.
-func (m *MLP) Backward(x []float64, gradOut []float64, g *Grads) []float64 {
-	L := len(m.W)
-	// Forward, caching pre-activations and activations.
-	acts := make([][]float64, L+1)
-	pre := make([][]float64, L)
-	acts[0] = x
-	for l := 0; l < L; l++ {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		z := make([]float64, out)
-		a := make([]float64, out)
-		w := m.W[l]
-		for o := 0; o < out; o++ {
-			s := m.B[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range acts[l] {
-				s += row[i] * v
-			}
-			z[o] = s
-			if l < L-1 {
-				a[o] = m.Act.apply(s)
-			} else {
-				a[o] = s
-			}
-		}
-		pre[l] = z
-		acts[l+1] = a
-	}
-	// Backward.
-	delta := append([]float64(nil), gradOut...)
-	for l := L - 1; l >= 0; l-- {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		if l < L-1 {
-			for o := 0; o < out; o++ {
-				delta[o] *= m.Act.deriv(pre[l][o], acts[l+1][o])
-			}
-		}
-		w := m.W[l]
-		gw := g.W[l]
-		gb := g.B[l]
-		prev := acts[l]
-		next := make([]float64, in)
-		for o := 0; o < out; o++ {
-			d := delta[o]
-			gb[o] += d
-			row := w[o*in : (o+1)*in]
-			grow := gw[o*in : (o+1)*in]
-			for i := 0; i < in; i++ {
-				grow[i] += d * prev[i]
-				next[i] += d * row[i]
-			}
-		}
-		delta = next
-	}
-	g.N++
-	return delta
-}
-
 // Clone deep-copies the network (A3C workers snapshot the shared net).
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...), Act: m.Act}

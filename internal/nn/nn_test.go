@@ -7,25 +7,160 @@ import (
 	"testing/quick"
 )
 
+// refForward and refBackward are the per-sample forward and backward
+// passes the minibatch tape replaced, kept as the reference it must match
+// bit for bit.
+func refForward(m *MLP, x []float64) (pre, acts [][]float64) {
+	L := len(m.W)
+	acts = make([][]float64, L+1)
+	pre = make([][]float64, L)
+	acts[0] = x
+	for l := 0; l < L; l++ {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		z := make([]float64, out)
+		a := make([]float64, out)
+		w := m.W[l]
+		for o := 0; o < out; o++ {
+			s := m.B[l][o]
+			row := w[o*in : (o+1)*in]
+			for i, v := range acts[l] {
+				s += row[i] * v
+			}
+			z[o] = s
+			if l < L-1 {
+				a[o] = m.Act.apply(s)
+			} else {
+				a[o] = s
+			}
+		}
+		pre[l] = z
+		acts[l+1] = a
+	}
+	return pre, acts
+}
+
+func refBackward(m *MLP, x []float64, gradOut []float64, g *Grads) {
+	L := len(m.W)
+	pre, acts := refForward(m, x)
+	delta := append([]float64(nil), gradOut...)
+	for l := L - 1; l >= 0; l-- {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		if l < L-1 {
+			for o := 0; o < out; o++ {
+				delta[o] *= m.Act.deriv(pre[l][o], acts[l+1][o])
+			}
+		}
+		w := m.W[l]
+		gw := g.W[l]
+		gb := g.B[l]
+		prev := acts[l]
+		next := make([]float64, in)
+		for o := 0; o < out; o++ {
+			d := delta[o]
+			gb[o] += d
+			row := w[o*in : (o+1)*in]
+			grow := gw[o*in : (o+1)*in]
+			for i := 0; i < in; i++ {
+				grow[i] += d * prev[i]
+				next[i] += d * row[i]
+			}
+		}
+		delta = next
+	}
+	g.N++
+}
+
+func randRows(rng *rand.Rand, n, width int) [][]float64 {
+	rows := make([][]float64, n)
+	for s := range rows {
+		rows[s] = make([]float64, width)
+		for i := range rows[s] {
+			rows[s][i] = rng.NormFloat64()
+		}
+	}
+	return rows
+}
+
+// TestBatchMatchesPerSample checks that ForwardBatch and BackwardBatch are
+// bit-identical to the per-sample passes for batch sizes that cover the
+// four-sample blocks and their tails, accumulating into gradients that are
+// already nonzero.
+func TestBatchMatchesPerSample(t *testing.T) {
+	for _, act := range []Activation{ReLU, Tanh} {
+		for _, n := range []int{1, 3, 4, 5, 64, 65} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			m := NewMLP(rng, act, 7, 9, 6, 5)
+			xs := randRows(rng, n, 7)
+			gradOut := make([]float64, 0, n*5)
+			for _, row := range randRows(rng, n, 5) {
+				gradOut = append(gradOut, row...)
+			}
+			gradOut[0] = 0 // a zero delta must still be accumulated
+			want, got := m.NewGrads(), m.NewGrads()
+			for l := range want.W {
+				for i := range want.W[l] {
+					want.W[l][i] = rng.NormFloat64()
+				}
+				for i := range want.B[l] {
+					want.B[l][i] = rng.NormFloat64()
+				}
+			}
+			got.Add(want)
+			for s, x := range xs {
+				refBackward(m, x, gradOut[s*5:(s+1)*5], want)
+			}
+
+			var b Batch
+			// A larger minibatch first: the tape must reuse its buffers.
+			m.ForwardBatch(&b, randRows(rng, 70, 7))
+			ys := m.ForwardBatch(&b, xs)
+			for s, x := range xs {
+				for o, v := range m.Forward(x) {
+					if math.Float64bits(v) != math.Float64bits(ys[s*5+o]) {
+						t.Fatalf("act=%v n=%d sample %d output %d: batch %v, per-sample %v", act, n, s, o, ys[s*5+o], v)
+					}
+				}
+			}
+			m.BackwardBatch(&b, gradOut, got)
+			if got.N != want.N {
+				t.Fatalf("act=%v n=%d: N = %d, want %d", act, n, got.N, want.N)
+			}
+			for l := range want.W {
+				for i, v := range want.W[l] {
+					if math.Float64bits(v) != math.Float64bits(got.W[l][i]) {
+						t.Fatalf("act=%v n=%d gw[%d][%d]: batch %v, per-sample %v", act, n, l, i, got.W[l][i], v)
+					}
+				}
+				for i, v := range want.B[l] {
+					if math.Float64bits(v) != math.Float64bits(got.B[l][i]) {
+						t.Fatalf("act=%v n=%d gb[%d][%d]: batch %v, per-sample %v", act, n, l, i, got.B[l][i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGradientCheck verifies backprop against finite differences for a
-// scalar loss L = sum(y) on a two-hidden-layer net.
+// scalar loss L = Σ_samples sum(y) over a three-sample minibatch on a
+// two-hidden-layer net.
 func TestGradientCheck(t *testing.T) {
 	for _, act := range []Activation{ReLU, Tanh} {
 		rng := rand.New(rand.NewSource(1))
 		m := NewMLP(rng, act, 5, 7, 6, 3)
-		x := make([]float64, 5)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		gradOut := []float64{1, 1, 1}
+		xs := randRows(rng, 3, 5)
+		gradOut := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
 		g := m.NewGrads()
-		m.Backward(x, gradOut, g)
+		var b Batch
+		m.ForwardBatch(&b, xs)
+		m.BackwardBatch(&b, gradOut, g)
 
 		loss := func() float64 {
-			y := m.Forward(x)
 			var s float64
-			for _, v := range y {
-				s += v
+			for _, x := range xs {
+				for _, v := range m.Forward(x) {
+					s += v
+				}
 			}
 			return s
 		}
@@ -48,27 +183,6 @@ func TestGradientCheck(t *testing.T) {
 		}
 		if checked < 10 {
 			t.Fatal("gradient check covered too few weights")
-		}
-	}
-}
-
-func TestGradientCheckInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewMLP(rng, Tanh, 4, 8, 2)
-	x := []float64{0.3, -0.2, 0.9, 0.05}
-	g := m.NewGrads()
-	dx := m.Backward(x, []float64{1, 1}, g)
-	const eps = 1e-6
-	for i := range x {
-		old := x[i]
-		x[i] = old + eps
-		yp := m.Forward(x)
-		x[i] = old - eps
-		ym := m.Forward(x)
-		x[i] = old
-		num := (yp[0] + yp[1] - ym[0] - ym[1]) / (2 * eps)
-		if math.Abs(num-dx[i]) > 1e-5*(1+math.Abs(num)) {
-			t.Fatalf("input grad %d: analytic %g numeric %g", i, dx[i], num)
 		}
 	}
 }
@@ -96,9 +210,9 @@ func TestSoftmaxProperties(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			return false
 		}
-		lp := LogSoftmax(logits)
+		lse := SoftmaxInto(make([]float64, len(logits)), logits)
 		for i := range p {
-			if p[i] > 1e-12 && math.Abs(math.Exp(lp[i])-p[i]) > 1e-9 {
+			if p[i] > 1e-12 && math.Abs(math.Exp(logits[i]-lse)-p[i]) > 1e-9 {
 				return false
 			}
 		}
@@ -116,14 +230,16 @@ func TestCategoricalGradDirection(t *testing.T) {
 	logits := []float64{0.1, -0.5, 1.2}
 	a := 1
 	coef := 0.7
-	g := CategoricalGrad(logits, a, coef)
+	g := make([]float64, len(logits))
+	CategoricalGrad(g, Softmax(logits), a, coef)
 	const eps = 1e-6
 	for i := range logits {
 		lp := append([]float64(nil), logits...)
 		lm := append([]float64(nil), logits...)
 		lp[i] += eps
 		lm[i] -= eps
-		num := (-coef*LogSoftmax(lp)[a] + coef*LogSoftmax(lm)[a]) / (2 * eps)
+		logp := func(l []float64) float64 { return l[a] - SoftmaxInto(make([]float64, len(l)), l) }
+		num := (-coef*logp(lp) + coef*logp(lm)) / (2 * eps)
 		if math.Abs(num-g[i]) > 1e-6 {
 			t.Fatalf("grad %d: analytic %g numeric %g", i, g[i], num)
 		}
@@ -132,7 +248,9 @@ func TestCategoricalGradDirection(t *testing.T) {
 
 func TestEntropyGrad(t *testing.T) {
 	logits := []float64{0.3, -1.1, 0.8, 0.0}
-	g := EntropyGrad(logits)
+	p := Softmax(logits)
+	g := make([]float64, len(logits))
+	EntropyGrad(g, p, Entropy(p))
 	const eps = 1e-6
 	for i := range logits {
 		lp := append([]float64(nil), logits...)
@@ -163,13 +281,19 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 	before := loss()
 	r := rand.New(rand.NewSource(7))
+	var b Batch
+	xs := make([][]float64, 32)
+	gradOut := make([]float64, 32)
 	for step := 0; step < 300; step++ {
 		g := m.NewGrads()
-		for k := 0; k < 32; k++ {
-			x := []float64{r.Float64(), r.Float64(), r.Float64()}
-			d := m.Forward(x)[0] - target(x)
-			m.Backward(x, []float64{2 * d / 32}, g)
+		for k := range xs {
+			xs[k] = []float64{r.Float64(), r.Float64(), r.Float64()}
 		}
+		ys := m.ForwardBatch(&b, xs)
+		for k, x := range xs {
+			gradOut[k] = 2 * (ys[k] - target(x)) / 32
+		}
+		m.BackwardBatch(&b, gradOut, g)
 		opt.Step(m, g)
 	}
 	after := loss()

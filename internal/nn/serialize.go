@@ -27,14 +27,24 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	if len(raw.Sizes) < 2 {
 		return fmt.Errorf("nn: network needs at least 2 layer sizes")
 	}
+	for l, n := range raw.Sizes {
+		if n <= 0 {
+			return fmt.Errorf("nn: layer size %d is %d, want > 0", l, n)
+		}
+	}
+	if raw.Act != ReLU && raw.Act != Tanh {
+		return fmt.Errorf("nn: unknown activation %d", raw.Act)
+	}
 	if len(raw.W) != len(raw.Sizes)-1 || len(raw.B) != len(raw.Sizes)-1 {
 		return fmt.Errorf("nn: layer count mismatch")
 	}
 	for l := 0; l+1 < len(raw.Sizes); l++ {
-		if len(raw.W[l]) != raw.Sizes[l]*raw.Sizes[l+1] {
+		// Divide rather than multiply: a product of huge sizes can wrap.
+		in, out := raw.Sizes[l], raw.Sizes[l+1]
+		if len(raw.W[l])%in != 0 || len(raw.W[l])/in != out {
 			return fmt.Errorf("nn: layer %d weight shape mismatch", l)
 		}
-		if len(raw.B[l]) != raw.Sizes[l+1] {
+		if len(raw.B[l]) != out {
 			return fmt.Errorf("nn: layer %d bias shape mismatch", l)
 		}
 	}

@@ -106,6 +106,7 @@ func (a *A3C) worker(id int, env Env, totalSteps int, cb func(Stats)) {
 	localV := a.Value.Clone()
 	a.mu.Unlock()
 	pol := &Policy{Net: localP, Dims: a.Policy.Dims}
+	t := newTape(pol, localV)
 
 	obs := observeFilter(a.Filter, env.Reset())
 	epReward := 0.0
@@ -158,25 +159,23 @@ func (a *A3C) worker(id int, env Env, totalSteps int, cb func(Stats)) {
 			sq += d * d
 		}
 		std := math.Sqrt(sq/float64(len(advs))) + 1e-8
-		gp := localP.NewGrads()
-		gv := localV.NewGrads()
+		logits, w, values := t.forward(pol, localV, buf, nil)
 		for i := range buf {
 			tr := &buf[i]
 			adv := (advs[i] - mean) / std
-			_, logits, _ := pol.LogProb(tr.Obs, tr.Actions)
-			grad := pol.gradForHeads(logits, tr.Actions, adv, a.Cfg.EntCoef)
-			localP.Backward(tr.Obs, grad, gp)
-			v := localV.Forward(tr.Obs)[0]
-			localV.Backward(tr.Obs, []float64{2 * a.Cfg.VfCoef * (v - rets[i])}, gv)
+			pol.logProbOf(logits[i*w:(i+1)*w], tr.Actions, t.probs, t.ents)
+			pol.gradForHeads(t.polOut[i*w:(i+1)*w], t.probs, t.ents, tr.Actions, adv, a.Cfg.EntCoef, t.eg)
+			t.valOut[i] = 2 * a.Cfg.VfCoef * (values[i] - rets[i])
 		}
+		t.backward(pol, localV)
 		scale := 1.0 / float64(len(buf))
-		gp.Scale(scale)
-		gv.Scale(scale)
+		t.gp.Scale(scale)
+		t.gv.Scale(scale)
 
 		// Apply to the shared parameters.
 		a.mu.Lock()
-		a.optP.Step(a.Policy.Net, gp)
-		a.optV.Step(a.Value, gv)
+		a.optP.Step(a.Policy.Net, t.gp)
+		a.optV.Step(a.Value, t.gv)
 		a.steps += len(buf)
 		if done {
 			a.episodes++

@@ -56,6 +56,7 @@ type PPO struct {
 	rng    *rand.Rand
 	optP   *nn.Adam
 	optV   *nn.Adam
+	tape   *tape // built on the first update, after any RestorePPO swap
 
 	iter     int
 	steps    int
@@ -156,6 +157,10 @@ func (p *PPO) TrainIteration(envs []Env) Stats {
 	for i := range idx {
 		idx[i] = i
 	}
+	if p.tape == nil {
+		p.tape = newTape(p.Policy, p.Value)
+	}
+	t := p.tape
 	var plSum, vlSum, entSum float64
 	var nUpd int
 	for e := 0; e < p.Cfg.Epochs; e++ {
@@ -166,11 +171,11 @@ func (p *PPO) TrainIteration(envs []Env) Stats {
 				end = len(idx)
 			}
 			mb := idx[start:end]
-			gp := p.Policy.Net.NewGrads()
-			gv := p.Value.NewGrads()
-			for _, i := range mb {
+			logits, w, values := t.forward(p.Policy, p.Value, buf, mb)
+			scale := 1.0 / float64(len(mb))
+			for k, i := range mb {
 				tr := &buf[i]
-				logp, logits, ent := p.Policy.LogProb(tr.Obs, tr.Actions)
+				logp, ent := p.Policy.logProbOf(logits[k*w:(k+1)*w], tr.Actions, t.probs, t.ents)
 				ratio := math.Exp(logp - tr.LogP)
 				clipped := ratio < 1-p.Cfg.Clip || ratio > 1+p.Cfg.Clip
 				// Surrogate: L = -min(r*A, clip(r)*A); gradient flows only
@@ -179,21 +184,19 @@ func (p *PPO) TrainIteration(envs []Env) Stats {
 				if !clipped || (tr.Adv > 0 && ratio < 1-p.Cfg.Clip) || (tr.Adv < 0 && ratio > 1+p.Cfg.Clip) {
 					pgCoef = tr.Adv * ratio
 				}
-				scale := 1.0 / float64(len(mb))
-				grad := p.Policy.gradForHeads(logits, tr.Actions, pgCoef*scale, p.Cfg.EntCoef*scale)
-				p.Policy.Net.Backward(tr.Obs, grad, gp)
+				p.Policy.gradForHeads(t.polOut[k*w:(k+1)*w], t.probs, t.ents, tr.Actions, pgCoef*scale, p.Cfg.EntCoef*scale, t.eg)
 
-				v := p.Value.Forward(tr.Obs)[0]
-				dv := v - tr.Ret
-				p.Value.Backward(tr.Obs, []float64{2 * p.Cfg.VfCoef * dv * scale}, gv)
+				dv := values[k] - tr.Ret
+				t.valOut[k] = 2 * p.Cfg.VfCoef * dv * scale
 
 				plSum += -pgCoef
 				vlSum += dv * dv
 				entSum += ent
 				nUpd++
 			}
-			p.optP.Step(p.Policy.Net, gp)
-			p.optV.Step(p.Value, gv)
+			t.backward(p.Policy, p.Value)
+			p.optP.Step(p.Policy.Net, t.gp)
+			p.optV.Step(p.Value, t.gv)
 		}
 	}
 	if nUpd > 0 {

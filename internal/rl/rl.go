@@ -8,6 +8,7 @@ package rl
 
 import (
 	"math/rand"
+	"slices"
 
 	"autophase/internal/nn"
 )
@@ -43,25 +44,18 @@ func NewPolicy(rng *rand.Rand, obsSize int, dims []int, hidden ...int) *Policy {
 	return &Policy{Net: nn.NewMLP(rng, nn.ReLU, sizes...), Dims: dims}
 }
 
-// heads slices flat logits into per-head logit vectors.
-func (p *Policy) heads(logits []float64) [][]float64 {
-	out := make([][]float64, len(p.Dims))
-	off := 0
-	for i, d := range p.Dims {
-		out[i] = logits[off : off+d]
-		off += d
-	}
-	return out
-}
-
 // Sample draws an action tuple and returns it with its total log-prob.
 func (p *Policy) Sample(rng *rand.Rand, obs []float64) (actions []int, logp float64) {
 	logits := p.Net.Forward(obs)
-	for _, h := range p.heads(logits) {
-		probs := nn.Softmax(h)
-		a := nn.SampleCategorical(rng, probs)
+	probs := make([]float64, len(logits))
+	off := 0
+	for _, d := range p.Dims {
+		h, ph := logits[off:off+d], probs[off:off+d]
+		lse := nn.SoftmaxInto(ph, h)
+		a := nn.SampleCategorical(rng, ph)
 		actions = append(actions, a)
-		logp += nn.LogSoftmax(h)[a]
+		logp += h[a] - lse
+		off += d
 	}
 	return actions, logp
 }
@@ -69,49 +63,103 @@ func (p *Policy) Sample(rng *rand.Rand, obs []float64) (actions []int, logp floa
 // Greedy returns the argmax action tuple.
 func (p *Policy) Greedy(obs []float64) []int {
 	logits := p.Net.Forward(obs)
-	var actions []int
-	for _, h := range p.heads(logits) {
-		actions = append(actions, nn.Argmax(h))
+	actions := make([]int, 0, len(p.Dims))
+	off := 0
+	for _, d := range p.Dims {
+		actions = append(actions, nn.Argmax(logits[off:off+d]))
+		off += d
 	}
 	return actions
 }
 
-// LogProb computes the total log-probability of an action tuple, plus the
-// per-head logits (for gradient computation) and mean entropy.
-func (p *Policy) LogProb(obs []float64, actions []int) (logp float64, logits []float64, entropy float64) {
-	logits = p.Net.Forward(obs)
-	hs := p.heads(logits)
-	for i, h := range hs {
-		logp += nn.LogSoftmax(h)[actions[i]]
-		entropy += nn.Entropy(nn.Softmax(h))
-	}
-	entropy /= float64(len(hs))
-	return logp, logits, entropy
-}
-
-// gradForHeads assembles dL/dlogits (flat) from per-head contributions:
-// policy-gradient coefficient pgCoef (multiplying -grad logp) and entropy
-// bonus entCoef (ascending entropy => descending -entCoef*H).
-func (p *Policy) gradForHeads(logits []float64, actions []int, pgCoef, entCoef float64) []float64 {
-	grad := make([]float64, len(logits))
+// logProbOf returns the total log-probability of an action tuple under the
+// flat logits, and the mean head entropy. It leaves each head's softmax in
+// probs (one entry per logit) and its entropy in ents (one per head) for
+// gradForHeads, so a head's softmax is computed once per sample.
+func (p *Policy) logProbOf(logits []float64, actions []int, probs, ents []float64) (logp, entropy float64) {
 	off := 0
 	for i, d := range p.Dims {
-		h := logits[off : off+d]
-		pg := nn.CategoricalGrad(h, actions[i], pgCoef)
-		var eg []float64
+		ph := probs[off : off+d]
+		lse := nn.SoftmaxInto(ph, logits[off:off+d])
+		logp += logits[off+actions[i]] - lse
+		ents[i] = nn.Entropy(ph)
+		entropy += ents[i]
+		off += d
+	}
+	entropy /= float64(len(p.Dims))
+	return logp, entropy
+}
+
+// gradForHeads writes dL/dlogits (flat) into grad from per-head
+// contributions: policy-gradient coefficient pgCoef (multiplying -grad
+// logp) and entropy bonus entCoef (ascending entropy => descending
+// -entCoef*H). probs and ents are what logProbOf left for this sample; eg
+// is scratch as wide as the widest head.
+func (p *Policy) gradForHeads(grad, probs, ents []float64, actions []int, pgCoef, entCoef float64, eg []float64) {
+	off := 0
+	for i, d := range p.Dims {
+		g, ph := grad[off:off+d], probs[off:off+d]
+		nn.CategoricalGrad(g, ph, actions[i], pgCoef)
 		if entCoef != 0 {
-			eg = nn.EntropyGrad(h)
-		}
-		for j := 0; j < d; j++ {
-			g := pg[j]
-			if eg != nil {
-				g -= entCoef * eg[j] / float64(len(p.Dims))
+			e := eg[:d]
+			nn.EntropyGrad(e, ph, ents[i])
+			for j := range g {
+				g[j] -= entCoef * e[j] / float64(len(p.Dims))
 			}
-			grad[off+j] = g
 		}
 		off += d
 	}
-	return grad
+}
+
+// tape is a learner's reusable minibatch workspace: both nets' forward
+// tapes, the gradient buffers, the dL/dlogits and dL/dvalue rows handed to
+// BackwardBatch, and one sample's softmax scratch. It allocates nothing
+// once it has seen the largest minibatch.
+type tape struct {
+	xs             [][]float64
+	pol, val       nn.Batch
+	gp, gv         *nn.Grads
+	polOut, valOut []float64
+	probs, ents    []float64 // logProbOf's per-head softmax and entropy
+	eg             []float64 // gradForHeads scratch
+}
+
+func newTape(pol *Policy, val *nn.MLP) *tape {
+	width := pol.Net.Sizes[len(pol.Net.Sizes)-1]
+	return &tape{
+		gp: pol.Net.NewGrads(), gv: val.NewGrads(),
+		probs: make([]float64, width), ents: make([]float64, len(pol.Dims)), eg: make([]float64, width),
+	}
+}
+
+// forward clears the gradients and runs both nets over the observations of
+// buf[mb] (all of buf when mb is nil), returning the flat logits (one row
+// of width per sample) and the values.
+func (t *tape) forward(pol *Policy, val *nn.MLP, buf []Transition, mb []int) (logits []float64, width int, values []float64) {
+	t.gp.Zero()
+	t.gv.Zero()
+	t.xs = t.xs[:0]
+	if mb == nil {
+		for i := range buf {
+			t.xs = append(t.xs, buf[i].Obs)
+		}
+	} else {
+		for _, i := range mb {
+			t.xs = append(t.xs, buf[i].Obs)
+		}
+	}
+	logits = pol.Net.ForwardBatch(&t.pol, t.xs)
+	values = val.ForwardBatch(&t.val, t.xs)
+	t.polOut = slices.Grow(t.polOut[:0], len(logits))[:len(logits)]
+	t.valOut = slices.Grow(t.valOut[:0], len(values))[:len(values)]
+	return logits, pol.Net.Sizes[len(pol.Net.Sizes)-1], values
+}
+
+// backward backpropagates polOut and valOut, which the caller filled row by
+// row, into gp and gv.
+func (t *tape) backward(pol *Policy, val *nn.MLP) {
+	pol.Net.BackwardBatch(&t.pol, t.polOut, t.gp)
+	val.BackwardBatch(&t.val, t.valOut, t.gv)
 }
 
 // Transition is one environment step in a rollout buffer.

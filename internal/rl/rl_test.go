@@ -137,7 +137,7 @@ func TestMultiHeadPolicy(t *testing.T) {
 			t.Fatalf("action out of range: %v", a)
 		}
 	}
-	lp, _, ent := p.LogProb(obs, a)
+	lp, ent := p.logProbOf(p.Net.Forward(obs), a, make([]float64, 9), make([]float64, 3))
 	if lp > 0 || ent < 0 {
 		t.Fatalf("bad logp %f or entropy %f", lp, ent)
 	}

@@ -52,6 +52,9 @@ func RestorePPO(s *Snapshot) (*PPO, error) {
 	if s.Kind != "ppo" {
 		return nil, fmt.Errorf("rl: snapshot kind %q is not ppo", s.Kind)
 	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	cfg := DefaultPPO()
 	p := NewPPO(cfg, s.Policy.Sizes[0], s.Dims)
 	p.Policy.Net = s.Policy
@@ -77,12 +80,57 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := DecodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// DecodeSnapshot parses a JSON snapshot and checks that its parts fit
+// together, so a snapshot that decodes restores and acts without panicking.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("rl: %s: %w", path, err)
+		return nil, fmt.Errorf("rl: %w", err)
 	}
-	if s.Policy == nil || len(s.Dims) == 0 {
-		return nil, fmt.Errorf("rl: %s: incomplete snapshot", path)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// validate checks the snapshot's shapes against each other: the action
+// heads tile the policy's output, the filter matches its input, and the
+// value net maps the same input to one value. The networks' own layer
+// shapes are checked when they decode.
+func (s *Snapshot) validate() error {
+	if s.Policy == nil || len(s.Dims) == 0 {
+		return fmt.Errorf("rl: incomplete snapshot")
+	}
+	in, width := s.Policy.Sizes[0], s.Policy.Sizes[len(s.Policy.Sizes)-1]
+	total := 0
+	for _, d := range s.Dims {
+		if d <= 0 || d > width {
+			return fmt.Errorf("rl: action head of size %d", d)
+		}
+		total += d
+	}
+	if total != width {
+		return fmt.Errorf("rl: action heads cover %d logits, policy has %d", total, width)
+	}
+	if s.FilterMean != nil || s.FilterM2 != nil {
+		if len(s.FilterMean) != in || len(s.FilterM2) != in {
+			return fmt.Errorf("rl: filter has %d means and %d moments for %d inputs",
+				len(s.FilterMean), len(s.FilterM2), in)
+		}
+	}
+	if s.FilterN < 0 {
+		return fmt.Errorf("rl: filter count %g is negative", s.FilterN)
+	}
+	if v := s.Value; v != nil && (v.Sizes[0] != in || v.Sizes[len(v.Sizes)-1] != 1) {
+		return fmt.Errorf("rl: value net maps %d inputs to %d outputs, want %d to 1",
+			v.Sizes[0], v.Sizes[len(v.Sizes)-1], in)
+	}
+	return nil
 }
