@@ -9,7 +9,16 @@ import (
 // Parse reads the textual form produced by Module.String back into a
 // module, enabling file-based workflows (saving generated programs,
 // diffing pass pipelines) and the printer/parser round-trip tests.
-func Parse(src string) (*Module, error) {
+// Malformed text is an error, never a panic.
+func Parse(src string) (m *Module, err error) {
+	// The line parsers index into fields they have not fully checked, so
+	// some malformed lines panic; report those as the parse errors they
+	// are.
+	defer func() {
+		if v := recover(); v != nil {
+			m, err = nil, fmt.Errorf("malformed ir: %v", v)
+		}
+	}()
 	p := &parser{m: NewModule("parsed")}
 	lines := strings.Split(src, "\n")
 

@@ -127,3 +127,16 @@ join:
 		t.Fatalf("round trip unstable: %v", err)
 	}
 }
+
+// TestParseMalformedIsError checks that lines the parser cannot split as it
+// expects come back as errors rather than panics.
+func TestParseMalformedIsError(t *testing.T) {
+	for _, src := range []string{
+		"define i0@()00000000\n0000:\n%0 = phi",
+		"define i32 @main() {\nentry:\n  switch i32 0\n}\n",
+	} {
+		if m, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted malformed input: %v", src, m)
+		}
+	}
+}

@@ -20,6 +20,8 @@ type Batch struct {
 	act   [][]float64 // act[l]: hidden layer l's activations
 	delta []float64   // backward scratch: dL/d(pre-activation) of the current layer
 	next  []float64   // backward scratch: dL/d(input) of the current layer
+	in4   []float64   // kernel scratch: a four-sample block's inputs (transposed for forward4)
+	out4  []float64   // kernel scratch: a four-sample block's outputs or output gradients, transposed
 }
 
 // grow returns buf resliced to n elements, reallocating only when its
@@ -58,7 +60,7 @@ func (m *MLP) ForwardBatch(b *Batch, xs [][]float64) []float64 {
 		b.act = make([][]float64, L-1)
 	}
 	for l := 0; l < L; l++ {
-		out := m.Sizes[l+1]
+		_, out := m.layerShape(l)
 		b.pre[l] = grow(b.pre[l], n*out)
 		if l < L-1 {
 			b.act[l] = grow(b.act[l], n*out)
@@ -68,8 +70,9 @@ func (m *MLP) ForwardBatch(b *Batch, xs [][]float64) []float64 {
 	return b.pre[L-1]
 }
 
-// forwardLayer fills layer l's rows of the tape, four samples at a time so
-// each weight row is loaded once per block.
+// forwardLayer fills layer l's rows of the tape: four samples at a time
+// through the forward4 kernel, so each weight row is loaded once per block,
+// and the samples left over one at a time.
 func (m *MLP) forwardLayer(b *Batch, l, n int) {
 	in, out := m.Sizes[l], m.Sizes[l+1]
 	w, bias, z := m.W[l], m.B[l], b.pre[l]
@@ -77,20 +80,21 @@ func (m *MLP) forwardLayer(b *Batch, l, n int) {
 	if l < len(m.W)-1 {
 		a = b.act[l]
 	}
+	b.in4, b.out4 = grow(b.in4, 4*in), grow(b.out4, 4*out)
+	hT, y := b.in4[:4*in], b.out4[:4*out]
 	s := 0
 	for ; s+4 <= n; s += 4 {
-		h0, h1, h2, h3 := b.input(l, s, in), b.input(l, s+1, in), b.input(l, s+2, in), b.input(l, s+3, in)
-		for o := 0; o < out; o++ {
-			row := w[o*in : (o+1)*in]
-			h0, h1, h2, h3 := h0[:len(row)], h1[:len(row)], h2[:len(row)], h3[:len(row)]
-			s0, s1, s2, s3 := bias[o], bias[o], bias[o], bias[o]
-			for i, v := range row {
-				s0 += v * h0[i]
-				s1 += v * h1[i]
-				s2 += v * h2[i]
-				s3 += v * h3[i]
+		for k := 0; k < 4; k++ {
+			for i, v := range b.input(l, s+k, in) {
+				hT[4*i+k] = v
 			}
-			z[s*out+o], z[(s+1)*out+o], z[(s+2)*out+o], z[(s+3)*out+o] = s0, s1, s2, s3
+		}
+		kernels.forward4(y, hT, w, bias)
+		for k := 0; k < 4; k++ {
+			zk := z[(s+k)*out : (s+k+1)*out]
+			for o := range zk {
+				zk[o] = y[4*o+k]
+			}
 		}
 	}
 	for ; s < n; s++ {
@@ -100,7 +104,7 @@ func (m *MLP) forwardLayer(b *Batch, l, n int) {
 			h := h[:len(row)]
 			s0 := bias[o]
 			for i, v := range row {
-				s0 += v * h[i]
+				s0 += float64(v * h[i])
 			}
 			z[s*out+o] = s0
 		}
@@ -130,6 +134,12 @@ func (m *MLP) BackwardBatch(b *Batch, gradOut []float64, g *Grads) {
 	if len(gradOut) != n*m.Sizes[L] {
 		panic(fmt.Sprintf("nn: gradOut has %d values, want %d", len(gradOut), n*m.Sizes[L]))
 	}
+	for l := range m.W {
+		in, out := m.layerShape(l)
+		if len(g.W[l]) != in*out || len(g.B[l]) != out {
+			panic(fmt.Sprintf("nn: gradient layer %d has %d weights and %d biases, want %d and %d", l, len(g.W[l]), len(g.B[l]), in*out, out))
+		}
+	}
 	b.delta = grow(b.delta, len(gradOut))
 	copy(b.delta, gradOut)
 	for l := L - 1; l >= 0; l-- {
@@ -156,46 +166,36 @@ func (m *MLP) BackwardBatch(b *Batch, gradOut []float64, g *Grads) {
 }
 
 // backwardLayer adds layer l's weight and bias gradients into g and, when
-// next is non-nil, dL/d(input) into next, four samples at a time so each
-// gradient and weight row is loaded once per block.
+// next is non-nil, dL/d(input) into next: four samples at a time through
+// the backward4 kernel, so each gradient and weight row is loaded once per
+// block, and the samples left over one at a time.
 func (m *MLP) backwardLayer(b *Batch, l int, delta, next []float64, g *Grads) {
 	n := len(b.xs)
 	in, out := m.Sizes[l], m.Sizes[l+1]
 	w, gw, gb := m.W[l], g.W[l], g.B[l]
+	b.in4, b.out4 = grow(b.in4, 4*in), grow(b.out4, 4*out)
+	dT := b.out4[:4*out]
 	s := 0
 	for ; s+4 <= n; s += 4 {
-		p0, p1, p2, p3 := b.input(l, s, in), b.input(l, s+1, in), b.input(l, s+2, in), b.input(l, s+3, in)
-		var n0, n1, n2, n3 []float64
+		for k := 0; k < 4; k++ {
+			for o, d := range delta[(s+k)*out : (s+k+1)*out] {
+				dT[4*o+k] = d
+			}
+		}
+		var p []float64
+		if l == 0 {
+			p = b.in4[:4*in]
+			for k := 0; k < 4; k++ {
+				copy(p[k*in:(k+1)*in], b.xs[s+k])
+			}
+		} else {
+			p = b.act[l-1][s*in : (s+4)*in]
+		}
+		var nx []float64
 		if next != nil {
-			n0, n1, n2, n3 = next[s*in:(s+1)*in], next[(s+1)*in:(s+2)*in], next[(s+2)*in:(s+3)*in], next[(s+3)*in:(s+4)*in]
+			nx = next[s*in : (s+4)*in]
 		}
-		for o := 0; o < out; o++ {
-			d0, d1, d2, d3 := delta[s*out+o], delta[(s+1)*out+o], delta[(s+2)*out+o], delta[(s+3)*out+o]
-			gb[o] += d0
-			gb[o] += d1
-			gb[o] += d2
-			gb[o] += d3
-			grow := gw[o*in : (o+1)*in]
-			p0, p1, p2, p3 := p0[:len(grow)], p1[:len(grow)], p2[:len(grow)], p3[:len(grow)]
-			for i, x := range grow {
-				x += d0 * p0[i]
-				x += d1 * p1[i]
-				x += d2 * p2[i]
-				x += d3 * p3[i]
-				grow[i] = x
-			}
-			if next == nil {
-				continue
-			}
-			row := w[o*in : (o+1)*in]
-			n0, n1, n2, n3 := n0[:len(row)], n1[:len(row)], n2[:len(row)], n3[:len(row)]
-			for i, v := range row {
-				n0[i] += d0 * v
-				n1[i] += d1 * v
-				n2[i] += d2 * v
-				n3[i] += d3 * v
-			}
-		}
+		kernels.backward4(gw, gb, w, dT, p, nx)
 	}
 	for ; s < n; s++ {
 		p := b.input(l, s, in)
@@ -205,7 +205,7 @@ func (m *MLP) backwardLayer(b *Batch, l int, delta, next []float64, g *Grads) {
 			grow := gw[o*in : (o+1)*in]
 			p := p[:len(grow)]
 			for i := range grow {
-				grow[i] += d * p[i]
+				grow[i] += float64(d * p[i])
 			}
 			if next == nil {
 				continue
@@ -213,7 +213,7 @@ func (m *MLP) backwardLayer(b *Batch, l int, delta, next []float64, g *Grads) {
 			row := w[o*in : (o+1)*in]
 			nx := next[s*in : (s+1)*in][:len(row)]
 			for i, v := range row {
-				nx[i] += d * v
+				nx[i] += float64(d * v)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func (m *MLP) layerForward(l int, h []float64, activate bool) []float64 {
 		s := m.B[l][o]
 		row := w[o*in : (o+1)*in]
 		for i, v := range h {
-			s += row[i] * v
+			s += float64(row[i] * v)
 		}
 		if activate {
 			s = m.Act.apply(s)
@@ -104,6 +104,17 @@ func (m *MLP) layerForward(l int, h []float64, activate bool) []float64 {
 		y[o] = s
 	}
 	return y
+}
+
+// layerShape returns layer l's input and output widths, and panics unless
+// its weights and biases have the lengths Sizes implies: the kernels read
+// them without bounds checks.
+func (m *MLP) layerShape(l int) (in, out int) {
+	in, out = m.Sizes[l], m.Sizes[l+1]
+	if len(m.W[l]) != in*out || len(m.B[l]) != out {
+		panic(fmt.Sprintf("nn: layer %d has %d weights and %d biases, want %d and %d", l, len(m.W[l]), len(m.B[l]), in*out, out))
+	}
+	return in, out
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP.

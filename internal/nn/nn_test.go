@@ -24,7 +24,7 @@ func refForward(m *MLP, x []float64) (pre, acts [][]float64) {
 			s := m.B[l][o]
 			row := w[o*in : (o+1)*in]
 			for i, v := range acts[l] {
-				s += row[i] * v
+				s += float64(row[i] * v)
 			}
 			z[o] = s
 			if l < L-1 {
@@ -61,8 +61,8 @@ func refBackward(m *MLP, x []float64, gradOut []float64, g *Grads) {
 			row := w[o*in : (o+1)*in]
 			grow := gw[o*in : (o+1)*in]
 			for i := 0; i < in; i++ {
-				grow[i] += d * prev[i]
-				next[i] += d * row[i]
+				grow[i] += float64(d * prev[i])
+				next[i] += float64(d * row[i])
 			}
 		}
 		delta = next
@@ -84,8 +84,17 @@ func randRows(rng *rand.Rand, n, width int) [][]float64 {
 // TestBatchMatchesPerSample checks that ForwardBatch and BackwardBatch are
 // bit-identical to the per-sample passes for batch sizes that cover the
 // four-sample blocks and their tails, accumulating into gradients that are
-// already nonzero.
+// already nonzero, under every kernel set the CPU runs.
 func TestBatchMatchesPerSample(t *testing.T) {
+	for _, ks := range kernelSets {
+		t.Run(ks.name, func(t *testing.T) {
+			useKernels(t, ks)
+			testBatchMatchesPerSample(t)
+		})
+	}
+}
+
+func testBatchMatchesPerSample(t *testing.T) {
 	for _, act := range []Activation{ReLU, Tanh} {
 		for _, n := range []int{1, 3, 4, 5, 64, 65} {
 			rng := rand.New(rand.NewSource(int64(n)))

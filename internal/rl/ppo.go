@@ -58,6 +58,10 @@ type PPO struct {
 	optV   *nn.Adam
 	tape   *tape // built on the first update, after any RestorePPO swap
 
+	// rollPol and rollVal are the rollout's packed copies of the nets,
+	// repacked at the start of every iteration.
+	rollPol, rollVal nn.Packed
+
 	iter     int
 	steps    int
 	episodes int
@@ -103,9 +107,12 @@ func (p *PPO) TrainIteration(envs []Env) Stats {
 	epReward, rewardSum := 0.0, 0.0
 	epRews := newRewardWindow(0)
 
+	// The weights stay fixed for the whole rollout: pack both nets once.
+	p.Policy.Net.PackInto(&p.rollPol)
+	p.Value.PackInto(&p.rollVal)
 	for len(buf) < p.Cfg.RolloutSteps {
-		actions, logp := p.Policy.Sample(p.rng, obs)
-		val := p.Value.Forward(obs)[0]
+		actions, logp := p.Policy.sampleLogits(p.rng, p.rollPol.Forward(obs))
+		val := p.rollVal.Forward(obs)[0]
 		next, r, done := env.Step(actions)
 		if p.Cfg.ZeroRewards {
 			r = 0
@@ -127,7 +134,7 @@ func (p *PPO) TrainIteration(envs []Env) Stats {
 			obs = observeFilter(p.Filter, env.Reset())
 		}
 	}
-	lastVal := p.Value.Forward(obs)[0]
+	lastVal := p.rollVal.Forward(obs)[0]
 	computeGAE(buf, p.Cfg.Gamma, p.Cfg.Lambda, lastVal)
 
 	// Advantage normalization (RLlib default).

@@ -46,7 +46,12 @@ func NewPolicy(rng *rand.Rand, obsSize int, dims []int, hidden ...int) *Policy {
 
 // Sample draws an action tuple and returns it with its total log-prob.
 func (p *Policy) Sample(rng *rand.Rand, obs []float64) (actions []int, logp float64) {
-	logits := p.Net.Forward(obs)
+	return p.sampleLogits(rng, p.Net.Forward(obs))
+}
+
+// sampleLogits is Sample given the policy network's output for the
+// observation.
+func (p *Policy) sampleLogits(rng *rand.Rand, logits []float64) (actions []int, logp float64) {
 	probs := make([]float64, len(logits))
 	off := 0
 	for _, d := range p.Dims {

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"autophase/internal/core"
-	"autophase/internal/ir"
+	"autophase/internal/passes"
 )
 
 // checkpointVersion guards the on-disk format; a mismatch is an error, not
@@ -132,26 +131,83 @@ func (s *Server) loadCheckpoint(path string) error {
 	defer s.mu.Unlock()
 	for i := range ckpt.Jobs {
 		r := &ckpt.Jobs[i]
-		mod, err := ir.Parse(r.IR)
+		j, errText := s.resumedJob(r)
+		if errText == "" && s.jobs[r.ID] != nil {
+			errText = "duplicate job id"
+		}
+		if errText != "" {
+			// Validation runs before anything is owed to a client: a record
+			// that fails it is corrupt, and resuming it would run or report
+			// what the API refuses. Fail loudly and keep the file.
+			return fmt.Errorf("serve: checkpoint %s job %d (%q): %s", path, i, r.ID, errText)
+		}
+		mod, err := parseModule(r.IR)
 		if err != nil {
-			// The module parsed when the job was admitted; a checkpoint
-			// that no longer does is corrupt. Fail loudly rather than
-			// silently dropping an owed job.
+			// The module parsed and verified when the job was admitted; a
+			// checkpoint whose module no longer does is corrupt. Fail
+			// loudly rather than silently dropping an owed job.
 			return fmt.Errorf("serve: checkpoint job %s: bad ir: %w", r.ID, err)
 		}
-		j := &Job{
-			ID: r.ID, Tenant: r.Tenant, Algo: r.Algo,
-			Budget: r.Budget, SeqLen: r.SeqLen,
-			Deadline:    time.Duration(r.DeadlineMS) * time.Millisecond,
-			irText:      r.IR,
-			mod:         mod,
-			consumed:    time.Duration(r.ConsumedMS) * time.Millisecond,
-			samplesUsed: r.SamplesUsed,
-			bestCycles:  r.BestCycles,
-			bestSeq:     r.BestSeq,
-			quar:        r.Quarantine,
-		}
+		j.mod = mod
 		s.enqueueResumed(j)
 	}
 	return os.Remove(path)
+}
+
+// resumedJob rebuilds a checkpointed job from its record, without its
+// parsed module, and validates it: the checks every submission passes,
+// plus the progress only a checkpoint carries.
+func (s *Server) resumedJob(r *jobRecord) (*Job, string) {
+	if r.ID == "" {
+		return nil, "missing id"
+	}
+	deadline, ok := millis(r.DeadlineMS)
+	if !ok {
+		return nil, fmt.Sprintf("deadline_ms out of range (got %d)", r.DeadlineMS)
+	}
+	consumed, ok := millis(r.ConsumedMS)
+	if !ok {
+		return nil, fmt.Sprintf("consumed_ms out of range (got %d)", r.ConsumedMS)
+	}
+	j := &Job{
+		ID: r.ID, Tenant: r.Tenant, Algo: r.Algo,
+		Budget: r.Budget, SeqLen: r.SeqLen,
+		Deadline:    deadline,
+		irText:      r.IR,
+		consumed:    consumed,
+		samplesUsed: r.SamplesUsed,
+		bestCycles:  r.BestCycles,
+		quar:        r.Quarantine,
+	}
+	if len(r.BestSeq) > 0 {
+		j.bestSeq = r.BestSeq
+	}
+	if errText := s.checkResumed(j); errText != "" {
+		return nil, errText
+	}
+	return j, ""
+}
+
+// checkResumed is checkJob plus the checks on what only a checkpointed job
+// carries: its spent samples and wall budget, and its incumbent.
+func (s *Server) checkResumed(j *Job) string {
+	if errText := s.checkJob(j); errText != "" {
+		return errText
+	}
+	switch {
+	case j.samplesUsed < 0 || j.samplesUsed > j.Budget:
+		return fmt.Sprintf("samples_used must be in [0, %d] (got %d)", j.Budget, j.samplesUsed)
+	case j.consumed < 0:
+		return fmt.Sprintf("consumed_ms must not be negative (got %d)", j.consumed.Milliseconds())
+	case len(j.bestSeq) > j.SeqLen:
+		return fmt.Sprintf("best_seq has %d passes, more than len %d", len(j.bestSeq), j.SeqLen)
+	case len(j.bestSeq) > 0 && j.bestCycles <= 0:
+		return fmt.Sprintf("best_cycles must be positive with a best_seq (got %d)", j.bestCycles)
+	}
+	for _, a := range j.bestSeq {
+		if a < 0 || a >= passes.NumActions {
+			return fmt.Sprintf("best_seq entry %d is not a pass index in [0, %d)", a, passes.NumActions)
+		}
+	}
+	return ""
 }

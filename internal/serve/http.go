@@ -95,54 +95,87 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // job, or explains why the request is malformed. Validation failures are
 // 400s, not sheds: the request was wrong, not the load.
 func (s *Server) buildJob(req *SubmitRequest) (*Job, string) {
-	if req.Tenant == "" {
-		return nil, "missing tenant"
-	}
-	if req.IR == "" {
-		return nil, "missing ir"
-	}
-	switch req.Algo {
-	case "":
+	if req.Algo == "" {
 		req.Algo = "random"
-	case "random", "genetic":
-	default:
-		return nil, fmt.Sprintf("unknown algo %q (want random or genetic)", req.Algo)
 	}
 	if req.Budget == 0 {
 		req.Budget = s.cfg.DefaultBudget
 	}
-	if req.Budget < 1 || (s.cfg.MaxBudget > 0 && req.Budget > s.cfg.MaxBudget) {
-		return nil, fmt.Sprintf("budget must be in [1, %d] (got %d)", s.cfg.MaxBudget, req.Budget)
-	}
 	if req.SeqLen == 0 {
 		req.SeqLen = 8
 	}
-	if req.SeqLen < 1 || (s.cfg.MaxSeqLen > 0 && req.SeqLen > s.cfg.MaxSeqLen) {
-		return nil, fmt.Sprintf("len must be in [1, %d] (got %d)", s.cfg.MaxSeqLen, req.SeqLen)
+	deadline, ok := millis(req.DeadlineMS)
+	if !ok {
+		return nil, fmt.Sprintf("deadline_ms out of range (got %d)", req.DeadlineMS)
 	}
-	if req.DeadlineMS < 0 {
-		return nil, fmt.Sprintf("deadline_ms must not be negative (got %d)", req.DeadlineMS)
-	}
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline == 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
-	if s.cfg.MaxDeadline > 0 && deadline > s.cfg.MaxDeadline {
-		return nil, fmt.Sprintf("deadline_ms must not exceed %d (got %d)", s.cfg.MaxDeadline.Milliseconds(), req.DeadlineMS)
-	}
-	mod, err := ir.Parse(req.IR)
-	if err != nil {
-		return nil, "bad ir: " + err.Error()
-	}
-	return &Job{
+	j := &Job{
 		Tenant:   req.Tenant,
 		Algo:     req.Algo,
 		Budget:   req.Budget,
 		SeqLen:   req.SeqLen,
 		Deadline: deadline,
 		irText:   req.IR,
-		mod:      mod,
-	}, ""
+	}
+	if errText := s.checkJob(j); errText != "" {
+		return nil, errText
+	}
+	mod, err := parseModule(req.IR)
+	if err != nil {
+		return nil, "bad ir: " + err.Error()
+	}
+	j.mod = mod
+	return j, ""
+}
+
+// parseModule parses a job's module and verifies it: a module that parses
+// but does not verify, such as a function without blocks, would otherwise
+// reach the engine and panic there.
+func parseModule(src string) (*ir.Module, error) {
+	mod, err := ir.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := mod.Verify(); err != nil {
+		return nil, err
+	}
+	return mod, nil
+}
+
+// checkJob reports what makes a job's parameters invalid, or "" when
+// nothing does. A submission is checked once its defaults are filled in,
+// and a checkpointed job again when a later life resumes it, so a damaged
+// checkpoint cannot run what the API would refuse.
+func (s *Server) checkJob(j *Job) string {
+	switch {
+	case j.Tenant == "":
+		return "missing tenant"
+	case j.irText == "":
+		return "missing ir"
+	case j.Algo != "random" && j.Algo != "genetic":
+		return fmt.Sprintf("unknown algo %q (want random or genetic)", j.Algo)
+	case j.Budget < 1 || (s.cfg.MaxBudget > 0 && j.Budget > s.cfg.MaxBudget):
+		return fmt.Sprintf("budget must be in [1, %d] (got %d)", s.cfg.MaxBudget, j.Budget)
+	case j.SeqLen < 1 || (s.cfg.MaxSeqLen > 0 && j.SeqLen > s.cfg.MaxSeqLen):
+		return fmt.Sprintf("len must be in [1, %d] (got %d)", s.cfg.MaxSeqLen, j.SeqLen)
+	case j.Deadline < 0:
+		return fmt.Sprintf("deadline_ms must not be negative (got %d)", j.Deadline.Milliseconds())
+	case s.cfg.MaxDeadline > 0 && j.Deadline > s.cfg.MaxDeadline:
+		return fmt.Sprintf("deadline_ms must not exceed %d (got %d)", s.cfg.MaxDeadline.Milliseconds(), j.Deadline.Milliseconds())
+	}
+	return ""
+}
+
+// millis converts a wire millisecond count to a Duration; ok is false when
+// it does not fit in one.
+func millis(ms int64) (d time.Duration, ok bool) {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	if ms > limit || ms < -limit {
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -201,6 +201,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"len too big", SubmitRequest{Tenant: "a", IR: testIR, SeqLen: 1000}, "len"},
 		{"negative deadline", SubmitRequest{Tenant: "a", IR: testIR, DeadlineMS: -5}, "deadline_ms"},
 		{"bad ir", SubmitRequest{Tenant: "a", IR: "definitely not ir"}, "bad ir"},
+		{"ir that does not verify", SubmitRequest{Tenant: "a", IR: "define i32 @main()"}, "bad ir"},
+		{"deadline overflows", SubmitRequest{Tenant: "a", IR: testIR, DeadlineMS: 1 << 62}, "deadline_ms"},
 	}
 	for _, tc := range cases {
 		if _, errText := s.buildJob(&tc.req); !strings.Contains(errText, tc.want) {

@@ -6,18 +6,18 @@
 # Usage:
 #   scripts/bench-json.sh [out-dir] [bench-regex] [benchtime] [packages]
 #
-# Defaults: out-dir=.  bench-regex='SweepColdStore|SweepWarmStore|HLSProfile|PPOTrainIteration'
-# benchtime=3x  packages='. ./internal/rl' (a space-separated list of
-# package patterns).
+# Defaults: out-dir=.  bench-regex='SweepColdStore|SweepWarmStore|HLSProfile|DenseBatch|PPOTrainIteration'
+# benchtime=3x  packages='. ./internal/nn ./internal/rl' (a space-separated
+# list of package patterns).
 # Benchmarks run with -benchmem, so every entry carries B/op and allocs/op.
 # The output file name embeds today's UTC date (BENCH_2025-01-31.json); an
 # existing file for the same day is overwritten.
 set -euo pipefail
 
 outdir=${1:-.}
-bench=${2:-'SweepColdStore|SweepWarmStore|HLSProfile|PPOTrainIteration'}
+bench=${2:-'SweepColdStore|SweepWarmStore|HLSProfile|DenseBatch|PPOTrainIteration'}
 benchtime=${3:-3x}
-read -r -a pkgs <<< "${4:-. ./internal/rl}"
+read -r -a pkgs <<< "${4:-. ./internal/nn ./internal/rl}"
 
 out="$outdir/BENCH_$(date -u +%F).json"
 raw=$(mktemp)
