@@ -95,7 +95,7 @@ func main() {
 	crashDirFlag := flag.String("crashdir", "", "write a crash-repro bundle here for every contained panic/deadline fault")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline per profile, e.g. 2s (0 = unbounded)")
 	engineFlag := flag.String("engine", "auto", "profiler backend: auto (static → vm → interp cascade), static, vm, or interp")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles, features, lowered bytecode survive restarts)")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles and features survive restarts)")
 	cacheBudget := flag.Int64("cache-budget", 0, "artifact cache size budget in bytes (0 = 512 MiB default); whole segments evict oldest-first")
 	flag.Parse()
 

@@ -36,7 +36,7 @@ func main() {
 	faultSeed := flag.Int64("faults-seed", 1, "deterministic seed for the -faults injector")
 	crashDir := flag.String("crashdir", "", "write crash-repro bundles here for contained panic/deadline faults")
 	engineFlag := flag.String("engine", "auto", "profiler backend: auto (static → vm → interp cascade), static, vm, or interp")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles, features, lowered bytecode survive restarts)")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles and features survive restarts)")
 	cacheBudget := flag.Int64("cache-budget", 0, "artifact cache size budget in bytes (0 = 512 MiB default)")
 	flag.Parse()
 

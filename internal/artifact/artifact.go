@@ -1,13 +1,13 @@
 // Package artifact is the persistent, content-addressed tier beneath the
-// in-memory caches: profile verdicts, memoized feature vectors and lowered
-// VM bytecode, keyed by the structural IR fingerprint plus whatever
-// configuration the artifact depends on. Everything in the store is a pure
-// function of its key, so the store is a cache in the strict sense — any
-// record may be dropped, corrupted or lost at any point and the only
-// observable effect is that the producer runs again. That is the load-
-// bearing design rule: every failure mode (torn write, flipped byte,
-// version skew, short read, missing file) is treated as a miss, never as
-// an error, and the record is simply rewritten.
+// in-memory caches: profile verdicts and memoized feature vectors, keyed by
+// the structural IR fingerprint plus whatever configuration the artifact
+// depends on. Everything in the store is a pure function of its key, so the
+// store is a cache in the strict sense — any record may be dropped,
+// corrupted or lost at any point and the only observable effect is that
+// the producer runs again. That is the load-bearing design rule: every
+// failure mode (torn write, flipped byte, version skew, short read, missing
+// file) is treated as a miss, never as an error, and the record is simply
+// rewritten.
 //
 // On disk the store is a directory of immutable segment files. Records are
 // length-prefixed and individually checksummed; segments are committed by
@@ -50,10 +50,17 @@ const (
 	// KindGraphFeatures is the structural graph feature block (same key
 	// discipline as KindFeatures, separate namespace).
 	KindGraphFeatures Kind = 3
-	// KindBytecode is a serialized vm.Program; Aux binds it to the schedule
-	// config whose block weights were folded into the instruction stream.
-	KindBytecode Kind = 4
+	// Kind 4 is retired: it held serialized VM bytecode, which no build
+	// reads any more. Never reuse the value; loadSegment skips such records
+	// left in old stores.
 )
+
+// readKind reports whether this build reads records of kind k. Records of
+// any other kind (retired ones, or ones a newer build wrote) are skipped at
+// load time rather than indexed, so they hold no memory.
+func readKind(k Kind) bool {
+	return k == KindProfile || k == KindFeatures || k == KindGraphFeatures
+}
 
 // Key addresses one record: the structural fingerprint of the IR the
 // artifact was derived from, the artifact kind, and a kind-specific hash of
@@ -262,6 +269,11 @@ func (s *Store) loadSegment(seg segInfo) bool {
 			FP:   ir.Fingerprint{Hi: binary.LittleEndian.Uint64(body), Lo: binary.LittleEndian.Uint64(body[8:])},
 			Kind: Kind(body[16]),
 			Aux:  binary.LittleEndian.Uint64(body[17:]),
+		}
+		if !readKind(key.Kind) {
+			// Well formed but of a kind nobody here reads: not corrupt,
+			// just not worth indexing.
+			continue
 		}
 		payload := make([]byte, bodyLen-bodyFixed)
 		copy(payload, body[bodyFixed:])

@@ -90,7 +90,7 @@ func TestKindAndAuxSeparateNamespaces(t *testing.T) {
 			t.Fatalf("Get(%+v) = %q, %v; want %q", tc.k, got, ok, tc.want)
 		}
 	}
-	if _, ok := s.Get(Key{FP: fp, Kind: KindBytecode}); ok {
+	if _, ok := s.Get(Key{FP: fp, Kind: KindGraphFeatures}); ok {
 		t.Fatal("unwritten kind resolved to a record")
 	}
 }
@@ -219,6 +219,33 @@ func TestVersionMismatchDropsSegment(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg")); len(left) != 0 {
 		t.Fatal("version-mismatched segment not deleted")
+	}
+}
+
+// TestRetiredKindSkippedOnLoad: a well-formed record of a kind this build
+// does not read (4, the retired bytecode kind) is neither indexed nor
+// counted corrupt when a store reopens; records beside it load as usual.
+func TestRetiredKindSkippedOnLoad(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	retired := Key{FP: key(1).FP, Kind: Kind(4), Aux: 5}
+	s.Put(retired, []byte("old bytecode"))
+	s.Put(key(2), []byte("profile"))
+	s.Close()
+
+	s2 := mustOpen(t, dir, 0)
+	defer s2.Close()
+	if _, ok := s2.Get(retired); ok {
+		t.Fatal("retired-kind record indexed")
+	}
+	if got, ok := s2.Get(key(2)); !ok || string(got) != "profile" {
+		t.Fatalf("record beside the retired one: %q, %v", got, ok)
+	}
+	if n := s2.Len(); n != 1 {
+		t.Fatalf("len = %d, want 1", n)
+	}
+	if st := s2.Stats(); st.Corrupt != 0 {
+		t.Fatalf("corrupt = %d, want 0", st.Corrupt)
 	}
 }
 

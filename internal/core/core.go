@@ -60,10 +60,10 @@ type Program struct {
 	hlsCfg hls.Config
 
 	// profiler is the unified engine front end (static → VM → interpreter
-	// under EngineAuto). It owns the lowered-bytecode cache and the
-	// per-engine hit counters; its limits/engine/cross-check knobs are only
-	// ever changed under cfgMu so in-flight compiles (which hold cfgMu for
-	// read) never observe a mid-compile switch.
+	// under EngineAuto). It owns the per-engine hit counters; its
+	// limits/engine/cross-check knobs are only ever changed under cfgMu so
+	// in-flight compiles (which hold cfgMu for read) never observe a
+	// mid-compile switch.
 	profiler *hls.Profiler
 
 	// cfgMu guards the compile configuration (interpreter limits, engine
@@ -96,7 +96,7 @@ type Program struct {
 	// memos: feature and graph-feature vectors for previously seen
 	// fingerprints are read from disk instead of re-extracted, and fresh
 	// extractions are written behind. The profiler holds the same store for
-	// profile verdicts and lowered bytecode. Nil means memory-only.
+	// profile verdicts. Nil means memory-only.
 	artifacts atomic.Pointer[artifact.Store]
 
 	irMu    sync.Mutex
@@ -261,7 +261,7 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 // profile estimates m's cycle count through the unified engine front end
 // (static estimator → bytecode VM → tree-walking interpreter under the
 // default EngineAuto policy; SetEngine pins one). Callers that already
-// hold m's fingerprint pass it so the lowered-bytecode cache never
+// hold m's fingerprint pass it so the artifact-store lookup never
 // re-hashes. Under the sanitizer every engine runs and must agree exactly.
 func (p *Program) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*hls.Report, error) {
 	if haveFP {

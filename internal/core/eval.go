@@ -115,20 +115,13 @@ type EvalStats struct {
 	FPHits     int64 // new sequences whose IR fingerprint matched an existing profile
 	NoopIR     int64 // pass suffixes that changed nothing (base module reused, no re-hash)
 	// Persistent artifact-store tier (all zero when no store is attached).
-	// DiskHits are profiles answered from disk with no engine run;
-	// BytecodeDiskHits are lowered programs restored instead of re-lowered;
-	// the write/byte/corrupt counters are store-wide (profiles, features,
-	// bytecode together).
-	DiskHits         int64
-	BytecodeDiskHits int64
-	DiskWrites       int64
-	DiskBytes        int64
-	DiskCorrupt      int64
-	// In-memory lowered-bytecode cache (vm.Cache) counters.
-	LowerHits      int64
-	LowerDeclines  int64
-	LowerMisses    int64
-	LowerEvictions int64
+	// DiskHits are profiles answered from disk with no engine run; the
+	// write/byte/corrupt counters are store-wide (profiles and features
+	// together).
+	DiskHits    int64
+	DiskWrites  int64
+	DiskBytes   int64
+	DiskCorrupt int64
 	// FPMismatches counts sanitizer-mode recomputes that disagreed with the
 	// fingerprint store; nonzero means fingerprint sharing aliased distinct
 	// results and must be treated as a miscompilation signal.
@@ -169,14 +162,9 @@ func (s *EvalStats) Add(o EvalStats) {
 	s.FPHits += o.FPHits
 	s.NoopIR += o.NoopIR
 	s.DiskHits += o.DiskHits
-	s.BytecodeDiskHits += o.BytecodeDiskHits
 	s.DiskWrites += o.DiskWrites
 	s.DiskBytes += o.DiskBytes
 	s.DiskCorrupt += o.DiskCorrupt
-	s.LowerHits += o.LowerHits
-	s.LowerDeclines += o.LowerDeclines
-	s.LowerMisses += o.LowerMisses
-	s.LowerEvictions += o.LowerEvictions
 	s.FPMismatches += o.FPMismatches
 	s.Batches += o.Batches
 	s.BatchWall += o.BatchWall
@@ -208,13 +196,9 @@ func (s EvalStats) String() string {
 	if s.FPMismatches > 0 {
 		str += fmt.Sprintf(" FP-MISMATCHES=%d", s.FPMismatches)
 	}
-	if s.DiskHits > 0 || s.BytecodeDiskHits > 0 || s.DiskWrites > 0 || s.DiskCorrupt > 0 {
-		str += fmt.Sprintf(" disk-hits=%d disk-bc-hits=%d disk-writes=%d disk-bytes=%d disk-corrupt=%d",
-			s.DiskHits, s.BytecodeDiskHits, s.DiskWrites, s.DiskBytes, s.DiskCorrupt)
-	}
-	if s.LowerHits > 0 || s.LowerDeclines > 0 || s.LowerEvictions > 0 {
-		str += fmt.Sprintf(" lower-hits=%d lower-declines=%d lower-misses=%d lower-evictions=%d",
-			s.LowerHits, s.LowerDeclines, s.LowerMisses, s.LowerEvictions)
+	if s.DiskHits > 0 || s.DiskWrites > 0 || s.DiskCorrupt > 0 {
+		str += fmt.Sprintf(" disk-hits=%d disk-writes=%d disk-bytes=%d disk-corrupt=%d",
+			s.DiskHits, s.DiskWrites, s.DiskBytes, s.DiskCorrupt)
 	}
 	if s.Faults > 0 || s.Quarantined > 0 || s.Retries > 0 {
 		str += fmt.Sprintf(" faults=%d quarantined=%d retries=%d",
@@ -242,30 +226,25 @@ func (s EvalStats) String() string {
 func (p *Program) EvalStats() EvalStats {
 	eng := p.profiler.Stats()
 	s := EvalStats{
-		Samples:          p.samples.Load(),
-		Compiles:         p.compiles.Load(),
-		CacheHits:        p.cacheHits.Load(),
-		Merges:           p.merges.Load(),
-		StaticHits:       eng.StaticHits,
-		VMHits:           eng.VMHits,
-		InterpHits:       eng.InterpHits,
-		DiskHits:         eng.DiskHits,
-		BytecodeDiskHits: eng.BytecodeDiskHits,
-		DiskWrites:       eng.DiskWrites,
-		DiskBytes:        eng.DiskBytes,
-		DiskCorrupt:      eng.DiskCorrupt,
-		LowerHits:        eng.LowerHits,
-		LowerDeclines:    eng.LowerDeclines,
-		LowerMisses:      eng.LowerMisses,
-		LowerEvictions:   eng.LowerEvictions,
-		FPHits:           p.fpHits.Load(),
-		NoopIR:           p.noopIR.Load(),
-		FPMismatches:     p.fpMismatches.Load(),
-		Successes:        p.successes.Load(),
-		Faults:           p.faults.Load(),
-		Flagged:          p.flagged.Load(),
-		Retries:          p.retries.Load(),
-		Quarantined:      int64(p.QuarantineCount()),
+		Samples:      p.samples.Load(),
+		Compiles:     p.compiles.Load(),
+		CacheHits:    p.cacheHits.Load(),
+		Merges:       p.merges.Load(),
+		StaticHits:   eng.StaticHits,
+		VMHits:       eng.VMHits,
+		InterpHits:   eng.InterpHits,
+		DiskHits:     eng.DiskHits,
+		DiskWrites:   eng.DiskWrites,
+		DiskBytes:    eng.DiskBytes,
+		DiskCorrupt:  eng.DiskCorrupt,
+		FPHits:       p.fpHits.Load(),
+		NoopIR:       p.noopIR.Load(),
+		FPMismatches: p.fpMismatches.Load(),
+		Successes:    p.successes.Load(),
+		Faults:       p.faults.Load(),
+		Flagged:      p.flagged.Load(),
+		Retries:      p.retries.Load(),
+		Quarantined:  int64(p.QuarantineCount()),
 	}
 	for i := range p.shards {
 		s.ShardHits[i] = p.shards[i].hits.Load()

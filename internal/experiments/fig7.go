@@ -69,7 +69,7 @@ func RunFig7Algo(algo string, p *core.Program, sc Scale) int64 {
 		agent.Train([]rl.Env{env}, sc.RLSteps, nil)
 	case "RL-A3C": // A3C on program features.
 		cfg := rl.DefaultA3C()
-		cfg.Workers = 2
+		cfg.Workers = sc.workers()
 		cfg.Hidden = sc.Hidden
 		cfg.LR = sc.LR
 		cfg.EntCoef = 0.02

@@ -75,17 +75,14 @@ type ProfileOptions struct {
 }
 
 // Profiler is the unified profiling surface: one object owning the
-// synthesis config, the execution limits, the engine policy, and the
-// per-config cache of VM-lowered programs.
+// synthesis config, the execution limits and the engine policy.
 //
 // A Profiler is safe for concurrent use. The synthesis config is fixed at
-// construction (the lowered-program cache folds per-block schedule weights,
-// so the cache is only valid for one config); limits, engine and
-// cross-check mode may be changed at runtime.
+// construction (it is part of every stored profile's key); limits, engine
+// and cross-check mode may be changed at runtime.
 type Profiler struct {
 	cfg    Config
 	cfgKey uint64 // artifact.HashString of the rendered config
-	cache  *vm.Cache
 
 	mu     sync.RWMutex
 	lim    interp.Limits   // guarded by mu
@@ -98,35 +95,24 @@ type Profiler struct {
 	vmHits     atomic.Int64
 	interpHits atomic.Int64
 	diskHits   atomic.Int64
-	bcDiskHits atomic.Int64
 }
 
 // ProfilerStats counts which engine answered successful profiles, plus the
-// cache tiers underneath them: the persistent artifact store (profiles
-// answered without any engine running, bytecode restored without
-// re-lowering) and the in-memory lowered-program cache.
+// persistent artifact store beneath them (profiles answered without any
+// engine running).
 type ProfilerStats struct {
 	StaticHits int64
 	VMHits     int64
 	InterpHits int64
 
 	// DiskHits are profiles answered from the artifact store — no engine
-	// ran at all. BytecodeDiskHits are lowered programs restored from disk
-	// (decode + re-verify instead of schedule + lower + verify).
-	DiskHits         int64
-	BytecodeDiskHits int64
+	// ran at all.
+	DiskHits int64
 	// DiskWrites/DiskBytes/DiskCorrupt mirror the attached store's
 	// counters (zero when no store is attached).
 	DiskWrites  int64
 	DiskBytes   int64
 	DiskCorrupt int64
-
-	// Lower* are the in-memory vm.Cache counters: lowering results served
-	// (programs and cached declines), misses, and FIFO evictions.
-	LowerHits      int64
-	LowerDeclines  int64
-	LowerMisses    int64
-	LowerEvictions int64
 }
 
 // NewProfiler builds a Profiler from opts (zero-value fields take the
@@ -141,7 +127,6 @@ func NewProfiler(opts ProfileOptions) *Profiler {
 	return &Profiler{
 		cfg:    opts.Config,
 		cfgKey: artifact.HashString(fmt.Sprintf("%#v", opts.Config)),
-		cache:  vm.NewCache(0),
 		lim:    opts.Limits,
 		limKey: limitsKey(opts.Limits),
 		engine: opts.Engine,
@@ -151,11 +136,11 @@ func NewProfiler(opts ProfileOptions) *Profiler {
 
 // SetArtifacts attaches (or with nil detaches) a persistent artifact store
 // as the read-through/write-behind tier beneath this profiler: profile
-// verdicts and lowered bytecode for previously seen (fingerprint, config,
-// limits, engine-policy) keys are answered from disk without running any
-// engine. The bit-identical contract is preserved by construction — every
-// stored value is a pure function of its key, errors are never persisted,
-// and the sanitizer (CrossCheck) mode bypasses the store entirely.
+// verdicts for previously seen (fingerprint, config, limits, engine-policy)
+// keys are answered from disk without running any engine. The bit-identical
+// contract is preserved by construction — every stored value is a pure
+// function of its key, errors are never persisted, and the sanitizer
+// (CrossCheck) mode bypasses the store entirely.
 func (p *Profiler) SetArtifacts(st *artifact.Store) {
 	p.mu.Lock()
 	p.store = st
@@ -213,20 +198,14 @@ func (p *Profiler) SetCrossCheck(on bool) {
 	p.mu.Unlock()
 }
 
-// Stats snapshots the per-engine success counters and the cache tiers.
+// Stats snapshots the per-engine success counters and the store tier.
 func (p *Profiler) Stats() ProfilerStats {
 	st := ProfilerStats{
-		StaticHits:       p.staticHits.Load(),
-		VMHits:           p.vmHits.Load(),
-		InterpHits:       p.interpHits.Load(),
-		DiskHits:         p.diskHits.Load(),
-		BytecodeDiskHits: p.bcDiskHits.Load(),
+		StaticHits: p.staticHits.Load(),
+		VMHits:     p.vmHits.Load(),
+		InterpHits: p.interpHits.Load(),
+		DiskHits:   p.diskHits.Load(),
 	}
-	cs := p.cache.Stats()
-	st.LowerHits = cs.Hits
-	st.LowerDeclines = cs.Declines
-	st.LowerMisses = cs.Misses
-	st.LowerEvictions = cs.Evictions
 	p.mu.RLock()
 	store := p.store
 	p.mu.RUnlock()
@@ -248,7 +227,8 @@ func (p *Profiler) Profile(m *ir.Module) (*Report, error) {
 }
 
 // ProfileFP is Profile for callers that already hold m's fingerprint (the
-// compile cache does), sparing the VM-program cache a re-hash.
+// compile cache does). The fingerprint only keys the artifact store, so
+// with no store attached it goes unused; with one it spares a re-hash.
 func (p *Profiler) ProfileFP(m *ir.Module, fp ir.Fingerprint) (*Report, error) {
 	return p.profile(m, fp, true)
 }
@@ -267,13 +247,12 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 		// The sanitizer's whole point is running the engines; disk results
 		// would defeat it. (The fault-injection draw above already happened,
 		// so draw streams are identical with and without a store.)
-		return p.crossProfile(m, fp, haveFP, lim)
+		return p.crossProfile(m, lim)
 	}
 	var diskKey artifact.Key
 	if store != nil {
 		if !haveFP {
 			fp = m.Fingerprint()
-			haveFP = true
 		}
 		// The engine policy is part of the key: a pinned engine must see
 		// exactly the profiles (and the declines-as-errors) it would compute
@@ -291,7 +270,7 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 			store.NoteCorrupt(diskKey)
 		}
 	}
-	rep, err := p.runEngine(m, fp, haveFP, engine, lim)
+	rep, err := p.runEngine(m, engine, lim)
 	if err == nil && store != nil {
 		// Only successes persist: an error is not a pure function of the key
 		// in any way the store should vouch for (and declines must re-decline
@@ -303,7 +282,7 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 
 // runEngine dispatches one profile to the configured engine policy (the
 // live, non-disk path).
-func (p *Profiler) runEngine(m *ir.Module, fp ir.Fingerprint, haveFP bool, engine Engine, lim interp.Limits) (*Report, error) {
+func (p *Profiler) runEngine(m *ir.Module, engine Engine, lim interp.Limits) (*Report, error) {
 	switch engine {
 	case EngineStatic:
 		rep, ok := StaticProfile(m, p.cfg, lim)
@@ -313,7 +292,7 @@ func (p *Profiler) runEngine(m *ir.Module, fp ir.Fingerprint, haveFP bool, engin
 		p.staticHits.Add(1)
 		return rep, nil
 	case EngineVM:
-		prog, err := p.lowered(m, fp, haveFP)
+		prog, err := lowerModule(m, p.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("hls profile: %w: %v", ErrEngineDeclined, err)
 		}
@@ -333,7 +312,7 @@ func (p *Profiler) runEngine(m *ir.Module, fp ir.Fingerprint, haveFP bool, engin
 			p.staticHits.Add(1)
 			return rep, nil
 		}
-		if prog, err := p.lowered(m, fp, haveFP); err == nil {
+		if prog, err := lowerModule(m, p.cfg); err == nil {
 			// A VM runtime error is a property of the program (trap,
 			// limit), not of the engine: the interpreter would fail the
 			// same way, so there is no fallback past this point.
@@ -349,46 +328,6 @@ func (p *Profiler) runEngine(m *ir.Module, fp ir.Fingerprint, haveFP bool, engin
 		}
 		return rep, err
 	}
-}
-
-// lowered returns m's cached VM program, lowering (and verifying) on miss.
-// Declines are cached too: a module outside the lowerable fragment declines
-// identically every time. With an artifact store attached, bytecode sits
-// between the in-memory cache and the lowerer: a disk hit is decoded and
-// re-verified (untrusted bytes never run unproven), an undecodable or
-// unverifiable record is dropped as corrupt, and fresh lowerings are
-// written behind. Declines are never persisted — they are cheap to
-// recompute and policy-sensitive.
-func (p *Profiler) lowered(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*vm.Program, error) {
-	if !haveFP {
-		fp = m.Fingerprint()
-	}
-	if prog, err, ok := p.cache.Get(fp); ok {
-		return prog, err
-	}
-	p.mu.RLock()
-	store := p.store
-	p.mu.RUnlock()
-	var diskKey artifact.Key
-	if store != nil {
-		// Bytecode depends on the schedule config (folded block weights) but
-		// not on limits or engine policy.
-		diskKey = artifact.Key{FP: fp, Kind: artifact.KindBytecode, Aux: p.cfgKey}
-		if data, ok := store.Get(diskKey); ok {
-			if prog, derr := vm.Decode(data); derr == nil && vm.Verify(prog) == nil {
-				p.bcDiskHits.Add(1)
-				p.cache.Put(fp, prog, nil)
-				return prog, nil
-			}
-			store.NoteCorrupt(diskKey)
-		}
-	}
-	prog, err := lowerModule(m, p.cfg)
-	p.cache.Put(fp, prog, err)
-	if err == nil && store != nil {
-		store.Put(diskKey, vm.Encode(prog))
-	}
-	return prog, err
 }
 
 // The profile-record payload: four little-endian i64s (cycles, area,
@@ -483,7 +422,7 @@ func sameErrClass(a, b error) bool {
 // exit value, print trace, and error class, and the static estimator keeps
 // its original cycle/step contract. The returned report is the
 // interpreter's, tagged with the engine EngineAuto would have chosen.
-func (p *Profiler) crossProfile(m *ir.Module, fp ir.Fingerprint, haveFP bool, lim interp.Limits) (*Report, error) {
+func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error) {
 	static, sok := StaticProfile(m, p.cfg, lim)
 
 	var (
@@ -491,7 +430,7 @@ func (p *Profiler) crossProfile(m *ir.Module, fp ir.Fingerprint, haveFP bool, li
 		vmErr error
 		vmOK  bool // module lowered; the VM engine applies
 	)
-	if prog, lerr := p.lowered(m, fp, haveFP); lerr == nil {
+	if prog, lerr := lowerModule(m, p.cfg); lerr == nil {
 		vmOK = true
 		vmRes, vmErr = vm.Run(prog, lim)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"autophase/internal/artifact"
 	"autophase/internal/hls"
 	"autophase/internal/interp"
 	"autophase/internal/ir"
@@ -204,6 +205,29 @@ func TestProfilerPoliciesAgree(t *testing.T) {
 	}
 	if cycles[0] != cycles[2] || cycles[1] != cycles[2] {
 		t.Fatalf("policy disagreement: auto=%d checked=%d interp=%d", cycles[0], cycles[1], cycles[2])
+	}
+}
+
+// TestCrossCheckBypassesStore: the sanitizer mode runs every engine and
+// neither reads nor writes an attached artifact store, even on a module
+// the VM lowers.
+func TestCrossCheckBypassesStore(t *testing.T) {
+	st, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	prof := hls.NewProfiler(hls.ProfileOptions{CrossCheck: true})
+	prof.SetArtifacts(st)
+	rep, err := prof.Profile(dynamicFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine != hls.EngineVM {
+		t.Fatalf("dynamic fixture answered by %v, want the VM", rep.Engine)
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 0 || s.Writes != 0 {
+		t.Fatalf("cross-check touched the store: hits=%d misses=%d writes=%d", s.Hits, s.Misses, s.Writes)
 	}
 }
 

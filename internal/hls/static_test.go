@@ -10,6 +10,7 @@ import (
 	"autophase/internal/ir"
 	"autophase/internal/passes"
 	"autophase/internal/progen"
+	"autophase/internal/vm"
 )
 
 // staticFixture is a program squarely inside the static fragment once
@@ -300,18 +301,31 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 			}
 		})
 		b.Run(tc.name+"/vm", func(b *testing.B) {
-			// A warm profiler, as in the search loop: the compile cache
-			// already holds the module fingerprint (core always profiles
-			// through ProfileFP), lowering is paid once into the
-			// fingerprint-keyed cache, execution every iteration.
+			// What one VM-answered reward costs in the search loop: the
+			// compile cache holds the fingerprint (core profiles through
+			// ProfileFP), and every profile schedules, lowers, verifies and
+			// runs the module.
 			prof := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, Engine: hls.EngineVM})
 			fp := tc.mod.Fingerprint()
-			if _, err := prof.ProfileFP(tc.mod, fp); err != nil {
+			for i := 0; i < b.N; i++ {
+				if _, err := prof.ProfileFP(tc.mod, fp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/vmrun", func(b *testing.B) {
+			// The dispatch loop alone: lowered once outside the timer.
+			sched := hls.Schedule(tc.mod, cfg)
+			prog, err := vm.Lower(tc.mod, sched.StatesOf)
+			if err == nil {
+				err = vm.Verify(prog)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prof.ProfileFP(tc.mod, fp); err != nil {
+				if _, err := vm.Run(prog, lim); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,9 +21,8 @@ func declinef(format string, args ...any) error {
 // Lower flattens mod to bytecode, folding weight(b) — the HLS schedule's
 // per-block FSM state count — into each block's entry instruction so the
 // profile is accumulated by the dispatch loop itself. The returned Program
-// is self-contained (no live ir pointers), so it may be cached past the
-// module's lifetime, keyed by the module fingerprint and the schedule's
-// config.
+// is self-contained (no live ir pointers) and bound to the schedule whose
+// weights it folded.
 //
 // Every function is lowered independently; a function that declines is
 // stubbed, and the module declines only if a stubbed function is reachable

@@ -9,7 +9,7 @@ import "fmt"
 // end of its code no matter what values flow at runtime, so the dispatch
 // loop needs no bounds checks of its own. Lowering is expected to always
 // produce verifiable code; Verify is the cheap independent proof of that,
-// run once per cache fill.
+// run once per lowering.
 func Verify(p *Program) error {
 	if p.main >= len(p.funcs) {
 		return fmt.Errorf("vm: verify: main index %d out of range", p.main)

@@ -154,8 +154,7 @@ type funcCode struct {
 }
 
 // globalInit is one module global's storage shape, captured at lowering so
-// the Program is self-contained (no live ir pointers; cache entries may
-// outlive the module they were lowered from).
+// the Program is self-contained (no live ir pointers).
 type globalInit struct {
 	cells int
 	init  []int64
@@ -163,8 +162,8 @@ type globalInit struct {
 
 // Program is one module lowered to bytecode, bound to a specific HLS
 // schedule: the per-block cycle weights are folded into the instruction
-// stream, so it must be cached keyed by both the module fingerprint and a
-// fixed hls.Config (hls.Profiler holds one Config per cache).
+// stream, so a Program is only valid under the hls.Config it was lowered
+// with.
 type Program struct {
 	funcs   []funcCode
 	globals []globalInit

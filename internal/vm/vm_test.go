@@ -488,56 +488,6 @@ d:
 	}
 }
 
-func TestCache(t *testing.T) {
-	c := NewCache(2)
-	fp := func(s string) ir.Fingerprint {
-		m, err := ir.Parse("define i32 @main() {\nentry:\n  ret i32 " + s + "\n}\n")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Fingerprint()
-	}
-	f1, f2, f3 := fp("1"), fp("2"), fp("3")
-
-	if _, _, ok := c.Get(f1); ok {
-		t.Fatal("hit on empty cache")
-	}
-	prog := &Program{main: -1}
-	c.Put(f1, prog, nil)
-	if got, err, ok := c.Get(f1); !ok || got != prog || err != nil {
-		t.Fatalf("positive entry: %v %v %v", got, err, ok)
-	}
-
-	// Negative caching: a decline is remembered too.
-	declErr := declinef("test decline")
-	c.Put(f2, nil, declErr)
-	if got, err, ok := c.Get(f2); !ok || got != nil || !errors.Is(err, ErrDecline) {
-		t.Fatalf("negative entry: %v %v %v", got, err, ok)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-
-	// FIFO eviction at capacity: f1 (oldest) goes first.
-	c.Put(f3, prog, nil)
-	if c.Len() != 2 {
-		t.Fatalf("len after eviction = %d, want 2", c.Len())
-	}
-	if _, _, ok := c.Get(f1); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if _, _, ok := c.Get(f3); !ok {
-		t.Fatal("newest entry missing")
-	}
-
-	// First writer wins: a second Put for f3 does not replace.
-	other := &Program{main: -1}
-	c.Put(f3, other, nil)
-	if got, _, _ := c.Get(f3); got != prog {
-		t.Fatal("second Put replaced entry")
-	}
-}
-
 func TestInjectedStall(t *testing.T) {
 	sp, err := faults.ParseSpec("interp-stall:1.0", 1)
 	if err != nil {
