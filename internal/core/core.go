@@ -40,12 +40,15 @@ const cacheShards = 32
 // duplicated work is accounted for, not repeated.
 //
 // The cache is two-level. The per-shard sequence index maps a pass sequence
-// to the structural fingerprint of the IR it produces; the fingerprint-keyed
-// store holds the physical profile (cycles, area) and, through featMemo, the
-// feature vector. Distinct sequences that converge on the same IR — the
-// common case, since most passes are no-ops most of the time — share one
-// profiler run and one feature extraction (counted as FPHits rather than
-// Compiles).
+// to the structural fingerprint of the IR it produces; the fingerprint store
+// holds one record per fingerprint with everything that is a pure function
+// of that IR: the physical profile (cycles, area), the feature vector and
+// the graph feature block. Distinct sequences that converge on the same IR —
+// the common case, since most passes are no-ops most of the time — share one
+// profiler run and one extraction per vector (counted as FPHits rather than
+// Compiles). The store has no cap: a record exists only for an IR that a
+// compile or a feature query produced, and distinct IRs are far fewer than
+// distinct sequences.
 type Program struct {
 	Name string
 	orig *ir.Module
@@ -75,25 +78,13 @@ type Program struct {
 
 	shards [cacheShards]cacheShard
 
-	// The fingerprint store: physical profile results keyed by the
-	// structural fingerprint of the optimized IR. Entries referenced by a
-	// cached sequence-index entry (refs > 0) are never evicted, so the thin
-	// index cannot be orphaned; unreferenced entries (the O0/O3 seeds, or
-	// leftovers after SetLimits) go first when the store exceeds fpStoreCap.
+	// The fingerprint store: one record per structural fingerprint of an
+	// optimized IR, holding its profile and its feature vectors.
 	fpMu      sync.Mutex
 	fpEntries map[ir.Fingerprint]*fpEntry // guarded by fpMu
-	fpOrder   []ir.Fingerprint            // guarded by fpMu; insertion order (eviction)
 
-	// featMemo memoizes feature vectors by fingerprint: feature extraction
-	// is pure in the IR, so IR-equal modules share one extraction.
-	featMemo features.Memo
-
-	// graphMemo memoizes the opt-in graph feature block, also by
-	// fingerprint, in its own keyspace (the vectors have different shapes).
-	graphMemo features.Memo
-
-	// artifacts is the optional persistent tier beneath the in-memory
-	// memos: feature and graph-feature vectors for previously seen
+	// artifacts is the optional persistent tier beneath the fingerprint
+	// store: feature and graph-feature vectors for previously seen
 	// fingerprints are read from disk instead of re-extracted, and fresh
 	// extractions are written behind. The profiler holds the same store for
 	// profile verdicts. Nil means memory-only.
@@ -138,11 +129,11 @@ type Program struct {
 	bestSeq []int // guarded by bestMu
 
 	// Sanitizer mode (EnableSanitizer): every compile runs the pass
-	// sanitizer; a failing sequence is marked bad (Compile returns !ok, so
-	// the environment ends the episode with a penalty instead of learning
-	// from a corrupted reward) and the first report is retained.
+	// sanitizer; a failing sequence compiles as !ok (the sequence index
+	// caches that verdict, and the environment ends the episode with a
+	// penalty instead of learning from a corrupted reward) and the first
+	// report is retained.
 	sanMu     sync.Mutex
-	sanBad    map[string]bool         // guarded by sanMu
 	sanReport *passes.SanitizerReport // guarded by sanMu
 }
 
@@ -161,12 +152,34 @@ type seqEntry struct {
 	ok bool
 }
 
-// fpEntry is one fingerprint-store record. refs counts the sequence-index
-// entries resolving to it; referenced entries are never evicted.
+// fpEntry is one fingerprint-store record. The vectors are pure in the IR;
+// the profile verdict also depends on the interpreter limits, so SetLimits
+// clears hasProfile and keeps the vectors. A nil vector is not extracted
+// yet. Published vectors are shared and must be treated as immutable.
 type fpEntry struct {
 	cycles, area int64
 	hasProfile   bool
-	refs         int
+	vecs         [numVecKinds][]int64
+}
+
+// vecKind names one of the IR-derived vectors a fingerprint record holds.
+type vecKind int
+
+const (
+	vecFeatures vecKind = iota // the paper's 56 static features
+	vecGraph                   // the opt-in structural graph feature block
+	numVecKinds
+)
+
+// vecKinds declares each vector kind: its length, its persistent artifact
+// record kind, and its extractor.
+var vecKinds = [numVecKinds]struct {
+	n       int
+	art     artifact.Kind
+	extract func(*ir.Module) []int64
+}{
+	vecFeatures: {features.NumFeatures, artifact.KindFeatures, features.Extract},
+	vecGraph:    {features.NumGraphFeatures, artifact.KindGraphFeatures, features.ExtractGraph},
 }
 
 // irEntry pairs a cached optimized module with its fingerprint, so prefix
@@ -189,11 +202,6 @@ type inflight struct {
 // resident and each compile costs one pass application instead of the
 // whole sequence. It is a variable only so tests can shrink it.
 var irCacheCap = 2048
-
-// fpStoreCap bounds the fingerprint store. Only unreferenced entries are
-// evictable, so the store can exceed the cap while every entry is live.
-// It is a variable only so tests can shrink it.
-var fpStoreCap = 1 << 15
 
 type compileResult struct {
 	cycles int64
@@ -237,7 +245,7 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 	for i := range p.shards {
 		p.shards[i].cache = make(map[string]seqEntry)
 	}
-	r0, err := p.profile(p.orig, p.origFP, true)
+	r0, err := p.profiler.ProfileFP(p.orig, p.origFP)
 	if err != nil {
 		return nil, fmt.Errorf("core: O0 profile of %s: %w", name, err)
 	}
@@ -245,29 +253,17 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 	o3 := p.orig.Clone()
 	passes.ApplyO3(o3)
 	fp3 := o3.Fingerprint()
-	r3, err := p.profile(o3, fp3, true)
+	r3, err := p.profiler.ProfileFP(o3, fp3)
 	if err != nil {
 		return nil, fmt.Errorf("core: O3 profile of %s: %w", name, err)
 	}
 	p.O3Cycles = r3.Cycles
 	// Seed the fingerprint store with the baselines: a search sequence that
 	// reproduces the unoptimized or the -O3 IR shares these profiles instead
-	// of re-running the profiler. Unreferenced, so evictable.
-	p.fpPublish(p.origFP, r0.Cycles, int64(r0.AreaLUT), false)
-	p.fpPublish(fp3, r3.Cycles, int64(r3.AreaLUT), false)
+	// of re-running the profiler.
+	p.fpPublish(p.origFP, r0.Cycles, int64(r0.AreaLUT))
+	p.fpPublish(fp3, r3.Cycles, int64(r3.AreaLUT))
 	return p, nil
-}
-
-// profile estimates m's cycle count through the unified engine front end
-// (static estimator → bytecode VM → tree-walking interpreter under the
-// default EngineAuto policy; SetEngine pins one). Callers that already
-// hold m's fingerprint pass it so the artifact-store lookup never
-// re-hashes. Under the sanitizer every engine runs and must agree exactly.
-func (p *Program) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*hls.Report, error) {
-	if haveFP {
-		return p.profiler.ProfileFP(m, fp)
-	}
-	return p.profiler.Profile(m)
 }
 
 // Module returns a fresh clone of the original (unoptimized) module.
@@ -295,11 +291,6 @@ func (p *Program) EnableSanitizer() {
 	// must agree bit-for-bit, so a miscompiled reward can't slip through
 	// whichever engine happened to answer.
 	p.profiler.SetCrossCheck(true)
-	p.sanMu.Lock()
-	if p.sanBad == nil {
-		p.sanBad = make(map[string]bool)
-	}
-	p.sanMu.Unlock()
 }
 
 // SanitizerReport returns the report of the first miscompiling sequence a
@@ -314,7 +305,7 @@ func (p *Program) SanitizerReport() *passes.SanitizerReport {
 // observation-only surface, so a contained extraction fault degrades to an
 // all-zero vector instead of failing the caller.
 func (p *Program) Features() []int64 {
-	if f, fault := p.extractSafe(p.orig, p.origFP, nil); fault == nil {
+	if f, fault := p.extractSafe(p.orig, p.origFP, vecFeatures, nil); fault == nil {
 		return f
 	}
 	return make([]int64, features.NumFeatures)
@@ -360,25 +351,23 @@ func (p *Program) CompileArea(seq []int) (cycles, area int64, ok bool) {
 
 // resolve materializes a compileResult from a sequence-index entry. It
 // fails (second return false) only when the entry went stale — its
-// fingerprint-store record lost its profile or its feature memo entry was
-// dropped — in which case the caller recomputes as a miss.
+// fingerprint-store record lost its profile (SetLimits) — in which case the
+// caller recomputes as a miss.
 func (p *Program) resolve(e seqEntry) (compileResult, bool) {
 	if !e.ok {
 		return compileResult{}, true // cached failure verdict
 	}
-	cyc, area, ok := p.fpPeek(e.fp)
-	if !ok {
+	p.fpMu.Lock()
+	defer p.fpMu.Unlock()
+	r := p.fpEntries[e.fp]
+	if r == nil || !r.hasProfile || r.vecs[vecFeatures] == nil {
 		return compileResult{}, false
 	}
-	feats := p.featMemo.Get(e.fp)
-	if feats == nil {
-		return compileResult{}, false
-	}
-	return compileResult{cycles: cyc, area: area, feats: feats, fp: e.fp, ok: true}, true
+	return compileResult{cycles: r.cycles, area: r.area, feats: r.vecs[vecFeatures], fp: e.fp, ok: true}, true
 }
 
-// fpPeek reads a fingerprint-store profile without touching refcounts.
-func (p *Program) fpPeek(fp ir.Fingerprint) (cycles, area int64, ok bool) {
+// fpProfile returns the stored profile for fp, if there is one.
+func (p *Program) fpProfile(fp ir.Fingerprint) (cycles, area int64, ok bool) {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
 	if e := p.fpEntries[fp]; e != nil && e.hasProfile {
@@ -387,58 +376,46 @@ func (p *Program) fpPeek(fp ir.Fingerprint) (cycles, area int64, ok bool) {
 	return 0, 0, false
 }
 
-// fpShare is the fingerprint fast path: if fp already has a profile, take a
-// reference (the caller will cache a sequence-index entry resolving to it)
-// and return the shared result.
-func (p *Program) fpShare(fp ir.Fingerprint) (cycles, area int64, ok bool) {
+// fpPublish records a physical profile under fp.
+func (p *Program) fpPublish(fp ir.Fingerprint, cycles, area int64) {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
-	if e := p.fpEntries[fp]; e != nil && e.hasProfile {
-		e.refs++
-		return e.cycles, e.area, true
-	}
-	return 0, 0, false
+	e := p.fpRecord(fp)
+	e.cycles, e.area, e.hasProfile = cycles, area, true
 }
 
-// fpPublish records a physical profile under fp, taking a reference when
-// the caller caches a sequence-index entry for it (ref), and evicts
-// unreferenced entries once the store exceeds its cap.
-func (p *Program) fpPublish(fp ir.Fingerprint, cycles, area int64, ref bool) {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
+// fpRecord returns fp's record, creating an empty one if there is none.
+// Callers hold fpMu.
+func (p *Program) fpRecord(fp ir.Fingerprint) *fpEntry {
 	e := p.fpEntries[fp]
 	if e == nil {
 		e = &fpEntry{}
 		p.fpEntries[fp] = e
-		p.fpOrder = append(p.fpOrder, fp)
 	}
-	e.cycles, e.area, e.hasProfile = cycles, area, true
-	if ref {
-		e.refs++
-	}
-	for len(p.fpEntries) > fpStoreCap {
-		victim := -1
-		for i, k := range p.fpOrder {
-			if v := p.fpEntries[k]; v != nil && v.refs == 0 && k != fp {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			return // every entry is referenced; over-cap is the safe state
-		}
-		delete(p.fpEntries, p.fpOrder[victim])
-		p.fpOrder = append(p.fpOrder[:victim], p.fpOrder[victim+1:]...)
-	}
+	return e
 }
 
-// fpUnref releases a sequence-index entry's reference.
-func (p *Program) fpUnref(fp ir.Fingerprint) {
+// fpVec returns the stored vector of kind k for fp, or nil.
+func (p *Program) fpVec(fp ir.Fingerprint, k vecKind) []int64 {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
-	if e := p.fpEntries[fp]; e != nil && e.refs > 0 {
-		e.refs--
+	if e := p.fpEntries[fp]; e != nil {
+		return e.vecs[k]
 	}
+	return nil
+}
+
+// fpPutVec publishes v as fp's vector of kind k and returns the stored one:
+// the first published vector wins (extraction is pure, so any copy is the
+// right one).
+func (p *Program) fpPutVec(fp ir.Fingerprint, k vecKind, v []int64) []int64 {
+	p.fpMu.Lock()
+	defer p.fpMu.Unlock()
+	e := p.fpRecord(fp)
+	if e.vecs[k] == nil {
+		e.vecs[k] = v
+	}
+	return e.vecs[k]
 }
 
 // compile is the shared memoized entry point: boundary validation, then
@@ -487,9 +464,6 @@ func (p *Program) compile(seq []int) compileResult {
 		// Stale index entry (fingerprint store cleared under it): drop it
 		// and recompute through the singleflight path.
 		delete(sh.cache, key)
-		if e.ok {
-			p.fpUnref(e.fp)
-		}
 	}
 	if fl, busy := sh.inflight[key]; busy {
 		sh.mu.Unlock()
@@ -522,8 +496,6 @@ func (p *Program) compile(seq []int) compileResult {
 
 	sh.mu.Lock()
 	if cacheable {
-		// The fingerprint-store reference for this entry was taken inside
-		// compileMiss (fpShare/fpPublish), exactly once per cached entry.
 		sh.cache[key] = seqEntry{fp: res.fp, ok: res.ok}
 	}
 	delete(sh.inflight, key)
@@ -628,17 +600,16 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 		p.flagged.Add(1)
 		return compileResult{}, true
 	}
-	// Features are extracted (and memoized) before the profile so a
-	// feature-stage fault is caught while no fingerprint-store reference is
-	// held yet.
-	feats, ffault := p.extractSafe(m, fp, seq)
+	// Features are extracted (and stored) before the profile so a
+	// feature-stage fault never pays for a profiler run.
+	feats, ffault := p.extractSafe(m, fp, vecFeatures, seq)
 	if ffault != nil {
 		return p.faultResult(ffault, key), false
 	}
 	if !p.sanitize {
 		// Fingerprint fast path: another sequence already reached this exact
 		// IR, so its profile (and feature vector) carry over wholesale.
-		if cyc, area, ok := p.fpShare(fp); ok {
+		if cyc, area, ok := p.fpProfile(fp); ok {
 			p.fpHits.Add(1)
 			p.successes.Add(1)
 			res = compileResult{cycles: cyc, area: area, feats: feats, fp: fp, ok: true}
@@ -659,11 +630,11 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 	if p.sanitize {
 		// Differential mode never takes the fingerprint shortcut; instead it
 		// cross-checks the store against every recompute-from-scratch.
-		if cyc, area, ok := p.fpPeek(fp); ok && (cyc != rep.Cycles || area != int64(rep.AreaLUT)) {
+		if cyc, area, ok := p.fpProfile(fp); ok && (cyc != rep.Cycles || area != int64(rep.AreaLUT)) {
 			p.fpMismatches.Add(1)
 		}
 	}
-	p.fpPublish(fp, rep.Cycles, int64(rep.AreaLUT), true)
+	p.fpPublish(fp, rep.Cycles, int64(rep.AreaLUT))
 	p.successes.Add(1)
 	res = compileResult{cycles: rep.Cycles, area: int64(rep.AreaLUT),
 		feats: feats, fp: fp, ok: true}
@@ -685,57 +656,38 @@ func (p *Program) buildIRSafe(seq []int, key string, sanitize bool) (m *ir.Modul
 	return
 }
 
-// extractSafe is memoized feature extraction behind the feature-stage
-// containment boundary, with the persistent tier underneath the memo: a
-// disk record for the fingerprint skips extraction entirely (features are
-// pure in the IR, so the stored vector IS the extraction), and fresh
-// extractions are written behind.
-func (p *Program) extractSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (feats []int64, fault *EvalFault) {
+// extractSafe returns fp's vector of kind k, extracted from m at most once
+// per fingerprint, behind the feature-stage containment boundary. The
+// persistent tier sits underneath the fingerprint store: a disk record for
+// the fingerprint skips extraction entirely (the vectors are pure in the
+// IR, so the stored vector IS the extraction), and fresh extractions are
+// written behind.
+func (p *Program) extractSafe(m *ir.Module, fp ir.Fingerprint, k vecKind, seq []int) (vec []int64, fault *EvalFault) {
 	defer func() {
 		if v := recover(); v != nil {
-			feats = nil
+			vec = nil
 			fault = newPanicFault(v, "features", p.Name, seq)
 		}
 	}()
+	if v := p.fpVec(fp, k); v != nil {
+		return v, nil
+	}
+	kind := &vecKinds[k]
 	st := p.artifacts.Load()
-	if st == nil {
-		return p.featMemo.Extract(m, fp), nil
-	}
-	if f := p.featMemo.Get(fp); f != nil {
-		return f, nil
-	}
-	k := artifact.Key{FP: fp, Kind: artifact.KindFeatures}
-	if data, ok := st.Get(k); ok {
-		if vec, ok := decodeVec(data, features.NumFeatures); ok {
-			return p.featMemo.Put(fp, vec), nil
+	key := artifact.Key{FP: fp, Kind: kind.art}
+	if st != nil {
+		if data, ok := st.Get(key); ok {
+			if v, ok := decodeVec(data, kind.n); ok {
+				return p.fpPutVec(fp, k, v), nil
+			}
+			st.NoteCorrupt(key)
 		}
-		st.NoteCorrupt(k)
 	}
-	f := p.featMemo.Extract(m, fp)
-	st.Put(k, encodeVec(f))
-	return f, nil
-}
-
-// graphExtract is extractSafe's shape for the graph feature block (no
-// containment boundary of its own: GraphFeaturesAfter carries one).
-func (p *Program) graphExtract(m *ir.Module, fp ir.Fingerprint) []int64 {
-	st := p.artifacts.Load()
-	if st == nil {
-		return p.graphMemo.ExtractGraph(m, fp)
+	v := p.fpPutVec(fp, k, kind.extract(m))
+	if st != nil {
+		st.Put(key, encodeVec(v))
 	}
-	if f := p.graphMemo.Get(fp); f != nil {
-		return f
-	}
-	k := artifact.Key{FP: fp, Kind: artifact.KindGraphFeatures}
-	if data, ok := st.Get(k); ok {
-		if vec, ok := decodeVec(data, features.NumGraphFeatures); ok {
-			return p.graphMemo.Put(fp, vec)
-		}
-		st.NoteCorrupt(k)
-	}
-	f := p.graphMemo.ExtractGraph(m, fp)
-	st.Put(k, encodeVec(f))
-	return f
+	return v, nil
 }
 
 // encodeVec/decodeVec carry a feature vector as packed little-endian i64s.
@@ -791,7 +743,7 @@ func (p *Program) profileRecover(m *ir.Module, fp ir.Fingerprint, seq []int) (re
 			fault = newPanicFault(v, "profile", p.Name, seq)
 		}
 	}()
-	rep, err = p.profile(m, fp, true)
+	rep, err = p.profiler.ProfileFP(m, fp)
 	return
 }
 
@@ -823,12 +775,6 @@ func lessSeq(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-func (p *Program) flaggedBad(key string) bool {
-	p.sanMu.Lock()
-	defer p.sanMu.Unlock()
-	return p.sanBad[key]
 }
 
 // buildIR produces the optimized module for seq and its fingerprint,
@@ -868,7 +814,6 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 		pm.Apply(m, seq[start:])
 		if rep := pm.SanitizerReport(); rep != nil {
 			p.sanMu.Lock()
-			p.sanBad[key] = true
 			if p.sanReport == nil {
 				p.sanReport = rep
 			}
@@ -971,20 +916,12 @@ func (p *Program) ResetSamples(dropCache bool) {
 		p.irMu.Unlock()
 		p.fpMu.Lock()
 		p.fpEntries = make(map[ir.Fingerprint]*fpEntry)
-		p.fpOrder = nil
 		p.fpMu.Unlock()
-		p.featMemo.Reset()
-		p.graphMemo.Reset()
 		p.quarMu.Lock()
 		p.quar = nil
 		p.quarMu.Unlock()
 	}
 }
-
-// StaticProfiles reports how many profiler invocations were answered by the
-// SCEV-based static estimator instead of a dynamic engine run (baselines
-// included).
-func (p *Program) StaticProfiles() int { return int(p.profiler.Stats().StaticHits) }
 
 // SetEngine pins the profiler backend used by subsequent profiles
 // (hls.EngineAuto restores the static → VM → interpreter cascade). Caches
@@ -1002,10 +939,9 @@ func (p *Program) Engine() hls.Engine { return p.profiler.Engine() }
 
 // SetLimits replaces the interpreter limits used by subsequent profiles and
 // drops the memoized compile results, whose success verdicts depend on the
-// limits: the sequence index is cleared and every fingerprint-store profile
-// verdict is invalidated (and unreferenced). The optimized-IR cache and the
-// fingerprint-keyed feature memo are kept: IR and features do not depend on
-// the limits.
+// limits: the sequence index is cleared and every fingerprint-store record
+// loses its profile verdict. The optimized-IR cache and the records' feature
+// vectors are kept: IR and features do not depend on the limits.
 func (p *Program) SetLimits(lim interp.Limits) {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
@@ -1019,7 +955,6 @@ func (p *Program) SetLimits(lim interp.Limits) {
 	p.fpMu.Lock()
 	for _, e := range p.fpEntries {
 		e.hasProfile = false
-		e.refs = 0
 	}
 	p.fpMu.Unlock()
 	// Deadline-class quarantine verdicts depend on the limits, so new
@@ -1212,74 +1147,51 @@ func (c EnvConfig) reward(prev, cur, base int64) float64 {
 // invoking the clock-cycle profiler. Inference needs the next observation
 // but no reward, so this does not count as a sample — which is how the
 // paper's deep-RL inference reaches 1 sample per program (Figure 9).
-// An extraction or pass fault degrades to an all-zero observation: this is
-// the inference path, where a crash would cost the whole rollout.
-func (p *Program) FeaturesAfter(seq []int) []int64 {
-	key := seqKey(seq)
-	if passes.CheckSeq(seq) != nil || p.quarGet(key) != nil {
-		return make([]int64, features.NumFeatures)
-	}
-	sh := &p.shards[shardIndex(key)]
-	sh.mu.RLock()
-	e, hit := sh.cache[key]
-	sh.mu.RUnlock()
-	if hit && e.ok {
-		if f := p.featMemo.Get(e.fp); f != nil {
-			return f
-		}
-	}
-	p.cfgMu.RLock()
-	m, fp, ok, fault := p.buildIRSafe(seq, key, p.sanitize)
-	p.cfgMu.RUnlock()
-	if fault != nil {
-		return make([]int64, features.NumFeatures)
-	}
-	if !ok {
-		// Sanitizer-flagged sequence: observe the corrupted module without
-		// polluting the fingerprint-keyed memo.
-		return features.Extract(m)
-	}
-	f, ffault := p.extractSafe(m, fp, seq)
-	if ffault != nil {
-		return make([]int64, features.NumFeatures)
-	}
-	return f
-}
+// Any fault degrades to an all-zero observation: this is the inference
+// path, where a crash would cost the whole rollout.
+func (p *Program) FeaturesAfter(seq []int) []int64 { return p.vecAfter(seq, vecFeatures) }
 
-// GraphFeaturesAfter is FeaturesAfter for the opt-in graph feature block:
-// it applies the sequence and extracts the structural features, memoized by
-// the resulting IR fingerprint, without ever invoking the profiler. Like
-// FeaturesAfter it degrades to an all-zero observation on any fault — it
-// feeds observations, where a crash would cost the whole rollout.
-func (p *Program) GraphFeaturesAfter(seq []int) (out []int64) {
+// GraphFeaturesAfter is FeaturesAfter for the opt-in graph feature block,
+// with the same profiler-free, zero-on-fault contract.
+func (p *Program) GraphFeaturesAfter(seq []int) []int64 { return p.vecAfter(seq, vecGraph) }
+
+// vecAfter applies the sequence and returns the vector of kind k of the
+// resulting IR, stored under its fingerprint, without ever invoking the
+// profiler.
+func (p *Program) vecAfter(seq []int, k vecKind) (out []int64) {
+	n := vecKinds[k].n
 	defer func() {
 		if recover() != nil {
-			out = make([]int64, features.NumGraphFeatures)
+			out = make([]int64, n)
 		}
 	}()
 	key := seqKey(seq)
 	if passes.CheckSeq(seq) != nil || p.quarGet(key) != nil {
-		return make([]int64, features.NumGraphFeatures)
+		return make([]int64, n)
 	}
 	sh := &p.shards[shardIndex(key)]
 	sh.mu.RLock()
 	e, hit := sh.cache[key]
 	sh.mu.RUnlock()
 	if hit && e.ok {
-		if f := p.graphMemo.Get(e.fp); f != nil {
-			return f
+		if v := p.fpVec(e.fp, k); v != nil {
+			return v
 		}
 	}
 	p.cfgMu.RLock()
 	m, fp, ok, fault := p.buildIRSafe(seq, key, p.sanitize)
 	p.cfgMu.RUnlock()
 	if fault != nil {
-		return make([]int64, features.NumGraphFeatures)
+		return make([]int64, n)
 	}
 	if !ok {
 		// Sanitizer-flagged sequence: observe the corrupted module without
-		// polluting the fingerprint-keyed memo.
-		return features.ExtractGraph(m)
+		// polluting the fingerprint store.
+		return vecKinds[k].extract(m)
 	}
-	return p.graphExtract(m, fp)
+	v, fault := p.extractSafe(m, fp, k, seq)
+	if fault != nil {
+		return make([]int64, n)
+	}
+	return v
 }

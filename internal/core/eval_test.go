@@ -144,14 +144,22 @@ func TestCollectTuplesWorkerInvariant(t *testing.T) {
 // TestProgramParallelStress hammers one Program from 32 goroutines with
 // overlapping prefixes of a shared base sequence plus private extensions —
 // the access pattern of a population algorithm under the sharded cache.
-// Run under -race in CI; the correctness check is that every goroutine
-// observes identical cycle counts for identical sequences.
+// Each goroutine also reads both feature vectors of its sequences, racing
+// the compiles that publish them into the shared fingerprint records. Run
+// under -race in CI; the correctness checks are that every goroutine
+// observes identical cycle counts for identical sequences, and that every
+// vector equals the one a fresh, sequential Program returns.
 func TestProgramParallelStress(t *testing.T) {
 	p := mustProgram(t, "matmul")
 	base := []int{38, 31, 30, 12, 3, 5, 20, 7}
 	const goroutines = 32
 
+	type vecs struct {
+		seq          []int
+		feats, graph []int64
+	}
 	results := make([]map[string]int64, goroutines)
+	observed := make([][]vecs, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -171,6 +179,7 @@ func TestProgramParallelStress(t *testing.T) {
 				if ok {
 					got[fmt.Sprint(seq)] = c
 				}
+				observed[g] = append(observed[g], vecs{seq, p.FeaturesAfter(seq), p.GraphFeaturesAfter(seq)})
 			}
 			results[g] = got
 		}()
@@ -188,5 +197,17 @@ func TestProgramParallelStress(t *testing.T) {
 	}
 	if len(merged) == 0 {
 		t.Fatal("no successful compiles under stress")
+	}
+
+	fresh := mustProgram(t, "matmul")
+	for g, obs := range observed {
+		for _, o := range obs {
+			if !reflect.DeepEqual(o.feats, fresh.FeaturesAfter(o.seq)) {
+				t.Fatalf("goroutine %d: features of %v differ from a sequential Program's", g, o.seq)
+			}
+			if !reflect.DeepEqual(o.graph, fresh.GraphFeaturesAfter(o.seq)) {
+				t.Fatalf("goroutine %d: graph features of %v differ from a sequential Program's", g, o.seq)
+			}
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestFingerprintCollisionBehaviour(t *testing.T) {
 	fp := m.Fingerprint()
 
 	const sentinelCycles, sentinelArea = 123456789, 777
-	p.fpPublish(fp, sentinelCycles, sentinelArea, false)
+	p.fpPublish(fp, sentinelCycles, sentinelArea)
 
 	cycles, area, ok := p.CompileArea(seq)
 	if !ok {
@@ -65,65 +65,6 @@ func TestFingerprintCollisionBehaviour(t *testing.T) {
 	}
 }
 
-// TestFingerprintStoreEviction pins the refcount discipline: over-cap
-// eviction removes only unreferenced entries, so no cached sequence-index
-// entry is ever orphaned, while unreferenced (seed) entries do get evicted.
-func TestFingerprintStoreEviction(t *testing.T) {
-	oldCap := fpStoreCap
-	fpStoreCap = 6
-	defer func() { fpStoreCap = oldCap }()
-
-	p := mustProgram(t, "gsm")
-	seqs := randSeqs(rand.New(rand.NewSource(21)), 10, 4)
-	type want struct {
-		cycles int64
-		ok     bool
-	}
-	wants := make([]want, len(seqs))
-	for i, s := range seqs {
-		c, _, ok := p.Compile(s)
-		wants[i] = want{c, ok}
-	}
-
-	// Flood the store with unreferenced fabricated entries to force
-	// evictions well past the cap.
-	for i := 0; i < 64; i++ {
-		p.fpPublish(ir.Fingerprint{Hi: 0xdead, Lo: uint64(i)}, 1, 1, false)
-	}
-
-	p.fpMu.Lock()
-	if len(p.fpEntries) != len(p.fpOrder) {
-		p.fpMu.Unlock()
-		t.Fatalf("fpOrder out of sync: %d vs %d", len(p.fpOrder), len(p.fpEntries))
-	}
-	referenced := 0
-	for _, e := range p.fpEntries {
-		if e.refs > 0 {
-			referenced++
-		}
-	}
-	total := len(p.fpEntries)
-	p.fpMu.Unlock()
-	if total > fpStoreCap+referenced {
-		t.Fatalf("store holds %d entries (%d referenced), cap %d: unreferenced entries not evicted",
-			total, referenced, fpStoreCap)
-	}
-
-	// Every cached sequence must still resolve without a single new sample:
-	// eviction never orphans the sequence index.
-	before := p.Samples()
-	for i, s := range seqs {
-		c, _, ok := p.Compile(s)
-		if c != wants[i].cycles || ok != wants[i].ok {
-			t.Fatalf("seq %v changed answer after eviction: (%d,%v) vs (%d,%v)",
-				s, c, ok, wants[i].cycles, wants[i].ok)
-		}
-	}
-	if extra := p.Samples() - before; extra != 0 {
-		t.Fatalf("%d cached sequences recompiled after eviction", extra)
-	}
-}
-
 // TestStaleSeqIndexRecovers drives the degenerate white-box state where a
 // sequence-index entry outlives its fingerprint-store record (fabricated by
 // clearing the store directly): the next Compile must fall through to a
@@ -137,12 +78,51 @@ func TestStaleSeqIndexRecovers(t *testing.T) {
 	}
 	p.fpMu.Lock()
 	p.fpEntries = make(map[ir.Fingerprint]*fpEntry)
-	p.fpOrder = nil
 	p.fpMu.Unlock()
 
 	c2, _, ok := p.Compile(seq)
 	if !ok || c2 != c1 {
 		t.Fatalf("stale index recompute: got (%d,%v), want (%d,true)", c2, ok, c1)
+	}
+}
+
+// TestSetLimitsKeepsVectors pins what SetLimits keeps: the fingerprint
+// records lose their profile verdicts but not their feature vectors. With
+// feature extraction rigged to panic, recompiling after SetLimits must
+// re-profile every record without a single re-extraction, which would show
+// up as a feature-stage fault.
+func TestSetLimitsKeepsVectors(t *testing.T) {
+	p := mustProgram(t, "gsm")
+	seqs := [][]int{passes.O3Sequence[:6], {38, 31, 30}, {38, 2, 44}, {12, 3, 5, 20}}
+	type want struct {
+		cycles int64
+		feats  []int64
+	}
+	wants := make([]want, len(seqs))
+	for i, s := range seqs {
+		c, f, ok := p.Compile(s)
+		if !ok {
+			t.Fatalf("seq %v: compile failed", s)
+		}
+		wants[i] = want{c, f}
+	}
+
+	p.SetLimits(interp.DefaultLimits)
+	enableFaults(t, "feature-panic:1")
+	before := p.EvalStats()
+	for i, s := range seqs {
+		c, f, ok := p.Compile(s)
+		if !ok || c != wants[i].cycles || !reflect.DeepEqual(f, wants[i].feats) {
+			t.Fatalf("seq %v after SetLimits: (%d,%v), want (%d,true) with the same features",
+				s, c, ok, wants[i].cycles)
+		}
+	}
+	after := p.EvalStats()
+	if d := after.Faults - before.Faults; d != 0 {
+		t.Fatalf("%d feature faults: SetLimits dropped stored vectors", d)
+	}
+	if after.Compiles == before.Compiles {
+		t.Fatal("no re-profile after SetLimits: profile verdicts were kept")
 	}
 }
 

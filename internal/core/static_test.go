@@ -88,14 +88,14 @@ func TestEnvStaticFastPath(t *testing.T) {
 	p := mustProgram(t, "matmul")
 	env := NewPhaseEnv(p, DefaultEnv())
 	env.Reset()
-	before := p.StaticProfiles()
+	before := p.EvalStats().StaticHits
 	_, r, done := env.Step([]int{38}) // mem2reg
 	if done {
 		t.Fatal("episode ended on the first step")
 	}
-	if p.StaticProfiles() <= before {
+	if after := p.EvalStats().StaticHits; after <= before {
 		t.Fatalf("mem2reg'd matmul did not take the static fast path (hits %d -> %d, reward %f)",
-			before, p.StaticProfiles(), r)
+			before, after, r)
 	}
 	// The static-path reward must be the same one the interpreter yields:
 	// recompiling the same sequence under the sanitizer cross-checks it.
