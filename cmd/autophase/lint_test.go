@@ -119,22 +119,3 @@ func TestLintTextMode(t *testing.T) {
 		t.Errorf("missing ok line in clean text output:\n%s", stdout)
 	}
 }
-
-// TestLintEngineFlag: lint accepts every engine name the profiler knows
-// (scripts/lint-baseline.sh passes -engine auto on every invocation) and
-// rejects unknown names as a usage failure (2), not findings.
-func TestLintEngineFlag(t *testing.T) {
-	for _, name := range []string{"auto", "static", "vm", "interp"} {
-		_, stderr, code := runLintMain(t, "-program", "matmul", "-engine", name, "-json")
-		if code != 0 {
-			t.Errorf("-engine %s: exit code = %d, want 0; stderr: %s", name, code, stderr)
-		}
-	}
-	_, stderr, code := runLintMain(t, "-program", "matmul", "-engine", "jit", "-json")
-	if code != 2 {
-		t.Fatalf("-engine jit: exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "jit") {
-		t.Errorf("stderr does not name the bad engine: %q", stderr)
-	}
-}

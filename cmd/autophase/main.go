@@ -335,12 +335,7 @@ func lintMain(args []string, stdout, stderr io.Writer) int {
 	passList := fs.String("passes", "", "apply this comma-separated pass list before analyzing")
 	stats := fs.Bool("stats", false, "also print per-function analysis statistics")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic line (exit 1 on errors, as in text mode)")
-	engineFlag := fs.String("engine", "auto", "profiler backend name accepted for CLI uniformity: auto, static, vm, or interp (lint never profiles)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := hls.ParseEngine(*engineFlag); err != nil {
-		fmt.Fprintln(stderr, "autophase:", err)
 		return 2
 	}
 
@@ -684,7 +679,8 @@ func failCompile(p *core.Program) {
 // openArtifacts opens the persistent artifact cache when -cache-dir is set
 // and installs it as the process default, so every Program built afterwards
 // (baselines included) reads through and writes behind it. The returned
-// closer drains pending writes; with no -cache-dir it is a no-op.
+// closer drains pending writes and prints the store's counters; with no
+// -cache-dir it is a no-op.
 func openArtifacts(dir string, budget int64) (func(), error) {
 	if dir == "" {
 		return func() {}, nil
@@ -697,6 +693,9 @@ func openArtifacts(dir string, budget int64) (func(), error) {
 	return func() {
 		core.SetDefaultArtifacts(nil)
 		st.Close()
+		s := st.Stats()
+		fmt.Printf("store: hits=%d misses=%d writes=%d bytes=%d corrupt=%d evictions=%d segments=%d\n",
+			s.Hits, s.Misses, s.Writes, s.Bytes, s.Corrupt, s.Evictions, s.Segments)
 	}, nil
 }
 

@@ -76,14 +76,14 @@ type Key struct {
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	Hits      int64 // Get calls answered from the store
-	Misses    int64 // Get calls that found nothing
-	Writes    int64 // records accepted by Put (deduplicated)
-	Bytes     int64 // record bytes accepted for write-behind (queued or committed)
-	Corrupt   int64 // records dropped as corrupt (checksum, framing, version, injected)
-	Evictions int64 // whole segments evicted by the size budget
-	Segments  int64 // segment files currently on disk
-	Pending   int64 // records queued but not yet committed
+	Hits      int64 `json:"hits"`      // Get calls answered from the store
+	Misses    int64 `json:"misses"`    // Get calls that found nothing
+	Writes    int64 `json:"writes"`    // records accepted by Put (deduplicated)
+	Bytes     int64 `json:"bytes"`     // record bytes accepted for write-behind (queued or committed)
+	Corrupt   int64 `json:"corrupt"`   // records dropped as corrupt (checksum, framing, version, injected)
+	Evictions int64 `json:"evictions"` // whole segments evicted by the size budget
+	Segments  int64 `json:"segments"`  // segment files currently on disk
+	Pending   int64 `json:"pending"`   // records queued but not yet committed
 }
 
 // Store is the disk-backed artifact cache. All methods are safe for

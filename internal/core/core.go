@@ -94,22 +94,11 @@ type Program struct {
 	irCache map[string]irEntry // guarded by irMu; optimized IR + fingerprint per prefix
 	irOrder []string           // guarded by irMu; irCache keys in insertion order (eviction)
 
-	// The atomic stats block (EvalStats is its snapshot): samples is the
-	// paper's accounting unit, the rest are the evaluation engine's
-	// observability surface. Every sample-charged query resolves to exactly
-	// one of successes/faults/flagged, so samples = successes + faults +
-	// flagged holds at any worker count (the chaos suite's invariant).
-	samples      atomic.Int64
-	successes    atomic.Int64 // sample-charged queries that returned ok
-	faults       atomic.Int64 // sample-charged queries that returned a fault
-	flagged      atomic.Int64 // sample-charged queries the sanitizer failed
-	retries      atomic.Int64 // bounded retries of deadline-class faults
-	compiles     atomic.Int64 // physical compile+profile executions
-	cacheHits    atomic.Int64
-	merges       atomic.Int64 // singleflight-deduplicated concurrent compiles
-	fpHits       atomic.Int64 // new sequences sharing an existing profile by fingerprint
-	noopIR       atomic.Int64 // pass suffixes that changed nothing (module reused outright)
-	fpMismatches atomic.Int64 // sanitizer: stored fp profile disagreed with recompute
+	// The Program's own counters (evalCounters declares them). Every
+	// sample-charged query resolves to exactly one of cSuccesses, cFaults
+	// and cFlagged, so samples = successes + faults + flagged holds at any
+	// worker count (the chaos suite's invariant).
+	ctr [numCounters]atomic.Int64
 
 	// The quarantine tier: sequences whose compile faulted with a
 	// remembered kind (panic forever, deadline until SetLimits). A
@@ -141,7 +130,6 @@ type cacheShard struct {
 	mu       sync.RWMutex
 	cache    map[string]seqEntry  // guarded by mu
 	inflight map[string]*inflight // guarded by mu
-	hits     atomic.Int64
 }
 
 // seqEntry is one sequence-index record: the fingerprint of the IR the
@@ -385,7 +373,8 @@ func (p *Program) fpPublish(fp ir.Fingerprint, cycles, area int64) {
 }
 
 // fpRecord returns fp's record, creating an empty one if there is none.
-// Callers hold fpMu.
+//
+//contractvet:locked fpEntries -- callers hold fpMu
 func (p *Program) fpRecord(fp ir.Fingerprint) *fpEntry {
 	e := p.fpEntries[fp]
 	if e == nil {
@@ -428,8 +417,8 @@ func (p *Program) compile(seq []int) compileResult {
 	if err := passes.CheckSeq(seq); err != nil {
 		f := &EvalFault{Kind: FaultBadSeq, Stage: "boundary", Pass: -1, Pos: -1,
 			Program: p.Name, Seq: append([]int(nil), seq...), Err: err.Error()}
-		p.samples.Add(1)
-		p.faults.Add(1)
+		p.ctr[cSamples].Add(1)
+		p.ctr[cFaults].Add(1)
 		return compileResult{fault: f}
 	}
 	key := seqKey(seq)
@@ -437,8 +426,8 @@ func (p *Program) compile(seq []int) compileResult {
 	// sequence is never re-run — but are re-charged as one sample and one
 	// fault per query, mirroring the failed-profile accounting rule.
 	if f := p.quarGet(key); f != nil {
-		p.samples.Add(1)
-		p.faults.Add(1)
+		p.ctr[cSamples].Add(1)
+		p.ctr[cFaults].Add(1)
 		return compileResult{fault: f}
 	}
 	sh := &p.shards[shardIndex(key)]
@@ -447,8 +436,7 @@ func (p *Program) compile(seq []int) compileResult {
 	sh.mu.RUnlock()
 	if hit {
 		if r, ok := p.resolve(e); ok {
-			p.cacheHits.Add(1)
-			sh.hits.Add(1)
+			p.ctr[cCacheHits].Add(1)
 			return r
 		}
 	}
@@ -457,8 +445,7 @@ func (p *Program) compile(seq []int) compileResult {
 	if e, hit := sh.cache[key]; hit {
 		if r, ok := p.resolve(e); ok {
 			sh.mu.Unlock()
-			p.cacheHits.Add(1)
-			sh.hits.Add(1)
+			p.ctr[cCacheHits].Add(1)
 			return r
 		}
 		// Stale index entry (fingerprint store cleared under it): drop it
@@ -468,20 +455,20 @@ func (p *Program) compile(seq []int) compileResult {
 	if fl, busy := sh.inflight[key]; busy {
 		sh.mu.Unlock()
 		<-fl.done
-		p.merges.Add(1)
+		p.ctr[cMerges].Add(1)
 		switch {
 		case fl.res.fault != nil:
 			// A fault is re-charged to every merged waiter: sequentially,
 			// each of these queries would have hit the quarantine gate (or
 			// re-run a transient failure) and paid one sample + one fault,
 			// so the merged path must charge the same.
-			p.samples.Add(1)
-			p.faults.Add(1)
+			p.ctr[cSamples].Add(1)
+			p.ctr[cFaults].Add(1)
 		case !fl.cached:
 			// Sequential behaviour re-counts an uncached (failed) compile as
 			// a fresh sample on every query; a merged waiter counts the same
 			// way so sample totals are identical at any worker count.
-			p.samples.Add(1)
+			p.ctr[cSamples].Add(1)
 		}
 		return fl.res
 	}
@@ -526,7 +513,7 @@ func (p *Program) compileGuarded(seq []int, key string) (res compileResult, cach
 // sink (hook or crash directory) for panic/deadline-class faults. The
 // sample for the query was already charged by compileMiss.
 func (p *Program) faultResult(f *EvalFault, key string) compileResult {
-	p.faults.Add(1)
+	p.ctr[cFaults].Add(1)
 	if f.Kind.quarantinable() {
 		p.quarMu.Lock()
 		if p.quar == nil {
@@ -589,7 +576,7 @@ func (p *Program) IRText() string { return p.orig.String() }
 func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheable bool) {
 	p.cfgMu.RLock()
 	defer p.cfgMu.RUnlock()
-	p.samples.Add(1)
+	p.ctr[cSamples].Add(1)
 	m, fp, irOK, fault := p.buildIRSafe(seq, key, p.sanitize)
 	if fault != nil {
 		return p.faultResult(fault, key), false
@@ -597,7 +584,7 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 	if !irOK {
 		// The sanitizer flagged this sequence: fail the compile loudly
 		// rather than profiling a miscompiled module.
-		p.flagged.Add(1)
+		p.ctr[cFlagged].Add(1)
 		return compileResult{}, true
 	}
 	// Features are extracted (and stored) before the profile so a
@@ -610,14 +597,14 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 		// Fingerprint fast path: another sequence already reached this exact
 		// IR, so its profile (and feature vector) carry over wholesale.
 		if cyc, area, ok := p.fpProfile(fp); ok {
-			p.fpHits.Add(1)
-			p.successes.Add(1)
+			p.ctr[cFPHits].Add(1)
+			p.ctr[cSuccesses].Add(1)
 			res = compileResult{cycles: cyc, area: area, feats: feats, fp: fp, ok: true}
 			p.recordBest(cyc, seq)
 			return res, true
 		}
 	}
-	p.compiles.Add(1)
+	p.ctr[cCompiles].Add(1)
 	rep, pfault := p.profileSafe(m, fp, seq)
 	if pfault != nil {
 		// Profile-class faults (limit overruns, traps, injected errors) are
@@ -631,11 +618,11 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 		// Differential mode never takes the fingerprint shortcut; instead it
 		// cross-checks the store against every recompute-from-scratch.
 		if cyc, area, ok := p.fpProfile(fp); ok && (cyc != rep.Cycles || area != int64(rep.AreaLUT)) {
-			p.fpMismatches.Add(1)
+			p.ctr[cFPMismatches].Add(1)
 		}
 	}
 	p.fpPublish(fp, rep.Cycles, int64(rep.AreaLUT))
-	p.successes.Add(1)
+	p.ctr[cSuccesses].Add(1)
 	res = compileResult{cycles: rep.Cycles, area: int64(rep.AreaLUT),
 		feats: feats, fp: fp, ok: true}
 	p.recordBest(rep.Cycles, seq)
@@ -724,7 +711,7 @@ func (p *Program) profileSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (*hls.
 		return nil, fault
 	}
 	if err != nil && errors.Is(err, interp.ErrDeadline) {
-		p.retries.Add(1)
+		p.ctr[cRetries].Add(1)
 		rep, err, fault = p.profileRecover(m, fp, seq)
 		if fault != nil {
 			return nil, fault
@@ -834,7 +821,7 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 	if changed {
 		fp = m.Fingerprint()
 	} else {
-		p.noopIR.Add(1)
+		p.ctr[cNoopIR].Add(1)
 	}
 	p.irMu.Lock()
 	p.irCachePut(key, irEntry{m: m, fp: fp})
@@ -885,7 +872,7 @@ func (p *Program) BestCycles() (int64, []int) {
 }
 
 // Samples reports the number of profiler invocations (cache misses).
-func (p *Program) Samples() int { return int(p.samples.Load()) }
+func (p *Program) Samples() int { return int(p.ctr[cSamples].Load()) }
 
 // ResetSamples zeroes the per-run accounting (samples and its
 // successes/faults/flagged/retries decomposition, e.g. between search
@@ -894,11 +881,11 @@ func (p *Program) Samples() int { return int(p.samples.Load()) }
 func (p *Program) ResetSamples(dropCache bool) {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
-	p.samples.Store(0)
-	p.successes.Store(0)
-	p.faults.Store(0)
-	p.flagged.Store(0)
-	p.retries.Store(0)
+	for _, c := range evalCounters {
+		if c.reset {
+			p.ctr[c.src].Store(0)
+		}
+	}
 	p.bestMu.Lock()
 	p.best = 0
 	p.bestSeq = nil

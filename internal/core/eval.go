@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,11 +19,10 @@ import (
 // *which* duplicate compile wins the singleflight race, and that is
 // invisible in the results.
 type Evaluator struct {
-	p        *Program
-	workers  int
-	batches  atomic.Int64
-	wallNS   atomic.Int64
-	restarts atomic.Int64 // workers replaced after an escaped panic
+	p       *Program
+	workers int
+	batches atomic.Int64
+	wallNS  atomic.Int64
 }
 
 // NewEvaluator wraps p with a worker pool of the given width (minimum 1).
@@ -68,18 +68,12 @@ func (e *Evaluator) EvalBatch(seqs [][]int) []EvalResult {
 		r := e.p.compile(seqs[i])
 		out[i] = EvalResult{Seq: seqs[i], Cycles: r.cycles, Area: r.area,
 			Feats: r.feats, Ok: r.ok, Fault: r.fault}
-	}, func(i int, v any) {
-		e.restarts.Add(1)
-	})
+	}, func(int, any) {})
 	e.batches.Add(1)
 	//contractvet:allow nondeterminism -- observability only, as above
 	e.wallNS.Add(time.Since(start).Nanoseconds())
 	return out
 }
-
-// WorkerRestarts reports how many pool workers were replaced after an
-// escaped panic.
-func (e *Evaluator) WorkerRestarts() int64 { return e.restarts.Load() }
 
 // Objective adapts the Evaluator to the search package's batch interface:
 // candidates are scored EvalBatch-wide, and Batch tells sequential
@@ -101,34 +95,27 @@ func (e *Evaluator) Objective(n int) *search.Objective {
 	}
 }
 
-// EvalStats is a snapshot of the evaluation engine's counters. All fields
-// are monotone over a Program's lifetime except Samples, which ResetSamples
-// zeroes between runs.
+// EvalStats is a snapshot of one Program's counters plus an Evaluator's
+// batch accounting. All fields are monotone over a Program's lifetime
+// except the per-run ones ResetSamples zeroes. evalCounters declares every
+// field.
 type EvalStats struct {
 	Samples    int64 // logical profiler samples (the paper's accounting unit)
 	Compiles   int64 // physical compile+profile executions
-	CacheHits  int64 // memoized answers (sum of ShardHits)
+	CacheHits  int64 // memoized answers from the sequence index
 	Merges     int64 // concurrent duplicate compiles folded by singleflight
 	StaticHits int64 // profiles answered by the SCEV static estimator
 	VMHits     int64 // profiles answered by the bytecode VM
 	InterpHits int64 // profiles answered by the tree-walking interpreter
 	FPHits     int64 // new sequences whose IR fingerprint matched an existing profile
 	NoopIR     int64 // pass suffixes that changed nothing (base module reused, no re-hash)
-	// Persistent artifact-store tier (all zero when no store is attached).
-	// DiskHits are profiles answered from disk with no engine run; the
-	// write/byte/corrupt counters are store-wide (profiles and features
-	// together).
-	DiskHits    int64
-	DiskWrites  int64
-	DiskBytes   int64
-	DiskCorrupt int64
+	DiskHits   int64 // profiles answered from the artifact store with no engine run
 	// FPMismatches counts sanitizer-mode recomputes that disagreed with the
 	// fingerprint store; nonzero means fingerprint sharing aliased distinct
 	// results and must be treated as a miscompilation signal.
 	FPMismatches int64
 	Batches      int64 // EvalBatch invocations
 	BatchWall    time.Duration
-	ShardHits    [cacheShards]int64 // cache hits per shard
 	// Fault-containment accounting. The invariant
 	//   Samples == Successes + Faults + Flagged
 	// holds at every quiescent point regardless of worker count.
@@ -137,127 +124,133 @@ type EvalStats struct {
 	Flagged     int64 // samples rejected by the pass sanitizer
 	Retries     int64 // bounded deadline-class retries attempted
 	Quarantined int64 // sequences currently held in the quarantine tier
-	// Serve-layer counters: zero outside `autophase serve`, where the server
-	// aggregates per-job EvalStats across tenants and folds its admission
-	// and drain accounting in. All of them follow the nonzero-only printing
-	// convention, so engine output away from the service is unchanged.
-	Tenants      int64 // distinct tenants observed by the server
-	Shed         int64 // requests rejected with an explicit 429/503
-	Drained      int64 // jobs completed during graceful shutdown's drain window
-	Checkpointed int64 // jobs persisted (not lost) by graceful shutdown
-	Resumed      int64 // checkpointed jobs re-admitted after a restart
 }
 
-// Add accumulates o's engine counters into s (the serve layer folds many
-// per-job stats into one aggregate). BatchWall sums; the per-shard hit
-// vector sums element-wise.
+// counter names the source of one EvalStats field.
+type counter int
+
+const (
+	cSamples counter = iota
+	cSuccesses
+	cFaults
+	cFlagged
+	cRetries
+	cCompiles
+	cCacheHits
+	cMerges
+	cFPHits
+	cNoopIR
+	cFPMismatches
+	numCounters // Program.ctr holds the counters above; snapshot reads the rest elsewhere
+)
+
+const (
+	cStaticHits = numCounters + iota
+	cVMHits
+	cInterpHits
+	cDiskHits
+	cQuarantined
+	cBatches
+	cBatchWall
+	numSources
+)
+
+// showRule says when String prints a counter.
+type showRule int
+
+const (
+	always     showRule = iota // on every line
+	never                      // snapshot and Add only
+	ifMismatch                 // the groups below print when any member is nonzero
+	ifDisk
+	ifFaults
+	ifBatches
+	numShowRules
+)
+
+// evalCounters declares every EvalStats field once: its one-line key, the
+// field, its source, whether ResetSamples zeroes it, and when String prints
+// it. It drives the snapshot, Add, ResetSamples and String, and its order
+// is the one-line order.
+var evalCounters = [...]struct {
+	key   string
+	field func(*EvalStats) *int64
+	src   counter
+	reset bool
+	show  showRule
+}{
+	{"samples", func(s *EvalStats) *int64 { return &s.Samples }, cSamples, true, always},
+	{"compiles", func(s *EvalStats) *int64 { return &s.Compiles }, cCompiles, false, always},
+	{"fp-hits", func(s *EvalStats) *int64 { return &s.FPHits }, cFPHits, false, always},
+	{"noop-ir", func(s *EvalStats) *int64 { return &s.NoopIR }, cNoopIR, false, always},
+	{"cache-hits", func(s *EvalStats) *int64 { return &s.CacheHits }, cCacheHits, false, always},
+	{"merges", func(s *EvalStats) *int64 { return &s.Merges }, cMerges, false, always},
+	{"static", func(s *EvalStats) *int64 { return &s.StaticHits }, cStaticHits, false, always},
+	{"vm", func(s *EvalStats) *int64 { return &s.VMHits }, cVMHits, false, always},
+	{"interp", func(s *EvalStats) *int64 { return &s.InterpHits }, cInterpHits, false, always},
+	{"FP-MISMATCHES", func(s *EvalStats) *int64 { return &s.FPMismatches }, cFPMismatches, false, ifMismatch},
+	{"disk-hits", func(s *EvalStats) *int64 { return &s.DiskHits }, cDiskHits, false, ifDisk},
+	{"faults", func(s *EvalStats) *int64 { return &s.Faults }, cFaults, true, ifFaults},
+	{"quarantined", func(s *EvalStats) *int64 { return &s.Quarantined }, cQuarantined, false, ifFaults},
+	{"retries", func(s *EvalStats) *int64 { return &s.Retries }, cRetries, true, ifFaults},
+	{"batches", func(s *EvalStats) *int64 { return &s.Batches }, cBatches, false, ifBatches},
+	{"batch-wall", func(s *EvalStats) *int64 { return (*int64)(&s.BatchWall) }, cBatchWall, false, ifBatches},
+	{"successes", func(s *EvalStats) *int64 { return &s.Successes }, cSuccesses, true, never},
+	{"flagged", func(s *EvalStats) *int64 { return &s.Flagged }, cFlagged, true, never},
+}
+
+// Add accumulates o into s (the serve layer folds per-job stats into
+// per-tenant ones).
 func (s *EvalStats) Add(o EvalStats) {
-	s.Samples += o.Samples
-	s.Compiles += o.Compiles
-	s.CacheHits += o.CacheHits
-	s.Merges += o.Merges
-	s.StaticHits += o.StaticHits
-	s.VMHits += o.VMHits
-	s.InterpHits += o.InterpHits
-	s.FPHits += o.FPHits
-	s.NoopIR += o.NoopIR
-	s.DiskHits += o.DiskHits
-	s.DiskWrites += o.DiskWrites
-	s.DiskBytes += o.DiskBytes
-	s.DiskCorrupt += o.DiskCorrupt
-	s.FPMismatches += o.FPMismatches
-	s.Batches += o.Batches
-	s.BatchWall += o.BatchWall
-	s.Successes += o.Successes
-	s.Faults += o.Faults
-	s.Flagged += o.Flagged
-	s.Retries += o.Retries
-	s.Quarantined += o.Quarantined
-	s.Tenants += o.Tenants
-	s.Shed += o.Shed
-	s.Drained += o.Drained
-	s.Checkpointed += o.Checkpointed
-	s.Resumed += o.Resumed
-	for i := range s.ShardHits {
-		s.ShardHits[i] += o.ShardHits[i]
+	for _, c := range evalCounters {
+		*c.field(s) += *c.field(&o)
 	}
 }
 
 // String renders the one-line form the CLI prints.
 func (s EvalStats) String() string {
-	hot := 0
-	for _, h := range s.ShardHits {
-		if h > 0 {
-			hot++
+	var live [numShowRules]bool
+	for _, c := range evalCounters {
+		live[c.show] = live[c.show] || *c.field(&s) != 0
+	}
+	var b strings.Builder
+	for _, c := range evalCounters {
+		if c.show == never || (c.show != always && !live[c.show]) {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if v := *c.field(&s); c.src == cBatchWall {
+			fmt.Fprintf(&b, "%s=%s", c.key, time.Duration(v).Round(time.Millisecond))
+		} else {
+			fmt.Fprintf(&b, "%s=%d", c.key, v)
 		}
 	}
-	str := fmt.Sprintf("samples=%d compiles=%d fp-hits=%d noop-ir=%d cache-hits=%d (%d/%d shards) merges=%d static=%d vm=%d interp=%d",
-		s.Samples, s.Compiles, s.FPHits, s.NoopIR, s.CacheHits, hot, cacheShards, s.Merges, s.StaticHits, s.VMHits, s.InterpHits)
-	if s.FPMismatches > 0 {
-		str += fmt.Sprintf(" FP-MISMATCHES=%d", s.FPMismatches)
-	}
-	if s.DiskHits > 0 || s.DiskWrites > 0 || s.DiskCorrupt > 0 {
-		str += fmt.Sprintf(" disk-hits=%d disk-writes=%d disk-bytes=%d disk-corrupt=%d",
-			s.DiskHits, s.DiskWrites, s.DiskBytes, s.DiskCorrupt)
-	}
-	if s.Faults > 0 || s.Quarantined > 0 || s.Retries > 0 {
-		str += fmt.Sprintf(" faults=%d quarantined=%d retries=%d",
-			s.Faults, s.Quarantined, s.Retries)
-	}
-	if s.Tenants > 0 {
-		str += fmt.Sprintf(" tenants=%d", s.Tenants)
-	}
-	if s.Shed > 0 {
-		str += fmt.Sprintf(" shed=%d", s.Shed)
-	}
-	if s.Drained > 0 || s.Checkpointed > 0 || s.Resumed > 0 {
-		str += fmt.Sprintf(" drained=%d checkpointed=%d resumed=%d",
-			s.Drained, s.Checkpointed, s.Resumed)
-	}
-	if s.Batches > 0 {
-		str += fmt.Sprintf(" batches=%d batch-wall=%s", s.Batches,
-			s.BatchWall.Round(time.Millisecond))
-	}
-	return str
+	return b.String()
 }
 
-// EvalStats snapshots the program-level counters (everything except the
-// per-batch numbers, which live on an Evaluator).
-func (p *Program) EvalStats() EvalStats {
-	eng := p.profiler.Stats()
-	s := EvalStats{
-		Samples:      p.samples.Load(),
-		Compiles:     p.compiles.Load(),
-		CacheHits:    p.cacheHits.Load(),
-		Merges:       p.merges.Load(),
-		StaticHits:   eng.StaticHits,
-		VMHits:       eng.VMHits,
-		InterpHits:   eng.InterpHits,
-		DiskHits:     eng.DiskHits,
-		DiskWrites:   eng.DiskWrites,
-		DiskBytes:    eng.DiskBytes,
-		DiskCorrupt:  eng.DiskCorrupt,
-		FPHits:       p.fpHits.Load(),
-		NoopIR:       p.noopIR.Load(),
-		FPMismatches: p.fpMismatches.Load(),
-		Successes:    p.successes.Load(),
-		Faults:       p.faults.Load(),
-		Flagged:      p.flagged.Load(),
-		Retries:      p.retries.Load(),
-		Quarantined:  int64(p.QuarantineCount()),
-	}
-	for i := range p.shards {
-		s.ShardHits[i] = p.shards[i].hits.Load()
-	}
-	return s
-}
+// EvalStats snapshots the program-level counters (the batch accounting
+// lives on an Evaluator and reads zero here).
+func (p *Program) EvalStats() EvalStats { return p.snapshot(0, 0) }
 
 // Stats snapshots the program-level counters plus this Evaluator's batch
 // accounting.
-func (e *Evaluator) Stats() EvalStats {
-	s := e.p.EvalStats()
-	s.Batches = e.batches.Load()
-	s.BatchWall = time.Duration(e.wallNS.Load())
+func (e *Evaluator) Stats() EvalStats { return e.p.snapshot(e.batches.Load(), e.wallNS.Load()) }
+
+func (p *Program) snapshot(batches, wallNS int64) EvalStats {
+	var v [numSources]int64
+	for c := range p.ctr {
+		v[c] = p.ctr[c].Load()
+	}
+	eng := p.profiler.Stats()
+	v[cStaticHits], v[cVMHits] = eng.StaticHits, eng.VMHits
+	v[cInterpHits], v[cDiskHits] = eng.InterpHits, eng.DiskHits
+	v[cQuarantined], v[cBatches], v[cBatchWall] = int64(p.QuarantineCount()), batches, wallNS
+	var s EvalStats
+	for _, c := range evalCounters {
+		*c.field(&s) = v[c.src]
+	}
 	return s
 }
 

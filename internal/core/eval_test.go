@@ -96,13 +96,6 @@ func TestEvalStatsAccounting(t *testing.T) {
 	if st.FPMismatches != 0 {
 		t.Fatalf("fp mismatches: %d", st.FPMismatches)
 	}
-	var shardSum int64
-	for _, h := range st.ShardHits {
-		shardSum += h
-	}
-	if shardSum != st.CacheHits {
-		t.Fatalf("shard hits sum %d != cache hits %d", shardSum, st.CacheHits)
-	}
 	if st.Batches != 1 || st.BatchWall <= 0 {
 		t.Fatalf("batches=%d wall=%s, want 1 batch with positive wall", st.Batches, st.BatchWall)
 	}

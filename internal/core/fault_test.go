@@ -27,9 +27,9 @@ type counterSnap struct{ samples, successes, faults, flagged, compiles, hits int
 
 func snap(p *Program) counterSnap {
 	return counterSnap{
-		samples: p.samples.Load(), successes: p.successes.Load(),
-		faults: p.faults.Load(), flagged: p.flagged.Load(),
-		compiles: p.compiles.Load(), hits: p.cacheHits.Load(),
+		samples: p.ctr[cSamples].Load(), successes: p.ctr[cSuccesses].Load(),
+		faults: p.ctr[cFaults].Load(), flagged: p.ctr[cFlagged].Load(),
+		compiles: p.ctr[cCompiles].Load(), hits: p.ctr[cCacheHits].Load(),
 	}
 }
 
@@ -51,7 +51,7 @@ func TestBadSeqFaultRecharged(t *testing.T) {
 		if r.ok || r.fault == nil || r.fault.Kind != FaultBadSeq {
 			t.Fatalf("query %d: want bad-seq fault, got ok=%v fault=%v", i, r.ok, r.fault)
 		}
-		if d := p.samples.Load() - s0.samples; d != int64(i) {
+		if d := p.ctr[cSamples].Load() - s0.samples; d != int64(i) {
 			t.Fatalf("query %d: bad-seq must re-charge one sample per query, samples delta %d", i, d)
 		}
 	}
@@ -94,13 +94,13 @@ func TestPassPanicFaultAndQuarantine(t *testing.T) {
 	if f, q := p.IsQuarantined(seq); !q || f != r.fault {
 		t.Fatalf("IsQuarantined disagrees: %v %v", f, q)
 	}
-	if d := p.samples.Load() - s0.samples; d != 2 {
+	if d := p.ctr[cSamples].Load() - s0.samples; d != 2 {
 		t.Fatalf("samples delta %d, want 2 (one per query)", d)
 	}
-	if d := p.faults.Load() - s0.faults; d != 2 {
+	if d := p.ctr[cFaults].Load() - s0.faults; d != 2 {
 		t.Fatalf("faults delta %d, want 2", d)
 	}
-	if d := p.compiles.Load() - s0.compiles; d != 0 {
+	if d := p.ctr[cCompiles].Load() - s0.compiles; d != 0 {
 		t.Fatalf("a pass panic precedes profiling, compiles delta %d, want 0", d)
 	}
 	checkInvariant(t, p, s0)
@@ -140,16 +140,16 @@ func TestFaultMergeRecharge(t *testing.T) {
 	start.Done()
 	done.Wait()
 
-	if d := p.samples.Load() - s0.samples; d != G {
+	if d := p.ctr[cSamples].Load() - s0.samples; d != G {
 		t.Fatalf("samples delta %d, want %d (one per query at any interleaving)", d, G)
 	}
-	if d := p.faults.Load() - s0.faults; d != G {
+	if d := p.ctr[cFaults].Load() - s0.faults; d != G {
 		t.Fatalf("faults delta %d, want %d", d, G)
 	}
-	if d := p.successes.Load() - s0.successes; d != 0 {
+	if d := p.ctr[cSuccesses].Load() - s0.successes; d != 0 {
 		t.Fatalf("successes delta %d, want 0", d)
 	}
-	if d := p.cacheHits.Load() - s0.hits; d != 0 {
+	if d := p.ctr[cCacheHits].Load() - s0.hits; d != 0 {
 		t.Fatalf("faults must never be cached as valid entries, cache hits delta %d", d)
 	}
 	if n := p.QuarantineCount(); n != 1 {

@@ -41,10 +41,10 @@ func TestDeadlineQuarantineRetryAndSetLimits(t *testing.T) {
 
 	// Deadline-class entry: injected stalls surface as interp.ErrDeadline.
 	enableFaults(t, "interp-stall:1")
-	r0 := p.retries.Load()
+	r0 := p.ctr[cRetries].Load()
 	dseq := findDeadlineSeq(t, p)
 	faults.Disable()
-	if d := p.retries.Load() - r0; d < 1 {
+	if d := p.ctr[cRetries].Load() - r0; d < 1 {
 		t.Fatalf("deadline faults get one bounded retry, retries delta %d", d)
 	}
 	if f, q := p.IsQuarantined(dseq); !q || f.Kind != FaultDeadline {
@@ -89,12 +89,12 @@ func TestQuarantineLeavesHealthyCacheAlone(t *testing.T) {
 	if got := len(p.fpEntries); got != fp0 {
 		t.Fatalf("a fault must not disturb the fingerprint store: %d entries, was %d", got, fp0)
 	}
-	h0 := p.cacheHits.Load()
+	h0 := p.ctr[cCacheHits].Load()
 	c2, _, ok := p.Compile(healthy)
 	if !ok || c2 != c1 {
 		t.Fatalf("healthy entry damaged: ok=%v cycles %d, was %d", ok, c2, c1)
 	}
-	if d := p.cacheHits.Load() - h0; d != 1 {
+	if d := p.ctr[cCacheHits].Load() - h0; d != 1 {
 		t.Fatalf("healthy re-query should be a cache hit, hits delta %d", d)
 	}
 }

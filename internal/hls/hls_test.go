@@ -210,3 +210,24 @@ func TestBindingSharingNeverExceedsSpatial(t *testing.T) {
 		t.Fatalf("spatial counts wrong: %+v", bind.Spatial)
 	}
 }
+
+// TestReportRecordRoundTrip: every engine's report survives the profile
+// record, byte 32 is the static flag derived from the engine, and a record
+// whose flag disagrees with its engine decodes as corrupt.
+func TestReportRecordRoundTrip(t *testing.T) {
+	for _, e := range []Engine{EngineStatic, EngineVM, EngineInterp} {
+		rep := &Report{Cycles: 1234, AreaLUT: 56, Steps: 78, Exit: -9, Engine: e}
+		buf := encodeReport(rep)
+		if want := e == EngineStatic; (buf[32] == 1) != want {
+			t.Fatalf("%v: static byte %d", e, buf[32])
+		}
+		got, ok := decodeReport(buf)
+		if !ok || *got != *rep {
+			t.Fatalf("%v: round trip %+v, %v", e, got, ok)
+		}
+		buf[32] ^= 1
+		if _, ok := decodeReport(buf); ok {
+			t.Fatalf("%v: static byte %d disagreeing with the engine decoded", e, buf[32])
+		}
+	}
+}

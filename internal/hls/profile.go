@@ -15,13 +15,11 @@ type Report struct {
 	AreaLUT int   // functional-unit area estimate
 	Steps   int   // interpreter steps (software-trace length)
 	Exit    int64 // program exit value (for validation)
-	// Static marks a report derived by the SCEV-based static estimator
-	// instead of an interpreter run. On static reports Exit is only
-	// populated when the return value is itself statically determined.
-	Static bool
 	// Engine records which backend produced the report (EngineStatic,
 	// EngineVM or EngineInterp; under CrossCheck, the engine EngineAuto
-	// would have chosen).
+	// would have chosen). On EngineStatic reports, derived by the SCEV-based
+	// static estimator, Exit is only populated when the return value is
+	// itself statically determined.
 	Engine Engine
 }
 

@@ -97,22 +97,14 @@ type Profiler struct {
 	diskHits   atomic.Int64
 }
 
-// ProfilerStats counts which engine answered successful profiles, plus the
-// persistent artifact store beneath them (profiles answered without any
-// engine running).
+// ProfilerStats counts which engine answered successful profiles, and the
+// profiles the artifact store answered with no engine running. The store
+// keeps its own counters (artifact.Stats).
 type ProfilerStats struct {
 	StaticHits int64
 	VMHits     int64
 	InterpHits int64
-
-	// DiskHits are profiles answered from the artifact store — no engine
-	// ran at all.
-	DiskHits int64
-	// DiskWrites/DiskBytes/DiskCorrupt mirror the attached store's
-	// counters (zero when no store is attached).
-	DiskWrites  int64
-	DiskBytes   int64
-	DiskCorrupt int64
+	DiskHits   int64
 }
 
 // NewProfiler builds a Profiler from opts (zero-value fields take the
@@ -198,24 +190,14 @@ func (p *Profiler) SetCrossCheck(on bool) {
 	p.mu.Unlock()
 }
 
-// Stats snapshots the per-engine success counters and the store tier.
+// Stats snapshots the per-engine success counters and the disk hits.
 func (p *Profiler) Stats() ProfilerStats {
-	st := ProfilerStats{
+	return ProfilerStats{
 		StaticHits: p.staticHits.Load(),
 		VMHits:     p.vmHits.Load(),
 		InterpHits: p.interpHits.Load(),
 		DiskHits:   p.diskHits.Load(),
 	}
-	p.mu.RLock()
-	store := p.store
-	p.mu.RUnlock()
-	if store != nil {
-		ds := store.Stats()
-		st.DiskWrites = ds.Writes
-		st.DiskBytes = ds.Bytes
-		st.DiskCorrupt = ds.Corrupt
-	}
-	return st
 }
 
 // Profile estimates the clock-cycle count of the circuit synthesized from
@@ -331,9 +313,10 @@ func (p *Profiler) runEngine(m *ir.Module, engine Engine, lim interp.Limits) (*R
 }
 
 // The profile-record payload: four little-endian i64s (cycles, area,
-// steps, exit) plus the static flag and producing engine. 34 bytes, no
-// framing of its own (the store's record checksum covers it); any other
-// length is corruption.
+// steps, exit), a static flag (1 exactly when the engine is EngineStatic)
+// and the producing engine. 34 bytes, no framing of its own (the store's
+// record checksum covers it); any other length, or a flag that disagrees
+// with the engine, is corruption.
 const reportRecLen = 34
 
 func encodeReport(rep *Report) []byte {
@@ -342,7 +325,7 @@ func encodeReport(rep *Report) []byte {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(rep.AreaLUT))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(rep.Steps))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(rep.Exit))
-	if rep.Static {
+	if rep.Engine == EngineStatic {
 		buf[32] = 1
 	}
 	buf[33] = byte(rep.Engine)
@@ -350,7 +333,8 @@ func encodeReport(rep *Report) []byte {
 }
 
 func decodeReport(data []byte) (*Report, bool) {
-	if len(data) != reportRecLen || data[32] > 1 || data[33] > byte(EngineInterp) {
+	if len(data) != reportRecLen || data[32] > 1 || data[33] > byte(EngineInterp) ||
+		(data[32] == 1) != (Engine(data[33]) == EngineStatic) {
 		return nil, false
 	}
 	return &Report{
@@ -358,7 +342,6 @@ func decodeReport(data []byte) (*Report, bool) {
 		AreaLUT: int(binary.LittleEndian.Uint64(data[8:])),
 		Steps:   int(binary.LittleEndian.Uint64(data[16:])),
 		Exit:    int64(binary.LittleEndian.Uint64(data[24:])),
-		Static:  data[32] == 1,
 		Engine:  Engine(data[33]),
 	}, true
 }
@@ -476,7 +459,6 @@ func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error
 		return rep, fmt.Errorf("hls static profile: cycles %d / steps %d, interpreter got cycles %d / steps %d",
 			static.Cycles, static.Steps, rep.Cycles, rep.Steps)
 	}
-	rep.Static = true
 	rep.Engine = EngineStatic
 	p.staticHits.Add(1)
 	return rep, nil

@@ -120,8 +120,8 @@ func TestAutoEngineSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Engine != hls.EngineStatic || !rep.Static {
-		t.Fatalf("static fixture answered by %v (static=%v)", rep.Engine, rep.Static)
+	if rep.Engine != hls.EngineStatic {
+		t.Fatalf("static fixture answered by %v", rep.Engine)
 	}
 
 	rep, err = prof.Profile(dynamicFixture())

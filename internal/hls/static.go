@@ -195,7 +195,6 @@ func StaticProfile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, bool) 
 		Cycles:  cycles,
 		AreaLUT: sched.Area(),
 		Steps:   int(steps),
-		Static:  true,
 		Engine:  EngineStatic,
 	}
 	// Exit is populated only when the returned value is itself a static

@@ -81,18 +81,18 @@ func TestStaticProfileCrafted(t *testing.T) {
 		t.Fatalf("static (cycles=%d steps=%d area=%d) != interp (cycles=%d steps=%d area=%d)",
 			static.Cycles, static.Steps, static.AreaLUT, ref.Cycles, ref.Steps, ref.AreaLUT)
 	}
-	if !static.Static || ref.Static {
-		t.Fatal("Static flag not set correctly")
+	if static.Engine != hls.EngineStatic || ref.Engine == hls.EngineStatic {
+		t.Fatalf("engines: static=%v interp=%v", static.Engine, ref.Engine)
 	}
 	if static.Exit != 7 || ref.Exit != 7 {
 		t.Fatalf("exit: static=%d interp=%d, want 7", static.Exit, ref.Exit)
 	}
 	fast, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
-	if err != nil || !fast.Static || fast.Cycles != ref.Cycles {
+	if err != nil || fast.Engine != hls.EngineStatic || fast.Cycles != ref.Cycles {
 		t.Fatalf("auto profile: %+v, %v", fast, err)
 	}
 	checked, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
-	if err != nil || !checked.Static || checked.Cycles != ref.Cycles {
+	if err != nil || checked.Engine != hls.EngineStatic || checked.Cycles != ref.Cycles {
 		t.Fatalf("cross-checked profile: %+v, %v", checked, err)
 	}
 }
@@ -107,7 +107,7 @@ func TestStaticProfileDeclines(t *testing.T) {
 		t.Fatal("load-dependent branch must decline the static path")
 	}
 	rep, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
-	if err != nil || rep.Static {
+	if err != nil || rep.Engine == hls.EngineStatic {
 		t.Fatalf("fallback auto profile: %+v, %v", rep, err)
 	}
 	if rep.Exit != 2 {
@@ -271,7 +271,7 @@ func TestStaticProfileInterprocedural(t *testing.T) {
 				t.Errorf("%s/%s: cross-checked profile: %v", prog.name, pname, err)
 				continue
 			}
-			if !rep.Static {
+			if rep.Engine != hls.EngineStatic {
 				t.Errorf("%s/%s: expected the interprocedural static fast path, got the interpreter", prog.name, pname)
 			}
 		}

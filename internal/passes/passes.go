@@ -85,123 +85,74 @@ const NumActions = 45
 // TerminateIndex is the sentinel pass index ending an episode.
 const TerminateIndex = 45
 
-// Table1Names lists the pass flag names by paper index.
-var Table1Names = [NumPasses]string{
-	0: "-correlated-propagation", 1: "-scalarrepl", 2: "-lowerinvoke",
-	3: "-strip", 4: "-strip-nondebug", 5: "-sccp", 6: "-globalopt",
-	7: "-gvn", 8: "-jump-threading", 9: "-globaldce", 10: "-loop-unswitch",
-	11: "-scalarrepl-ssa", 12: "-loop-reduce", 13: "-break-crit-edges",
-	14: "-loop-deletion", 15: "-reassociate", 16: "-lcssa",
-	17: "-codegenprepare", 18: "-memcpyopt", 19: "-functionattrs",
-	20: "-loop-idiom", 21: "-lowerswitch", 22: "-constmerge",
-	23: "-loop-rotate", 24: "-partial-inliner", 25: "-inline",
-	26: "-early-cse", 27: "-indvars", 28: "-adce", 29: "-loop-simplify",
-	30: "-instcombine", 31: "-simplifycfg", 32: "-dse", 33: "-loop-unroll",
-	34: "-lower-expect", 35: "-tailcallelim", 36: "-licm", 37: "-sink",
-	38: "-mem2reg", 39: "-prune-eh", 40: "-functionattrs", 41: "-ipsccp",
-	42: "-deadargelim", 43: "-sroa", 44: "-loweratomic", 45: "-terminate",
+// table1 is the pass registry by paper index; -terminate is the identity.
+// Passes whose no-op condition is decidable by a cheap read-only scan carry
+// one (see scan.go); every scan must be sound — scan false means the pass
+// provably would not change the module.
+var table1 = [NumPasses]Pass{
+	0:  funcPass{name: "-correlated-propagation", run: correlatedPropagation},
+	1:  funcPass{name: "-scalarrepl", run: scalarRepl, scan: hasAlloca},
+	2:  funcPass{name: "-lowerinvoke", run: lowerInvoke, scan: scanNever},
+	3:  modPass{name: "-strip", run: strip, scan: scanStrip},
+	4:  modPass{name: "-strip-nondebug", run: stripNonDebug, scan: scanNamedBlocks},
+	5:  funcPass{name: "-sccp", run: sccp},
+	6:  modPass{name: "-globalopt", run: globalOpt},
+	7:  funcPass{name: "-gvn", run: gvn},
+	8:  funcPass{name: "-jump-threading", run: jumpThreading},
+	9:  modPass{name: "-globaldce", run: globalDCE},
+	10: funcPass{name: "-loop-unswitch", run: loopUnswitch},
+	11: funcPass{name: "-scalarrepl-ssa", run: scalarReplSSA, scan: hasAlloca},
+	12: funcPass{name: "-loop-reduce", run: loopReduce},
+	13: funcPass{name: "-break-crit-edges", run: breakCritEdges, scan: hasCriticalEdge},
+	14: funcPass{name: "-loop-deletion", run: loopDeletion},
+	15: funcPass{name: "-reassociate", run: reassociate},
+	16: funcPass{name: "-lcssa", run: lcssa},
+	17: funcPass{name: "-codegenprepare", run: codegenPrepare},
+	18: funcPass{name: "-memcpyopt", run: memcpyOpt, scan: hasStore},
+	19: modPass{name: "-functionattrs", run: functionAttrs, scan: scanFunctionAttrs},
+	20: funcPass{name: "-loop-idiom", run: loopIdiom},
+	21: funcPass{name: "-lowerswitch", run: lowerSwitch, scan: hasSwitch},
+	22: modPass{name: "-constmerge", run: constMerge, scan: scanConstMerge},
+	23: funcPass{name: "-loop-rotate", run: loopRotate},
+	24: modPass{name: "-partial-inliner", run: partialInliner, scan: scanAnyCall},
+	25: modPass{name: "-inline", run: inline, scan: scanAnyCall},
+	26: funcPass{name: "-early-cse", run: earlyCSE},
+	27: funcPass{name: "-indvars", run: indvars},
+	28: funcPass{name: "-adce", run: adce},
+	29: funcPass{name: "-loop-simplify", run: loopSimplify},
+	30: funcPass{name: "-instcombine", run: instCombine},
+	31: funcPass{name: "-simplifycfg", run: simplifyCFG},
+	32: funcPass{name: "-dse", run: dse, scan: hasStoreOrMemset},
+	33: funcPass{name: "-loop-unroll", run: loopUnroll},
+	34: funcPass{name: "-lower-expect", run: lowerExpect, scan: hasBranchWeight},
+	35: funcPass{name: "-tailcallelim", run: tailCallElim, scan: hasSelfCall},
+	36: funcPass{name: "-licm", run: licm},
+	37: funcPass{name: "-sink", run: sink},
+	38: funcPass{name: "-mem2reg", run: mem2reg, scan: hasAlloca},
+	39: funcPass{name: "-prune-eh", run: pruneEH, scan: hasUnreachableBlock},
+	40: modPass{name: "-functionattrs", run: functionAttrs, scan: scanFunctionAttrs},
+	41: modPass{name: "-ipsccp", run: ipsccp},
+	42: modPass{name: "-deadargelim", run: deadArgElim, scan: scanDeadArgElim},
+	43: funcPass{name: "-sroa", run: sroa},
+	44: funcPass{name: "-loweratomic", run: lowerAtomic, scan: scanNever},
+	45: modPass{name: "-terminate", run: func(*ir.Module) bool { return false },
+		scan: func(*ir.Module) bool { return false }},
 }
 
-// ByIndex constructs the pass at the given Table 1 index. -terminate is the
-// identity. Passes whose no-op condition is decidable by a cheap read-only
-// scan carry one (see scan.go); every scan must be sound — scan false means
-// the pass provably would not change the module.
+// Table1Names lists the pass flag names by paper index.
+var Table1Names = func() (names [NumPasses]string) {
+	for i, p := range table1 {
+		names[i] = p.Name()
+	}
+	return names
+}()
+
+// ByIndex returns the pass at the given Table 1 index.
 func ByIndex(i int) Pass {
-	switch i {
-	case 0:
-		return funcPass{name: "-correlated-propagation", run: correlatedPropagation}
-	case 1:
-		return funcPass{name: "-scalarrepl", run: scalarRepl, scan: hasAlloca}
-	case 2:
-		return funcPass{name: "-lowerinvoke", run: lowerInvoke, scan: scanNever}
-	case 3:
-		return modPass{name: "-strip", run: strip, scan: scanStrip}
-	case 4:
-		return modPass{name: "-strip-nondebug", run: stripNonDebug, scan: scanNamedBlocks}
-	case 5:
-		return funcPass{name: "-sccp", run: sccp}
-	case 6:
-		return modPass{name: "-globalopt", run: globalOpt}
-	case 7:
-		return funcPass{name: "-gvn", run: gvn}
-	case 8:
-		return funcPass{name: "-jump-threading", run: jumpThreading}
-	case 9:
-		return modPass{name: "-globaldce", run: globalDCE}
-	case 10:
-		return funcPass{name: "-loop-unswitch", run: loopUnswitch}
-	case 11:
-		return funcPass{name: "-scalarrepl-ssa", run: scalarReplSSA, scan: hasAlloca}
-	case 12:
-		return funcPass{name: "-loop-reduce", run: loopReduce}
-	case 13:
-		return funcPass{name: "-break-crit-edges", run: breakCritEdges, scan: hasCriticalEdge}
-	case 14:
-		return funcPass{name: "-loop-deletion", run: loopDeletion}
-	case 15:
-		return funcPass{name: "-reassociate", run: reassociate}
-	case 16:
-		return funcPass{name: "-lcssa", run: lcssa}
-	case 17:
-		return funcPass{name: "-codegenprepare", run: codegenPrepare}
-	case 18:
-		return funcPass{name: "-memcpyopt", run: memcpyOpt, scan: hasStore}
-	case 19, 40:
-		return modPass{name: "-functionattrs", run: functionAttrs, scan: scanFunctionAttrs}
-	case 20:
-		return funcPass{name: "-loop-idiom", run: loopIdiom}
-	case 21:
-		return funcPass{name: "-lowerswitch", run: lowerSwitch, scan: hasSwitch}
-	case 22:
-		return modPass{name: "-constmerge", run: constMerge, scan: scanConstMerge}
-	case 23:
-		return funcPass{name: "-loop-rotate", run: loopRotate}
-	case 24:
-		return modPass{name: "-partial-inliner", run: partialInliner, scan: scanAnyCall}
-	case 25:
-		return modPass{name: "-inline", run: inline, scan: scanAnyCall}
-	case 26:
-		return funcPass{name: "-early-cse", run: earlyCSE}
-	case 27:
-		return funcPass{name: "-indvars", run: indvars}
-	case 28:
-		return funcPass{name: "-adce", run: adce}
-	case 29:
-		return funcPass{name: "-loop-simplify", run: loopSimplify}
-	case 30:
-		return funcPass{name: "-instcombine", run: instCombine}
-	case 31:
-		return funcPass{name: "-simplifycfg", run: simplifyCFG}
-	case 32:
-		return funcPass{name: "-dse", run: dse, scan: hasStoreOrMemset}
-	case 33:
-		return funcPass{name: "-loop-unroll", run: loopUnroll}
-	case 34:
-		return funcPass{name: "-lower-expect", run: lowerExpect, scan: hasBranchWeight}
-	case 35:
-		return funcPass{name: "-tailcallelim", run: tailCallElim, scan: hasSelfCall}
-	case 36:
-		return funcPass{name: "-licm", run: licm}
-	case 37:
-		return funcPass{name: "-sink", run: sink}
-	case 38:
-		return funcPass{name: "-mem2reg", run: mem2reg, scan: hasAlloca}
-	case 39:
-		return funcPass{name: "-prune-eh", run: pruneEH, scan: hasUnreachableBlock}
-	case 41:
-		return modPass{name: "-ipsccp", run: ipsccp}
-	case 42:
-		return modPass{name: "-deadargelim", run: deadArgElim, scan: scanDeadArgElim}
-	case 43:
-		return funcPass{name: "-sroa", run: sroa}
-	case 44:
-		return funcPass{name: "-loweratomic", run: lowerAtomic, scan: scanNever}
-	case 45:
-		return modPass{name: "-terminate", run: func(*ir.Module) bool { return false },
-			scan: func(*ir.Module) bool { return false }}
-	default:
+	if i < 0 || i >= NumPasses {
 		panic(fmt.Sprintf("passes: invalid index %d", i))
 	}
+	return table1[i]
 }
 
 // ErrInvalidPass reports a pass index outside Table 1. Callers handing

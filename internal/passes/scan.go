@@ -2,7 +2,7 @@ package passes
 
 import "autophase/internal/ir"
 
-// No-op prescans. Each predicate here is paired with a pass in ByIndex and
+// No-op prescans. Each predicate here is paired with a pass in table1 and
 // must be sound: returning false guarantees the pass would report no change
 // (and perform no mutation) on that function/module. A scan that is merely
 // "probably a no-op" is a correctness bug, because the engine reuses the

@@ -239,24 +239,24 @@ type TenantReport struct {
 }
 
 // StatsReport is the GET /v1/stats body: service-wide admission and
-// shutdown counters, the aggregate engine stats of all finished jobs (in
-// the engine's own one-line format), and a per-tenant breakdown.
+// shutdown counters, the summed engine stats of all finished jobs (in the
+// engine's own one-line format), the shared artifact store's counters
+// (absent without a store), and a per-tenant breakdown.
 type StatsReport struct {
-	Accepted     int64          `json:"accepted"`
-	Shed429      int64          `json:"shed_429"`
-	Shed503      int64          `json:"shed_503"`
-	Queued       int            `json:"queued"`
-	Running      int            `json:"running"`
-	Drained      int64          `json:"drained"`
-	Checkpointed int64          `json:"checkpointed"`
-	Resumed      int64          `json:"resumed"`
-	Aggregate    string         `json:"aggregate"`
-	Tenants      []TenantReport `json:"tenants"`
+	Accepted     int64           `json:"accepted"`
+	Shed429      int64           `json:"shed_429"`
+	Shed503      int64           `json:"shed_503"`
+	Queued       int             `json:"queued"`
+	Running      int             `json:"running"`
+	Drained      int64           `json:"drained"`
+	Checkpointed int64           `json:"checkpointed"`
+	Resumed      int64           `json:"resumed"`
+	Aggregate    string          `json:"aggregate"`
+	Store        *artifact.Stats `json:"store,omitempty"`
+	Tenants      []TenantReport  `json:"tenants"`
 }
 
-// Stats snapshots the whole service. The aggregate line carries the
-// serve-layer counters through core.EvalStats' usual nonzero-only
-// printing, so a clean single-tenant run reads exactly like the CLI's.
+// Stats snapshots the whole service.
 func (s *Server) Stats() StatsReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -279,18 +279,10 @@ func (s *Server) Stats() StatsReport {
 			Faults: t.agg.Faults, Flagged: t.agg.Flagged,
 		})
 	}
-	// Each job's disk counters are the shared store's totals at the time,
-	// so summing them over jobs multiplies them; read the store once.
-	var ss artifact.Stats
-	if s.store != nil {
-		ss = s.store.Stats()
-	}
-	agg.DiskWrites, agg.DiskBytes, agg.DiskCorrupt = ss.Writes, ss.Bytes, ss.Corrupt
-	agg.Tenants = int64(len(s.tenantIDs))
-	agg.Shed = s.shed429 + s.shed503
-	agg.Drained = s.drainedJobs
-	agg.Checkpointed = s.checkpointed
-	agg.Resumed = s.resumed
 	rep.Aggregate = agg.String()
+	if s.store != nil {
+		ss := s.store.Stats()
+		rep.Store = &ss
+	}
 	return rep
 }

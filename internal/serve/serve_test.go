@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -449,9 +448,6 @@ func TestServeEndToEnd(t *testing.T) {
 	if samples != successes+faultsN+flagged {
 		t.Fatalf("accounting invariant broken across tenants: %d != %d+%d+%d", samples, successes, faultsN, flagged)
 	}
-	if !strings.Contains(rep.Aggregate, "tenants=2") {
-		t.Fatalf("aggregate line should carry the serve counters: %q", rep.Aggregate)
-	}
 	if hr, err := ts.Client().Get(ts.URL + "/healthz"); err != nil || hr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz should be 200 while accepting (err=%v)", err)
 	} else {
@@ -459,10 +455,9 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStatsDiskCountersReadOnce: every job's stats carry the shared
-// store's running totals, so the /v1/stats aggregate must take disk
-// writes, bytes and corruptions from the store once instead of summing
-// them over jobs.
+// TestStatsDiskCountersReadOnce: the shared store's counters are
+// store-wide, so /v1/stats reports them once, straight from the store, and
+// no job's stats line carries them.
 func TestStatsDiskCountersReadOnce(t *testing.T) {
 	cfg := testConfig()
 	cfg.ArtifactDir = t.TempDir()
@@ -484,18 +479,33 @@ func TestStatsDiskCountersReadOnce(t *testing.T) {
 		if err := json.Unmarshal(body, &ack); err != nil {
 			t.Fatal(err)
 		}
-		if st := waitTerminal(t, ts, ack.ID); st.State != "done" {
+		st := waitTerminal(t, ts, ack.ID)
+		if st.State != "done" {
 			t.Fatalf("job %s: state %s (%s), want done", ack.ID, st.State, st.Error)
 		}
+		for _, banned := range []string{"disk-writes=", "disk-bytes=", "disk-corrupt="} {
+			if strings.Contains(st.Stats, banned) {
+				t.Fatalf("job %s stats line carries the store-wide %s: %q", ack.ID, banned, st.Stats)
+			}
+		}
+	}
+	s.store.Flush()
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep StatsReport
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	ss := s.store.Stats()
 	if ss.Writes == 0 {
 		t.Fatal("jobs wrote nothing to the store")
 	}
-	agg := s.Stats().Aggregate
-	want := fmt.Sprintf("disk-writes=%d disk-bytes=%d disk-corrupt=%d", ss.Writes, ss.Bytes, ss.Corrupt)
-	if !strings.Contains(agg, want) {
-		t.Fatalf("aggregate %q should carry the store's own counters %q", agg, want)
+	if rep.Store == nil || *rep.Store != ss {
+		t.Fatalf("/v1/stats store = %+v, want the store's own counters %+v", rep.Store, ss)
 	}
 }
 
@@ -700,9 +710,6 @@ func TestCheckpointRestartResume(t *testing.T) {
 		if st.SamplesUsed != 6 {
 			t.Fatalf("resumed job %s used %d samples, want 6", id, st.SamplesUsed)
 		}
-	}
-	if !strings.Contains(s2.Stats().Aggregate, "resumed=3") {
-		t.Fatalf("aggregate should count resumes: %q", s2.Stats().Aggregate)
 	}
 }
 

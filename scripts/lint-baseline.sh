@@ -26,7 +26,7 @@ go build -o "$bin" ./cmd/autophase || exit 1
 # exit codes 0 and 1 only.
 run_lint() {
   local prog="$1" prefix="$2" rc=0 lines
-  lines="$("$bin" lint -program "$prog" -engine auto -json)" || rc=$?
+  lines="$("$bin" lint -program "$prog" -json)" || rc=$?
   if [ "$rc" -ne 0 ] && [ "$rc" -ne 1 ]; then
     echo "lint-baseline: '$bin lint -program $prog -json' exited $rc (expected 0 or 1)" >&2
     exit "$rc"
