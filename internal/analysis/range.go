@@ -151,7 +151,7 @@ func ComputeRangesCtx(f *ir.Func, hints []Interval, callRet func(*ir.Instr) Inte
 	// generic phi transfer would also admit the one-past-the-exit value the
 	// phi never actually takes.
 	for _, l := range r.scev.Loops() {
-		for _, phi := range l.Header.Phis() {
+		for _, phi := range l.Header.Instrs[:l.Header.NumPhis()] {
 			if iv, ok := r.scev.PhiRange(phi); ok {
 				r.of[phi] = iv
 				r.pinned[phi] = true
@@ -469,7 +469,7 @@ func (r *Ranges) condsAt(b *ir.Block) []pathCond {
 	if r.scev != nil && r.scev.Dom() != nil {
 		dt := r.scev.Dom()
 		for d := b; d != nil; d = dt.IDom(d) {
-			preds := d.Preds()
+			preds := dt.Preds(d)
 			if len(preds) != 1 {
 				continue
 			}

@@ -343,7 +343,7 @@ func (s *SCEV) analyzeLoop(l *ir.Loop) {
 		return
 	}
 	var recs []AddRec
-	for _, phi := range l.Header.Phis() {
+	for _, phi := range l.Header.Instrs[:l.Header.NumPhis()] {
 		vp, okP := phi.PhiIncoming(ph)
 		vl, okL := phi.PhiIncoming(latch)
 		if !okP || !okL {

@@ -81,7 +81,7 @@ func verifyFuncAll(c *collector, m *ir.Module, f *ir.Func) {
 		c.errf(CheckNoBlocks, nil, nil, "function has no blocks")
 		return
 	}
-	if len(f.Entry().Phis()) > 0 {
+	if f.Entry().NumPhis() > 0 {
 		c.errf(CheckEntryPhi, f.Entry(), nil, "phi in entry block")
 	}
 	inFunc := make(map[*ir.Block]bool, len(f.Blocks))

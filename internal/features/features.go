@@ -95,7 +95,7 @@ func extractFunc(fn *ir.Func, f []int64) {
 	f[17] += int64(len(ir.CriticalEdges(fn)))
 	for _, b := range fn.Blocks {
 		f[50]++
-		preds := len(b.Preds())
+		preds := b.NumPreds()
 		succs := len(b.Succs())
 		f[18] += int64(succs) // CFG edges, counted at their source
 
@@ -126,7 +126,7 @@ func extractFunc(fn *ir.Func, f []int64) {
 			f[8]++
 		}
 
-		phis := b.Phis()
+		phis := b.Instrs[:b.NumPhis()]
 		phiArgs := 0
 		for _, p := range phis {
 			phiArgs += len(p.Args)

@@ -47,6 +47,20 @@ func (b *Block) Preds() []*Block {
 	return preds
 }
 
+// NumPreds returns len(b.Preds()) without building the list.
+func (b *Block) NumPreds() int {
+	n := 0
+	for _, p := range b.parent.Blocks {
+		for _, s := range p.Succs() {
+			if s == b {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // NumPredEdges counts incoming CFG edges (a predecessor with two edges to b,
 // e.g. a conditional branch with both targets b, counts twice).
 func (b *Block) NumPredEdges() int {
@@ -103,16 +117,24 @@ func (b *Block) Remove(in *Instr) {
 	}
 }
 
-// Phis returns the leading phi instructions of the block.
+// Phis returns a copy of the leading phi instructions of the block (nil
+// when there are none), so the caller may change the block while ranging
+// over it. A caller that only reads can range over b.Instrs[:b.NumPhis()].
 func (b *Block) Phis() []*Instr {
-	var phis []*Instr
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			break
-		}
-		phis = append(phis, in)
+	n := b.NumPhis()
+	if n == 0 {
+		return nil
 	}
-	return phis
+	return append([]*Instr(nil), b.Instrs[:n]...)
+}
+
+// NumPhis returns the number of leading phi instructions.
+func (b *Block) NumPhis() int {
+	n := 0
+	for n < len(b.Instrs) && b.Instrs[n].Op == OpPhi {
+		n++
+	}
+	return n
 }
 
 // FirstNonPhi returns the first non-phi instruction (nil for an empty block).
@@ -142,8 +164,12 @@ func (b *Block) IsEmptyForward() bool {
 }
 
 // Prepend inserts an instruction at the head of the block (used for phi
-// insertion by SSA construction).
+// insertion by SSA construction). Like InsertBefore it shifts the
+// instructions in place when the slice has room, so a caller ranging over
+// b.Instrs must not prepend to b inside that loop.
 func (b *Block) Prepend(in *Instr) {
 	in.parent = b
-	b.Instrs = append([]*Instr{in}, b.Instrs...)
+	b.Instrs = append(b.Instrs, nil)
+	copy(b.Instrs[1:], b.Instrs)
+	b.Instrs[0] = in
 }

@@ -53,10 +53,7 @@ func (m *Module) IsShared(f *Func) bool { return m.cow != nil && m.cow.shared[f]
 // through every replacement recorded so far (including f itself, so direct
 // recursion targets the clone).
 func (m *Module) cowClone(f *Func) *Func {
-	nf := &Func{Name: f.Name, Ret: f.Ret, Attrs: f.Attrs, module: m}
-	for _, p := range f.Params {
-		nf.Params = append(nf.Params, &Param{Name: p.Name, Ty: p.Ty, Parent: nf, Index: p.Index})
-	}
+	nf := cloneSignature(f, f.Name, m)
 	fmap := make(map[*Func]*Func, len(m.cow.remap)+1)
 	for o, n := range m.cow.remap {
 		fmap[o] = n

@@ -9,6 +9,10 @@ package ir
 // keeps answering about the CFG it was built from: removed blocks keep
 // their number and dominance facts, and blocks it never saw are treated
 // as unreachable.
+//
+// The edges are counted before anything is filled, so every table has its
+// exact size: the int32 tables are carved from one slab and the *Block
+// tables from another, three allocations besides the index map.
 type DomTree struct {
 	blocks []*Block         // snapshot of f.Blocks, then any out-of-function successors
 	nFunc  int              // blocks[:nFunc] are f.Blocks at construction
@@ -22,6 +26,7 @@ type DomTree struct {
 	predOff, preds []int32
 	predBlk        []*Block
 	order          []*Block // reverse postorder
+	post           []int32  // reachable block numbers in postorder (order reversed)
 	rpo            []int32  // block -> reverse postorder number, -1 if unreachable
 	idom           []int32  // block -> immediate dominator (entry maps to itself), -1 if unreachable
 }
@@ -33,56 +38,65 @@ func NewDomTree(f *Func) *DomTree {
 	if n == 0 {
 		return dt
 	}
-	dt.blocks = append(make([]*Block, 0, n), f.Blocks...)
-	dt.nFunc = n
 	dt.index = make(map[*Block]int32, n)
-	for i, b := range dt.blocks {
+	for i, b := range f.Blocks {
 		dt.index[b] = int32(i)
 	}
-	// Successor table. A target outside f.Blocks (only in malformed IR)
-	// is numbered on first sight so the walk below still reaches it.
-	dt.succOff = make([]int32, 0, n+1)
-	dt.succs = make([]int32, 0, 2*n)
-	for i := 0; i < len(dt.blocks); i++ {
-		dt.succOff = append(dt.succOff, int32(len(dt.succs)))
-		for _, s := range dt.blocks[i].Succs() {
-			si, ok := dt.index[s]
-			if !ok {
-				si = int32(len(dt.blocks))
-				dt.index[s] = si
-				dt.blocks = append(dt.blocks, s)
+	// Count the edges, and the predecessor edges with duplicates folded.
+	// A target outside f.Blocks (only in malformed IR) is numbered after
+	// f's blocks on first sight, and its own successors are counted too so
+	// the walk below reaches through it. Only blocks of f are
+	// predecessors, matching Block.Preds.
+	var outside []*Block
+	ne, np := 0, 0
+	for i := 0; i < n+len(outside); i++ {
+		succs := blockAt(f, outside, i).Succs()
+		ne += len(succs)
+		for k, s := range succs {
+			if _, ok := dt.index[s]; !ok {
+				dt.index[s] = int32(n + len(outside))
+				outside = append(outside, s)
 			}
-			dt.succs = append(dt.succs, si)
+			if i < n && !containsBlock(succs[:k], s) {
+				np++
+			}
 		}
 	}
-	nb := len(dt.blocks)
-	dt.succOff = append(dt.succOff, int32(len(dt.succs)))
+	nb := n + len(outside)
+	dt.nFunc = n
 
-	// One int32 slab backs the per-block tables and the DFS postorder.
-	slab := make([]int32, 4*nb+1)
+	slab := make([]int32, 5*nb+2+ne+np)
 	carve := func(k int) []int32 {
 		t := slab[:k:k]
 		slab = slab[k:]
 		return t
 	}
+	dt.succOff = carve(nb + 1)
+	dt.succs = carve(ne)
 	dt.predOff = carve(nb + 1)
+	dt.preds = carve(np)
 	dt.rpo = carve(nb)
 	dt.idom = carve(nb)
-	post := carve(nb)[:0]
+	walk := carve(nb)
 
-	// Predecessor table: count, prefix-sum, fill. Only blocks of f are
-	// predecessors, matching Block.Preds. Sources are visited in block
-	// order, so a duplicate edge p -> s is the one whose source equals the
-	// last source recorded for s. The scratch rows live in rpo and idom
-	// until those are computed.
-	last := dt.idom
-	for i := range last {
-		last[i] = -1
+	k := int32(0)
+	for i := 0; i < nb; i++ {
+		dt.succOff[i] = k
+		for _, s := range blockAt(f, outside, i).Succs() {
+			dt.succs[k] = dt.index[s]
+			k++
+		}
 	}
-	for p := int32(0); p < int32(n); p++ {
-		for _, s := range dt.succs[dt.succOff[p]:dt.succOff[p+1]] {
-			if last[s] != p {
-				last[s] = p
+	dt.succOff[nb] = k
+
+	// Predecessor table: count, prefix-sum, fill. Sources are visited in
+	// block order; an edge whose target repeats an earlier target of the
+	// same terminator is folded. rpo serves as the fill cursor until the
+	// real numbers are assigned.
+	for p := 0; p < n; p++ {
+		succs := dt.succs[dt.succOff[p]:dt.succOff[p+1]]
+		for j, s := range succs {
+			if !containsNum(succs[:j], s) {
 				dt.predOff[s+1]++
 			}
 		}
@@ -90,57 +104,75 @@ func NewDomTree(f *Func) *DomTree {
 	for i := 0; i < nb; i++ {
 		dt.predOff[i+1] += dt.predOff[i]
 	}
-	dt.preds = make([]int32, dt.predOff[nb])
-	dt.predBlk = make([]*Block, dt.predOff[nb])
-	next := dt.rpo // write cursor per target
+	next := dt.rpo
 	copy(next, dt.predOff[:nb])
 	for p := int32(0); p < int32(n); p++ {
-		for _, s := range dt.succs[dt.succOff[p]:dt.succOff[p+1]] {
-			if k := next[s]; k == dt.predOff[s] || dt.preds[k-1] != p {
-				dt.preds[k] = p
-				dt.predBlk[k] = dt.blocks[p]
-				next[s] = k + 1
+		succs := dt.succs[dt.succOff[p]:dt.succOff[p+1]]
+		for j, s := range succs {
+			if !containsNum(succs[:j], s) {
+				dt.preds[next[s]] = p
+				next[s]++
 			}
 		}
 	}
 
 	// Postorder DFS from the entry: iterative, visiting successors in the
-	// same order as the recursive formulation. rpo marks visited blocks
-	// with 0 until the real numbers are assigned.
+	// same order as the recursive formulation. The postorder grows up from
+	// walk[0] and the DFS stack down from walk[nb-1]; a block is on at most
+	// one of them, so they never meet. rpo marks visited blocks with 0
+	// until the real numbers are assigned, and idom holds each block's
+	// next-successor cursor.
 	for i := 0; i < nb; i++ {
 		dt.rpo[i] = -1
-		dt.idom[i] = -1
 	}
-	type frame struct{ b, next int32 }
-	stack := make([]frame, 1, nb)
-	stack[0] = frame{0, dt.succOff[0]}
+	cursor := dt.idom
+	copy(cursor, dt.succOff[:nb])
+	top, nPost := nb-1, 0
+	walk[top] = 0
 	dt.rpo[0] = 0
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.next < dt.succOff[top.b+1] {
-			s := dt.succs[top.next]
-			top.next++
+	for top < nb {
+		b := walk[top]
+		if cursor[b] < dt.succOff[b+1] {
+			s := dt.succs[cursor[b]]
+			cursor[b]++
 			if dt.rpo[s] < 0 {
 				dt.rpo[s] = 0
-				stack = append(stack, frame{s, dt.succOff[s]})
+				top--
+				walk[top] = s
 			}
 			continue
 		}
-		post = append(post, top.b)
-		stack = stack[:len(stack)-1]
+		top++
+		walk[nPost] = b
+		nPost++
 	}
-	dt.order = make([]*Block, len(post))
-	for k := range post {
-		b := post[len(post)-1-k]
-		dt.rpo[b] = int32(k)
-		dt.order[k] = dt.blocks[b]
+	dt.post = walk[:nPost:nPost]
+
+	// One *Block slab: the snapshot, the predecessor blocks and the
+	// reverse postorder.
+	blk := make([]*Block, nb+np+nPost)
+	dt.blocks = blk[:nb:nb]
+	copy(dt.blocks, f.Blocks)
+	copy(dt.blocks[n:], outside)
+	dt.predBlk = blk[nb : nb+np : nb+np]
+	for j, p := range dt.preds {
+		dt.predBlk[j] = dt.blocks[p]
+	}
+	dt.order = blk[nb+np:]
+	for k, b := range dt.post {
+		r := nPost - 1 - k
+		dt.rpo[b] = int32(r)
+		dt.order[r] = dt.blocks[b]
 	}
 
+	for i := range dt.idom {
+		dt.idom[i] = -1
+	}
 	dt.idom[0] = 0
 	for changed := true; changed; {
 		changed = false
-		for k := len(post) - 2; k >= 0; k-- { // reverse postorder, entry skipped
-			b := post[k]
+		for k := nPost - 2; k >= 0; k-- { // reverse postorder, entry skipped
+			b := dt.post[k]
 			newIdom := int32(-1)
 			for _, p := range dt.preds[dt.predOff[b]:dt.predOff[b+1]] {
 				if dt.idom[p] < 0 {
@@ -159,6 +191,33 @@ func NewDomTree(f *Func) *DomTree {
 		}
 	}
 	return dt
+}
+
+// blockAt returns block i of a tree under construction: f's blocks, then
+// the out-of-function successors.
+func blockAt(f *Func, outside []*Block, i int) *Block {
+	if i < len(f.Blocks) {
+		return f.Blocks[i]
+	}
+	return outside[i-len(f.Blocks)]
+}
+
+func containsBlock(bs []*Block, b *Block) bool {
+	for _, x := range bs {
+		if x == b {
+			return true
+		}
+	}
+	return false
+}
+
+func containsNum(xs []int32, x int32) bool {
+	for _, y := range xs {
+		if y == x {
+			return true
+		}
+	}
+	return false
 }
 
 func (dt *DomTree) intersect(a, b int32) int32 {
@@ -234,6 +293,55 @@ func (dt *DomTree) Preds(b *Block) []*Block {
 	return dt.predBlk[lo:hi:hi]
 }
 
+// Reachable reports whether b was reachable from the entry in the CFG the
+// tree was built from.
+func (dt *DomTree) Reachable(b *Block) bool {
+	i := dt.num(b)
+	return i >= 0 && dt.rpo[i] >= 0
+}
+
+// DomChildren lists the children of every block in the dominator tree, in
+// function block order, in compressed-row form.
+type DomChildren struct {
+	dt   *DomTree
+	off  []int32
+	kids []*Block
+}
+
+// Children tabulates the tree's child lists in two allocations.
+func (dt *DomTree) Children() DomChildren {
+	nb := len(dt.blocks)
+	// Count each parent's children at off[parent+2]; after the prefix sum
+	// off[p+1] is p's first slot and serves as its fill cursor, ending as
+	// the first slot of p+1.
+	off := make([]int32, nb+2)
+	for i := 0; i < dt.nFunc; i++ {
+		if d := dt.idom[i]; d >= 0 && int(d) != i {
+			off[d+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	kids := make([]*Block, off[nb+1])
+	for i := 0; i < dt.nFunc; i++ {
+		if d := dt.idom[i]; d >= 0 && int(d) != i {
+			kids[off[d+1]] = dt.blocks[i]
+			off[d+1]++
+		}
+	}
+	return DomChildren{dt: dt, off: off[: nb+1 : nb+1], kids: kids}
+}
+
+// Of returns b's children. The result must not be modified.
+func (c DomChildren) Of(b *Block) []*Block {
+	i := c.dt.num(b)
+	if i < 0 {
+		return nil
+	}
+	return c.kids[c.off[i]:c.off[i+1]:c.off[i+1]]
+}
+
 // StrictlyDominates reports whether a dominates b and a != b.
 func (dt *DomTree) StrictlyDominates(a, b *Block) bool {
 	return a != b && dt.Dominates(a, b)
@@ -302,8 +410,9 @@ func (dt *DomTree) Frontier() map[*Block][]*Block {
 		}
 		df[b] = append(df[b], f)
 	}
-	for _, b := range dt.order {
-		bi := dt.index[b]
+	for k := len(dt.post) - 1; k >= 0; k-- { // reverse postorder
+		bi := dt.post[k]
+		b := dt.blocks[bi]
 		preds := dt.preds[dt.predOff[bi]:dt.predOff[bi+1]]
 		if len(preds) < 2 {
 			continue

@@ -79,7 +79,15 @@ func EvalCast(op Op, fromTy, toTy *Type, v int64) int64 {
 // FoldInstr attempts to constant-fold in when all value operands are
 // constants, returning the folded constant.
 func FoldInstr(in *Instr) (*Const, bool) {
-	cv := make([]int64, len(in.Args))
+	if !in.Op.IsBinary() && in.Op != OpICmp && !in.Op.IsCast() && in.Op != OpSelect {
+		return nil, false
+	}
+	var buf [3]int64 // the foldable ops take at most three operands
+	cv := buf[:0]
+	if len(in.Args) > len(buf) {
+		cv = make([]int64, 0, len(in.Args))
+	}
+	cv = cv[:len(in.Args)]
 	for i, a := range in.Args {
 		c, ok := IsConst(a)
 		if !ok {
@@ -87,28 +95,42 @@ func FoldInstr(in *Instr) (*Const, bool) {
 		}
 		cv[i] = c
 	}
+	v, ok := FoldValues(in, cv)
+	if !ok {
+		return nil, false
+	}
+	if in.Op == OpICmp {
+		return ConstInt(I1, v), true
+	}
+	return ConstInt(in.Ty, v), true
+}
+
+// FoldValues folds in as if its operands were the constants cv, returning
+// the value FoldInstr's constant would hold (an i1 true is -1). It reports
+// false for an op that does not fold or a division that would trap.
+func FoldValues(in *Instr, cv []int64) (int64, bool) {
 	switch {
 	case in.Op.IsBinary():
 		if (in.Op == OpSDiv || in.Op == OpSRem) && cv[1] == 0 {
-			return nil, false // would trap; leave for the interpreter
+			return 0, false // would trap; leave for the interpreter
 		}
-		return ConstInt(in.Ty, EvalBinary(in.Op, in.Ty, cv[0], cv[1])), true
+		return in.Ty.TruncVal(EvalBinary(in.Op, in.Ty, cv[0], cv[1])), true
 	case in.Op == OpICmp:
 		bits := 64
 		if t := in.Args[0].Type(); t.IsInt() {
 			bits = t.Bits
 		}
 		if in.Pred.Eval(cv[0], cv[1], bits) {
-			return ConstInt(I1, 1), true
+			return I1.TruncVal(1), true
 		}
-		return ConstInt(I1, 0), true
+		return 0, true
 	case in.Op.IsCast():
-		return ConstInt(in.Ty, EvalCast(in.Op, in.Args[0].Type(), in.Ty, cv[0])), true
+		return in.Ty.TruncVal(EvalCast(in.Op, in.Args[0].Type(), in.Ty, cv[0])), true
 	case in.Op == OpSelect:
 		if cv[0] != 0 {
-			return ConstInt(in.Ty, cv[1]), true
+			return in.Ty.TruncVal(cv[1]), true
 		}
-		return ConstInt(in.Ty, cv[2]), true
+		return in.Ty.TruncVal(cv[2]), true
 	}
-	return nil, false
+	return 0, false
 }

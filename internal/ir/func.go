@@ -153,7 +153,8 @@ func (f *Func) ReachableBlocks() map[*Block]bool {
 	if len(f.Blocks) == 0 {
 		return reach
 	}
-	stack := []*Block{f.Entry()}
+	stack := make([]*Block, 1, len(f.Blocks)) // each block is pushed once
+	stack[0] = f.Entry()
 	reach[f.Entry()] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]

@@ -304,6 +304,77 @@ func TestCloneIndependence(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("original corrupted by clone mutation: %v", err)
 	}
+
+	// A clone's operand and target arrays are allocated with each of its
+	// instructions (DESIGN "Allocation in the IR"). Writing, growing or
+	// re-keying them must change neither the parent nor any other
+	// instruction, in the clone or in a copy of one of its instructions.
+	m, _ = diamond()
+	want := m.String()
+	c = m.Clone()
+	cf = c.Func("main")
+	var all []*Instr
+	for _, b := range cf.Blocks {
+		all = append(all, b.Instrs...)
+	}
+	for _, in := range append([]*Instr(nil), all...) {
+		all = append(all, in.Copy())
+	}
+	type operands struct {
+		args   []Value
+		blocks []*Block
+	}
+	snap := func(in *Instr) operands {
+		return operands{append([]Value(nil), in.Args...), append([]*Block(nil), in.Blocks...)}
+	}
+	same := func(in *Instr, o operands) bool {
+		if len(in.Args) != len(o.args) || len(in.Blocks) != len(o.blocks) {
+			return false
+		}
+		for i, a := range in.Args {
+			if a != o.args[i] {
+				return false
+			}
+		}
+		for i, b := range in.Blocks {
+			if b != o.blocks[i] {
+				return false
+			}
+		}
+		return true
+	}
+	before := make(map[*Instr]operands, len(all))
+	for _, in := range all {
+		before[in] = snap(in)
+	}
+	extra := cf.NewBlock("extra")
+	seven := ConstInt(I32, 7)
+	for _, in := range all {
+		if len(in.Args) > 0 {
+			in.Args[0] = seven
+		}
+		if len(in.Blocks) > 0 {
+			in.Blocks[0] = extra
+		}
+		if in.Op == OpPhi {
+			in.SetPhiIncoming(extra, seven)
+			in.SetPhiIncoming(cf.Blocks[0], seven)
+		}
+		in.Args = append(in.Args, seven)
+		in.Blocks = append(in.Blocks, extra)
+		for _, o := range all {
+			if o != in && !same(o, before[o]) {
+				t.Fatalf("rewriting a %s changed the operands of a %s", in.Op, o.Op)
+			}
+		}
+		before[in] = snap(in)
+	}
+	if got := m.String(); got != want {
+		t.Fatalf("rewriting the clone's operands changed the parent:\n%s", got)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatalf("parent corrupted by operand rewrites: %v", err)
+	}
 }
 
 func TestUseTracking(t *testing.T) {
@@ -367,5 +438,30 @@ func TestDotCFG(t *testing.T) {
 	// Conditional edges labelled.
 	if !strings.Contains(dot, `label="T"`) || !strings.Contains(dot, `label="F"`) {
 		t.Fatal("conditional edges unlabelled")
+	}
+}
+
+func TestRefLessMatchesRef(t *testing.T) {
+	f := &Func{Name: "f"}
+	vals := []Value{
+		&Instr{Op: OpAdd, Ty: I32, Name: "x"},
+		&Instr{Op: OpAdd, Ty: I32, Name: "a.very.long.value.name.that.outgrows.the.stack.buffer"},
+		&Instr{Op: OpAdd, Ty: I32}, // an unnamed clone: id 0
+		&Instr{Op: OpAdd, Ty: I32, id: 9},
+		&Instr{Op: OpAdd, Ty: I32, id: 10},
+		&Instr{Op: OpAdd, Ty: I32, id: 123},
+		&Param{Name: "arg0", Ty: I32, Parent: f},
+		&Param{Name: "1", Ty: I32, Parent: f},
+		&Global{Name: "tab", Elem: I32},
+		ConstInt(I32, -5),
+		ConstInt(I32, 42),
+		&Undef{Ty: I32},
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := RefLess(a, b), a.Ref() < b.Ref(); got != want {
+				t.Errorf("RefLess(%s, %s) = %v, want %v", a.Ref(), b.Ref(), got, want)
+			}
+		}
 	}
 }

@@ -26,11 +26,9 @@ func (l *Loop) Contains(b *Block) bool {
 // inside it.
 func (l *Loop) Exits() []*Block {
 	var exits []*Block
-	seen := make(map[*Block]bool)
 	for _, b := range l.Body {
 		for _, s := range b.Succs() {
-			if !l.Contains(s) && !seen[s] {
-				seen[s] = true
+			if !l.Contains(s) && !containsBlock(exits, s) {
 				exits = append(exits, s)
 			}
 		}
@@ -89,42 +87,66 @@ func (l *Loop) SingleLatch() *Block {
 // Loops are returned innermost-last within each nest, outermost headers in
 // block order. It reads the CFG through dt's tables, so f must not have
 // changed since dt was built.
+//
+// Every table is sized exactly before it is filled: the loops come from
+// one []Loop, and all latch lists and bodies are carved from one []*Block.
 func FindLoops(f *Func, dt *DomTree) []*Loop {
-	var loops []*Loop
-	var headers []int32 // headers[i] is the number of loops[i].Header
-	for _, b := range dt.order {
-		bi := dt.index[b]
-		for _, s := range dt.succs[dt.succOff[bi]:dt.succOff[bi+1]] {
-			if !dt.dominates(s, bi) {
-				continue
-			}
-			// Back edge b -> s.
-			var l *Loop
-			for i, h := range headers {
-				if h == s {
-					l = loops[i]
-					break
+	// Back edges b -> h, where h dominates b, in reverse postorder of b.
+	backEdges := func(visit func(b, h int32)) {
+		for k := len(dt.post) - 1; k >= 0; k-- {
+			b := dt.post[k]
+			for _, s := range dt.succs[dt.succOff[b]:dt.succOff[b+1]] {
+				if dt.dominates(s, b) {
+					visit(b, s)
 				}
 			}
-			if l == nil {
-				l = &Loop{Header: dt.blocks[s], dt: dt}
-				loops = append(loops, l)
-				headers = append(headers, s)
-			}
-			l.Latches = append(l.Latches, b)
 		}
 	}
-	// Populate bodies: reverse reachability from latches without passing
-	// through the header. Row i of inBody is loop i's body set.
+	ne := 0
+	backEdges(func(_, _ int32) { ne++ })
+	if ne == 0 {
+		return nil
+	}
 	nb := len(dt.blocks)
-	inBody := make([]bool, len(loops)*nb)
-	var stack []int32
-	for i, l := range loops {
+	slab := make([]int32, 3*ne+nb)
+	headers := slab[:0:ne]         // headers[i] is the number of loop i's header
+	edgeLoop := slab[ne : 2*ne]    // back edge -> its loop
+	edgeLatch := slab[2*ne : 3*ne] // back edge -> its latch
+	stack := slab[3*ne : 3*ne]     // body walk; each block is pushed once
+	ne = 0
+	backEdges(func(b, h int32) {
+		i := int32(len(headers))
+		for j, x := range headers {
+			if x == h {
+				i = int32(j)
+				break
+			}
+		}
+		if int(i) == len(headers) {
+			headers = append(headers, h)
+		}
+		edgeLoop[ne], edgeLatch[ne] = i, b
+		ne++
+	})
+	nl := len(headers)
+
+	// Bodies: reverse reachability from the latches without passing
+	// through the header. Row i of inBody is loop i's body set; nBody
+	// counts the members that are blocks of f.
+	inBody := make([]bool, nl*nb)
+	nBody := 0
+	for i, h := range headers {
 		in := inBody[i*nb : (i+1)*nb]
-		in[headers[i]] = true
-		for _, latch := range l.Latches {
-			if li := dt.index[latch]; !in[li] {
-				in[li] = true
+		mark := func(b int32) {
+			in[b] = true
+			if int(b) < dt.nFunc {
+				nBody++
+			}
+		}
+		mark(h)
+		for e, li := range edgeLatch {
+			if edgeLoop[e] == int32(i) && !in[li] {
+				mark(li)
 				stack = append(stack, li)
 			}
 		}
@@ -133,17 +155,47 @@ func FindLoops(f *Func, dt *DomTree) []*Loop {
 			stack = stack[:len(stack)-1]
 			for _, p := range dt.preds[dt.predOff[b]:dt.predOff[b+1]] {
 				if !in[p] {
-					in[p] = true
+					mark(p)
 					stack = append(stack, p)
 				}
 			}
 		}
-		// Keep function block order for determinism.
-		for bi, b := range dt.blocks[:dt.nFunc] {
-			if in[bi] {
-				l.Body = append(l.Body, b)
+	}
+
+	ls := make([]Loop, nl)
+	loops := make([]*Loop, nl)
+	blk := make([]*Block, ne+nBody)
+	for i, h := range headers {
+		l := &ls[i]
+		l.Header, l.dt = dt.blocks[h], dt
+		n := 0
+		for _, li := range edgeLoop {
+			if li == int32(i) {
+				n++
 			}
 		}
+		l.Latches, blk = blk[:0:n], blk[n:]
+		for e, li := range edgeLoop {
+			if li == int32(i) {
+				l.Latches = append(l.Latches, dt.blocks[edgeLatch[e]])
+			}
+		}
+		// Keep function block order for determinism. A block outside f
+		// (malformed IR) is left out of the body, though it may be a latch.
+		in := inBody[i*nb : i*nb+dt.nFunc]
+		n = 0
+		for _, x := range in {
+			if x {
+				n++
+			}
+		}
+		l.Body, blk = blk[:0:n], blk[n:]
+		for bi, x := range in {
+			if x {
+				l.Body = append(l.Body, dt.blocks[bi])
+			}
+		}
+		loops[i] = l
 	}
 	// Nesting: loop A is nested in B if B != A and B contains A's header.
 	for i, l := range loops {

@@ -48,6 +48,9 @@ func Parse(src string) (m *Module, err error) {
 		case line == "" || strings.HasPrefix(line, ";"):
 		case strings.HasPrefix(line, "@"):
 		case strings.HasPrefix(line, "define "):
+			if cur != nil {
+				return nil, fmt.Errorf("line %d: function @%s: missing closing brace", ln+1, cur.f.Name)
+			}
 			name, err := definedName(line)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", ln+1, err)
@@ -74,6 +77,11 @@ func Parse(src string) (m *Module, err error) {
 				return nil, fmt.Errorf("line %d: %w", ln+1, err)
 			}
 		}
+	}
+	if cur != nil {
+		// Operands are resolved at the closing brace; without it they
+		// would silently stay empty.
+		return nil, fmt.Errorf("function @%s: missing closing brace", cur.f.Name)
 	}
 	return p.m, nil
 }
@@ -298,6 +306,10 @@ func (fp *funcParse) parseInstr(line string) error {
 	if err != nil {
 		return fmt.Errorf("%q: %w", line, err)
 	}
+	if def != "" && !printsResult(in) {
+		// The printer would drop the name, leaving its uses dangling.
+		return fmt.Errorf("%q: %s defines no value", line, in.Op)
+	}
 	if def != "" {
 		// Numeric defs stay unnamed (they regenerate on print).
 		if _, err := strconv.Atoi(def); err != nil {
@@ -308,6 +320,18 @@ func (fp *funcParse) parseInstr(line string) error {
 	fp.cur.Append(in)
 	fp.pend = append(fp.pend, pendingOp{in, refs, tys})
 	return nil
+}
+
+// printsResult reports whether the printed form of in starts with
+// "%name = ": every instruction but the void ones.
+func printsResult(in *Instr) bool {
+	switch in.Op {
+	case OpStore, OpMemset, OpPrint, OpRet, OpBr, OpSwitch, OpUnreachable:
+		return false
+	case OpCall:
+		return !in.Ty.IsVoid()
+	}
+	return true
 }
 
 // parseBody decodes the opcode-specific syntax, returning unresolved

@@ -40,6 +40,12 @@ var (
 	I64  = &Type{Kind: IntKind, Bits: 64}
 )
 
+// intNames and intPtrNames spell the interned integer types and pointers to
+// them, so String does not format them: value numbering keys every
+// instruction by its type's name.
+var intNames, intPtrNames = [65]string{1: "i1", 8: "i8", 16: "i16", 32: "i32", 64: "i64"},
+	[65]string{1: "i1*", 8: "i8*", 16: "i16*", 32: "i32*", 64: "i64*"}
+
 // IntType returns the interned integer type of the given width.
 func IntType(bits int) *Type {
 	switch bits {
@@ -105,8 +111,14 @@ func (t *Type) String() string {
 	case VoidKind:
 		return "void"
 	case IntKind:
+		if t.Bits >= 0 && t.Bits < len(intNames) && intNames[t.Bits] != "" {
+			return intNames[t.Bits]
+		}
 		return fmt.Sprintf("i%d", t.Bits)
 	case PtrKind:
+		if e := t.Elem; e.IsInt() && e.Bits >= 0 && e.Bits < len(intPtrNames) && intPtrNames[e.Bits] != "" {
+			return intPtrNames[e.Bits]
+		}
 		return t.Elem.String() + "*"
 	case ArrayKind:
 		return fmt.Sprintf("[%d x %s]", t.Len, t.Elem.String())

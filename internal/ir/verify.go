@@ -52,7 +52,7 @@ func (f *Func) Verify() error {
 	// The entry block has no predecessors, so it can never legally hold a
 	// phi (even a zero-incoming one, which the phi/pred matching below
 	// would otherwise accept).
-	if len(f.Entry().Phis()) > 0 {
+	if f.Entry().NumPhis() > 0 {
 		return fmt.Errorf("block %s: phi in entry block", blockLabel(f.Entry()))
 	}
 	inFunc := make(map[*Block]bool, len(f.Blocks))

@@ -83,7 +83,7 @@ func simplifyCFGOnce(f *ir.Func) bool {
 		if s == b || s == f.Entry() {
 			continue
 		}
-		if len(s.Preds()) != 1 || s.NumPredEdges() != 1 {
+		if s.NumPredEdges() != 1 { // one edge, so one predecessor
 			continue
 		}
 		// Resolve s's phis: single pred means each phi is its sole incoming.
@@ -96,10 +96,10 @@ func simplifyCFGOnce(f *ir.Func) bool {
 			s.Remove(phi)
 		}
 		b.Remove(t)
-		for _, in := range append([]*ir.Instr(nil), s.Instrs...) {
-			s.Remove(in)
+		for _, in := range s.Instrs {
 			b.Append(in)
 		}
+		s.Instrs = nil
 		// Successors of s now see b as predecessor.
 		for _, ss := range b.Succs() {
 			for _, phi := range ss.Phis() {
@@ -134,7 +134,7 @@ func simplifyCFGOnce(f *ir.Func) bool {
 			// Don't create duplicate phi-pred entries: if p already reaches
 			// dest, the phis in dest would need to merge two edges from p
 			// with possibly different values.
-			if _, dup := phiHasIncoming(dest, p); dup && len(dest.Phis()) > 0 {
+			if _, dup := phiHasIncoming(dest, p); dup && dest.NumPhis() > 0 {
 				ok = false
 				break
 			}
@@ -190,11 +190,11 @@ func jumpThreading(f *ir.Func) bool {
 			}
 			// Threading is only sound when the block does no other work the
 			// predecessor would skip.
-			if len(b.Instrs) != len(b.Phis())+1 {
+			if len(b.Instrs) != b.NumPhis()+1 {
 				continue
 			}
 			// Other phis in b would need per-edge forwarding; keep simple.
-			if len(b.Phis()) != 1 {
+			if b.NumPhis() != 1 {
 				continue
 			}
 			for i, pb := range phi.Blocks {
@@ -210,7 +210,7 @@ func jumpThreading(f *ir.Func) bool {
 					continue
 				}
 				// Avoid duplicate-edge phi trouble in dest.
-				if _, dup := phiHasIncoming(dest, pb); dup && len(dest.Phis()) > 0 {
+				if _, dup := phiHasIncoming(dest, pb); dup && dest.NumPhis() > 0 {
 					continue
 				}
 				cVal := phi.Args[i]
@@ -243,7 +243,7 @@ func jumpThreading(f *ir.Func) bool {
 		// A phi with one incoming left folds to that value when the block
 		// really has a single predecessor.
 		for _, b := range f.Blocks {
-			if len(b.Preds()) != 1 {
+			if b.NumPreds() != 1 {
 				continue
 			}
 			for _, phi := range append([]*ir.Instr(nil), b.Phis()...) {
@@ -281,7 +281,7 @@ func lowerSwitch(f *ir.Func) bool {
 		seen := make(map[*ir.Block]bool)
 		ok := true
 		for _, tb := range t.Blocks {
-			if seen[tb] || len(tb.Phis()) > 0 {
+			if seen[tb] || tb.NumPhis() > 0 {
 				ok = false
 				break
 			}
@@ -323,16 +323,16 @@ func lowerSwitch(f *ir.Func) bool {
 // blocks where they are used, shortening live ranges before scheduling.
 func codegenPrepare(f *ir.Func) bool {
 	changed := false
+	var snap []*ir.Instr
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, in := range instrsOf(&snap, b) {
 			if in.Op != ir.OpGEP && in.Op != ir.OpICmp {
 				continue
 			}
-			uses := f.Uses(in)
-			if len(uses) != 1 {
+			u := soleUser(f, in)
+			if u == nil {
 				continue
 			}
-			u := uses[0]
 			ub := u.Parent()
 			if ub == b || u.Op == ir.OpPhi {
 				continue

@@ -230,9 +230,22 @@ func checkDom(t *testing.T, where string, f *ir.Func, dt *ir.DomTree, rd *refDom
 	if !sameBlocks(dt.RPO(), rd.order) {
 		t.Fatalf("%s @%s: RPO %v, reference %v", where, f.Name, blockNames(dt.RPO()), blockNames(rd.order))
 	}
+	kids := dt.Children()
 	for _, b := range f.Blocks {
 		if got, want := dt.IDom(b), rd.idomOf(b); got != want {
 			t.Fatalf("%s @%s: IDom(%s) = %v, reference %v", where, f.Name, b.Name, got, want)
+		}
+		if _, want := rd.rpo[b]; dt.Reachable(b) != want {
+			t.Fatalf("%s @%s: Reachable(%s) = %v, reference %v", where, f.Name, b.Name, !want, want)
+		}
+		var want []*ir.Block
+		for _, c := range f.Blocks {
+			if rd.idomOf(c) == b {
+				want = append(want, c)
+			}
+		}
+		if got := kids.Of(b); !sameBlocks(got, want) {
+			t.Fatalf("%s @%s: Children(%s) = %v, reference %v", where, f.Name, b.Name, blockNames(got), blockNames(want))
 		}
 		for _, a := range f.Blocks {
 			if got, want := dt.Dominates(a, b), rd.dominates(a, b); got != want {
@@ -362,6 +375,60 @@ latch2:
 		if l.Header.Name == "outer" && len(l.Latches) != 3 {
 			t.Fatalf("outer loop has %d latch edges, want 3 (one per back edge)", len(l.Latches))
 		}
+	}
+}
+
+// TestCFGAnalysesOutsideSuccessors covers malformed IR whose branches
+// reach blocks that are no longer in f.Blocks: the tree numbers them after
+// f's blocks and walks through them, they are nobody's predecessor, and a
+// back edge from one is a latch left out of the loop body.
+func TestCFGAnalysesOutsideSuccessors(t *testing.T) {
+	m, err := ir.Parse(`define i32 @main(i32 %x) {
+entry:
+  %c = icmp slt i32 %x, 10
+  br label %head
+head:
+  br i1 %c, label %gone1, label %exit
+gone1:
+  br i1 %c, label %gone2, label %head
+gone2:
+  br label %head
+exit:
+  ret i32 %x
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Funcs[0]
+	gone1, gone2 := f.Blocks[2], f.Blocks[3]
+	f.RemoveBlock(gone1)
+	f.RemoveBlock(gone2)
+	checkCFGAnalyses(t, "outside successors", m)
+
+	dt := ir.NewDomTree(f)
+	if got := blockNames(dt.RPO()); strings.Join(got, " ") != "entry head exit gone1 gone2" {
+		t.Fatalf("RPO %v", got)
+	}
+	if dt.IDom(gone1) != f.Blocks[1] {
+		t.Fatalf("IDom(gone1) = %v, want head", dt.IDom(gone1))
+	}
+	for _, b := range []*ir.Block{gone1, gone2} {
+		if !dt.Reachable(b) {
+			t.Fatalf("%s unreachable", b.Name)
+		}
+		if got, want := dt.Preds(b), b.Preds(); !sameBlocks(got, want) {
+			t.Fatalf("Preds(%s) = %v, Block.Preds %v", b.Name, blockNames(got), blockNames(want))
+		}
+	}
+	// gone2 has no predecessor in f, so nothing dominates it and its edge
+	// to head is no back edge.
+	loops := ir.FindLoops(f, dt)
+	if len(loops) != 1 {
+		t.Fatalf("%d loops, want 1", len(loops))
+	}
+	if l := loops[0]; !sameBlocks(l.Body, []*ir.Block{f.Blocks[1]}) || !sameBlocks(l.Latches, []*ir.Block{gone1}) {
+		t.Fatalf("loop body %v latches %v, want [head] [gone1]", blockNames(l.Body), blockNames(l.Latches))
 	}
 }
 

@@ -114,9 +114,10 @@ func lowerAtomic(*ir.Func) bool { return false }
 // indices and deletes globals that are never referenced.
 func globalOpt(m *ir.Module) bool {
 	changed := false
+	var snap []*ir.Instr
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+			for _, in := range instrsOf(&snap, b) {
 				if in.Op != ir.OpLoad {
 					continue
 				}

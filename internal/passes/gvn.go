@@ -40,23 +40,15 @@ func gvn(f *ir.Func) bool {
 // domCSE walks the dominator tree keeping a scoped table of available pure
 // expressions; an instruction equal to an available one is replaced by it.
 func domCSE(f *ir.Func) bool {
-	dt := ir.NewDomTree(f)
-	reach := f.ReachableBlocks()
-	children := make(map[*ir.Block][]*ir.Block)
-	for _, b := range f.Blocks {
-		if !reach[b] {
-			continue
-		}
-		if id := dt.IDom(b); id != nil {
-			children[id] = append(children[id], b)
-		}
-	}
+	children := ir.NewDomTree(f).Children()
 	avail := make(map[vnKey]*ir.Instr)
+	var scope []vnKey // keys made available by the blocks on the walk's path
 	changed := false
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		var added []vnKey
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		mark := len(scope)
+		for i := 0; i < len(b.Instrs); i++ {
+			in := b.Instrs[i]
 			if !numberable(in) {
 				continue
 			}
@@ -64,18 +56,20 @@ func domCSE(f *ir.Func) bool {
 			if leader, ok := avail[k]; ok {
 				f.ReplaceAllUses(in, leader)
 				b.Remove(in)
+				i--
 				changed = true
 				continue
 			}
 			avail[k] = in
-			added = append(added, k)
+			scope = append(scope, k)
 		}
-		for _, c := range children[b] {
+		for _, c := range children.Of(b) {
 			walk(c)
 		}
-		for _, k := range added {
+		for _, k := range scope[mark:] {
 			delete(avail, k)
 		}
+		scope = scope[:mark]
 	}
 	if e := f.Entry(); e != nil {
 		walk(e)
@@ -88,9 +82,11 @@ func domCSE(f *ir.Func) bool {
 // store, call or memset intervenes.
 func blockLoadForward(f *ir.Func) bool {
 	changed := false
+	avail := make(map[ir.Value]ir.Value) // pointer -> known content
+	var snap []*ir.Instr
 	for _, b := range f.Blocks {
-		avail := make(map[ir.Value]ir.Value) // pointer -> known content
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		clear(avail)
+		for _, in := range instrsOf(&snap, b) {
 			switch in.Op {
 			case ir.OpLoad:
 				p := in.Args[0]
@@ -104,19 +100,13 @@ func blockLoadForward(f *ir.Func) bool {
 			case ir.OpStore:
 				// A store invalidates every pointer (conservative aliasing)
 				// but makes its own pointer's content known.
-				for k := range avail {
-					delete(avail, k)
-				}
+				clear(avail)
 				avail[in.Args[1]] = in.Args[0]
 			case ir.OpMemset:
-				for k := range avail {
-					delete(avail, k)
-				}
+				clear(avail)
 			case ir.OpCall:
 				if in.Callee == nil || !in.Callee.Attrs.ReadNone && !in.Callee.Attrs.ReadOnly {
-					for k := range avail {
-						delete(avail, k)
-					}
+					clear(avail)
 				}
 			}
 		}

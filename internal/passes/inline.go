@@ -122,13 +122,10 @@ func inlineCall(f *ir.Func, call *ir.Instr) {
 				}
 				continue
 			}
-			ni := &ir.Instr{Op: in.Op, Ty: in.Ty, Name: in.Name, Pred: in.Pred,
-				Callee: in.Callee, AllocTy: in.AllocTy, BranchWeight: in.BranchWeight,
-				Cases: append([]int64(nil), in.Cases...)}
-			for _, tb := range in.Blocks {
-				ni.Blocks = append(ni.Blocks, bmap[tb])
+			ni := in.Copy()
+			for k, tb := range ni.Blocks {
+				ni.Blocks[k] = bmap[tb]
 			}
-			ni.Args = append([]ir.Value(nil), in.Args...)
 			imap[in] = ni
 			nb.Append(ni)
 		}

@@ -265,7 +265,7 @@ func rotateOne(f *ir.Func, l *ir.Loop) bool {
 		return false
 	}
 	// Structural guards keeping the rewiring exact.
-	if len(body.Phis()) > 0 || len(exit.Phis()) > 0 {
+	if body.NumPhis() > 0 || exit.NumPhis() > 0 {
 		return false
 	}
 	if len(l.Dom().Preds(exit)) != 1 || exit.NumPredEdges() != 1 {
@@ -407,11 +407,12 @@ func rotateOne(f *ir.Func, l *ir.Loop) bool {
 		}
 		return false
 	}
+	var snap []*ir.Instr
 	for _, b := range f.Blocks {
 		if inLoopAfter[b] || b == h || b == ph || b == np || b == latch {
 			continue
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, in := range instrsOf(&snap, b) {
 			if isMerge(in) {
 				continue // the merge phis themselves read loop values by design
 			}
@@ -434,7 +435,8 @@ func rotateOne(f *ir.Func, l *ir.Loop) bool {
 		if !inLoopAfter[b] {
 			continue
 		}
-		for _, in := range b.Instrs {
+		for i := 0; i < len(b.Instrs); i++ {
+			in := b.Instrs[i]
 			for ai, a := range in.Args {
 				def, ok := a.(*ir.Instr)
 				if !ok || !oldDefs[def] {
@@ -444,6 +446,9 @@ func rotateOne(f *ir.Func, l *ir.Loop) bool {
 				mp.SetPhiIncoming(np, subP[def])
 				mp.SetPhiIncoming(latch, subL[def])
 				body.Prepend(mp)
+				if b == body {
+					i++ // Prepend shifted in, and everything after it, up one
+				}
 				in.Args[ai] = mp
 			}
 		}

@@ -19,7 +19,7 @@ type ivInfo struct {
 // (l.Header) given the canonical preheader and latch.
 func analyzeIVs(l *ir.Loop, ph, latch *ir.Block) []ivInfo {
 	var ivs []ivInfo
-	for _, phi := range l.Header.Phis() {
+	for _, phi := range l.Header.Instrs[:l.Header.NumPhis()] {
 		info := ivInfo{phi: phi}
 		vp, okP := phi.PhiIncoming(ph)
 		vl, okL := phi.PhiIncoming(latch)
@@ -159,6 +159,7 @@ func licm(f *ir.Func) bool {
 	// Loop passes require canonical loops; LLVM's pass manager schedules
 	// -loop-simplify implicitly, and so do we.
 	loops, changed := simplifiedLoops(f)
+	var snap []*ir.Instr
 	for _, l := range loops {
 		ph := l.Preheader()
 		if ph == nil {
@@ -168,7 +169,7 @@ func licm(f *ir.Func) bool {
 		for again := true; again; {
 			again = false
 			for _, b := range l.Body {
-				for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+				for _, in := range instrsOf(&snap, b) {
 					if !hoistable(in, l, lw) {
 						continue
 					}
@@ -690,7 +691,7 @@ func unswitchOne(f *ir.Func, l *ir.Loop) bool {
 		}
 	}
 	for _, e := range l.Exits() {
-		if len(e.Phis()) > 0 {
+		if e.NumPhis() > 0 {
 			return false
 		}
 	}
@@ -705,18 +706,13 @@ func unswitchOne(f *ir.Func, l *ir.Loop) bool {
 	for _, b := range l.Body {
 		nb := bmap[b]
 		for _, in := range b.Instrs {
-			ni := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-				AllocTy: in.AllocTy, BranchWeight: in.BranchWeight,
-				Cases: append([]int64(nil), in.Cases...)}
-			for _, tb := range in.Blocks {
+			ni := in.Copy()
+			ni.Name = ""
+			for k, tb := range ni.Blocks {
 				if ntb, ok := bmap[tb]; ok {
-					ni.Blocks = append(ni.Blocks, ntb)
-				} else {
-					ni.Blocks = append(ni.Blocks, tb)
+					ni.Blocks[k] = ntb
 				}
 			}
-			ni.Args = make([]ir.Value, len(in.Args))
-			copy(ni.Args, in.Args)
 			imap[in] = ni
 			nb.Append(ni)
 		}

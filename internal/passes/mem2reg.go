@@ -29,7 +29,6 @@ func mem2reg(f *ir.Func) bool {
 
 	dt := ir.NewDomTree(f)
 	df := dt.Frontier()
-	reach := f.ReachableBlocks()
 
 	type phiInfo struct {
 		phi    *ir.Instr
@@ -51,19 +50,20 @@ func mem2reg(f *ir.Func) bool {
 			}
 		}
 	}
+	placed := make(map[*ir.Block]bool)
 	for i, al := range allocas {
 		// Iterated dominance frontier.
-		placed := make(map[*ir.Block]bool)
+		clear(placed)
 		work := defBlocks[i]
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, fb := range df[b] {
-				if placed[fb] || !reach[fb] {
+				if placed[fb] || !dt.Reachable(fb) {
 					continue
 				}
 				placed[fb] = true
-				phi := &ir.Instr{Op: ir.OpPhi, Ty: al.Ty.Elem}
+				phi := ir.NewPhi(al.Ty.Elem, len(dt.Preds(fb)))
 				fb.Prepend(phi)
 				phis = append(phis, phiInfo{phi, al})
 				work = append(work, fb)
@@ -77,16 +77,7 @@ func mem2reg(f *ir.Func) bool {
 		phiAlloca[pi.phi] = slot[pi.alloca]
 	}
 
-	// Children lists for the dominator tree walk.
-	children := make(map[*ir.Block][]*ir.Block)
-	for _, b := range f.Blocks {
-		if !reach[b] {
-			continue
-		}
-		if id := dt.IDom(b); id != nil {
-			children[id] = append(children[id], b)
-		}
-	}
+	children := dt.Children()
 
 	// cur holds each alloca's current value; every assignment is logged so
 	// leaving a dominator subtree undoes it. Promoted loads are not
@@ -122,15 +113,15 @@ func mem2reg(f *ir.Func) bool {
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
 		mark := len(log)
-		// Phis at block head define new current values.
-		for _, in := range b.Phis() {
-			if i, ok := phiAlloca[in]; ok {
-				set(i, in)
-			}
-		}
-		// Rewrite loads, record stores.
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		// Phis at block head define new current values; promoted loads
+		// and stores after them are recorded and removed.
+		for k := 0; k < len(b.Instrs); k++ {
+			in := b.Instrs[k]
 			switch in.Op {
+			case ir.OpPhi:
+				if i, ok := phiAlloca[in]; ok {
+					set(i, in)
+				}
 			case ir.OpLoad:
 				if i, ok := promoted(in.Args[0]); ok {
 					v := cur[i]
@@ -139,17 +130,22 @@ func mem2reg(f *ir.Func) bool {
 					}
 					repl[in] = v
 					b.Remove(in)
+					k--
 				}
 			case ir.OpStore:
 				if i, ok := promoted(in.Args[1]); ok {
 					set(i, resolve(in.Args[0]))
 					b.Remove(in)
+					k--
 				}
 			}
 		}
 		// Fill successor phi incomings.
 		for _, s := range b.Succs() {
-			for _, phi := range s.Phis() {
+			for _, phi := range s.Instrs {
+				if phi.Op != ir.OpPhi {
+					break
+				}
 				if i, ok := phiAlloca[phi]; ok {
 					v := cur[i]
 					if v == nil {
@@ -159,7 +155,7 @@ func mem2reg(f *ir.Func) bool {
 				}
 			}
 		}
-		for _, c := range children[b] {
+		for _, c := range children.Of(b) {
 			walk(c)
 		}
 		for len(log) > mark {

@@ -7,10 +7,12 @@ import "autophase/internal/ir"
 // to a non-escaping alloca that is never loaded dies with the alloca.
 func dse(f *ir.Func) bool {
 	changed := false
+	var snap []*ir.Instr
 	// Same-block overwritten stores.
+	pending := make(map[ir.Value]*ir.Instr) // ptr -> earlier store
 	for _, b := range f.Blocks {
-		var pending = make(map[ir.Value]*ir.Instr) // ptr -> earlier store
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		clear(pending)
+		for _, in := range instrsOf(&snap, b) {
 			switch in.Op {
 			case ir.OpStore:
 				if prev, ok := pending[in.Args[1]]; ok {
@@ -20,13 +22,13 @@ func dse(f *ir.Func) bool {
 				pending[in.Args[1]] = in
 			case ir.OpLoad, ir.OpCall, ir.OpMemset, ir.OpPrint:
 				// Any read or unknown effect may observe pending stores.
-				pending = make(map[ir.Value]*ir.Instr)
+				clear(pending)
 			}
 		}
 	}
 	// Write-only allocas: stores into them are unobservable.
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, in := range instrsOf(&snap, b) {
 			if in.Op != ir.OpAlloca {
 				continue
 			}
@@ -96,20 +98,16 @@ func writeOnlyAlloca(f *ir.Func, al *ir.Instr) bool {
 // from the same pointer with no intervening write.
 func memcpyOpt(f *ir.Func) bool {
 	changed := false
+	var snap []*ir.Instr
 	for _, b := range f.Blocks {
-		lastWrite := make(map[ir.Value]int)
-		for idx, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			switch in.Op {
-			case ir.OpStore:
-				if ld, ok := in.Args[0].(*ir.Instr); ok && ld.Op == ir.OpLoad &&
-					ld.Parent() == b && ld.Args[0] == in.Args[1] {
-					if noWriteBetween(b, ld, in) {
-						b.Remove(in)
-						changed = true
-						continue
-					}
-				}
-				lastWrite[in.Args[1]] = idx
+		for _, in := range instrsOf(&snap, b) {
+			if in.Op != ir.OpStore {
+				continue
+			}
+			if ld, ok := in.Args[0].(*ir.Instr); ok && ld.Op == ir.OpLoad &&
+				ld.Parent() == b && ld.Args[0] == in.Args[1] && noWriteBetween(b, ld, in) {
+				b.Remove(in)
+				changed = true
 			}
 		}
 	}
@@ -211,8 +209,9 @@ func sink(f *ir.Func) bool {
 // element, which mem2reg can then promote.
 func scalarRepl(f *ir.Func) bool {
 	changed := false
+	var snap []*ir.Instr
 	for _, b := range append([]*ir.Block(nil), f.Blocks...) {
-		for _, al := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, al := range instrsOf(&snap, b) {
 			if al.Op != ir.OpAlloca || al.AllocTy.Kind != ir.ArrayKind {
 				continue
 			}

@@ -6,10 +6,11 @@ import "autophase/internal/ir"
 // folding, cast collapsing and canonicalization, iterated to a fixed point.
 func instCombine(f *ir.Func) bool {
 	changed := false
+	var snap []*ir.Instr
 	for {
 		once := foldConstants(f)
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+			for _, in := range instrsOf(&snap, b) {
 				switch v, st := combineOne(f, in); st {
 				case combineReplaced:
 					f.ReplaceAllUses(in, v)
@@ -231,8 +232,9 @@ func phiReplacementSafe(f *ir.Func, phi *ir.Instr, v ir.Value) bool {
 func reassociate(f *ir.Func) bool {
 	changed := false
 	uses := buildUseCounts(f)
+	var snap []*ir.Instr
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, in := range instrsOf(&snap, b) {
 			if !in.Op.IsAssociative() || !in.Op.IsBinary() {
 				continue
 			}
@@ -293,8 +295,8 @@ func isChainInterior(in *ir.Instr, uses map[*ir.Instr]int32) bool {
 	if uses[in] != 1 {
 		return false
 	}
-	u := in.Parent().Parent().Uses(in)
-	return len(u) == 1 && u[0].Op == in.Op && u[0].Parent() == in.Parent()
+	u := soleUser(in.Parent().Parent(), in)
+	return u != nil && u.Op == in.Op && u.Parent() == in.Parent()
 }
 
 // flattenChain collects the leaves of the same-op single-use tree rooted at

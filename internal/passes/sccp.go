@@ -57,9 +57,7 @@ func sccp(f *ir.Func) bool {
 			blockWL = append(blockWL, to)
 		} else {
 			// New edge into an executed block: phis must re-evaluate.
-			for _, phi := range to.Phis() {
-				instrWL = append(instrWL, phi)
-			}
+			instrWL = append(instrWL, to.Instrs[:to.NumPhis()]...)
 		}
 	}
 
@@ -102,7 +100,12 @@ func sccp(f *ir.Func) bool {
 			}
 			raise(in, res)
 		case in.Op.IsBinary(), in.Op == ir.OpICmp, in.Op.IsCast(), in.Op == ir.OpSelect:
-			args := make([]latVal, len(in.Args))
+			var buf [3]latVal // the folded ops take at most three operands
+			args := buf[:0]
+			if len(in.Args) > len(buf) {
+				args = make([]latVal, 0, len(in.Args))
+			}
+			args = args[:len(in.Args)]
 			anyOver, anyUndef := false, false
 			for i, a := range in.Args {
 				args[i] = valOf(a)
@@ -124,12 +127,19 @@ func sccp(f *ir.Func) bool {
 				}
 				raise(in, latVal{latOver, 0})
 			default:
-				tmp := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred}
-				for i := range in.Args {
-					tmp.Args = append(tmp.Args, ir.ConstInt(in.Args[i].Type(), args[i].c))
+				// Fold as FoldInstr would over constants of the operands'
+				// types, without building them.
+				var cbuf [3]int64
+				cv := cbuf[:0]
+				if len(args) > len(cbuf) {
+					cv = make([]int64, 0, len(args))
 				}
-				if c, ok := ir.FoldInstr(tmp); ok {
-					raise(in, latVal{latConst, c.Val})
+				cv = cv[:len(args)]
+				for i, a := range in.Args {
+					cv[i] = a.Type().TruncVal(args[i].c)
+				}
+				if c, ok := ir.FoldValues(in, cv); ok {
+					raise(in, latVal{latConst, c})
 				} else {
 					raise(in, latVal{latOver, 0})
 				}
@@ -198,13 +208,15 @@ func sccp(f *ir.Func) bool {
 		if !execBlock[b] {
 			continue
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for i := 0; i < len(b.Instrs); i++ {
+			in := b.Instrs[i]
 			lv := lat[in]
 			if lv.state != latConst || in.Ty.IsVoid() || in.HasSideEffects() {
 				continue
 			}
 			f.ReplaceAllUses(in, ir.ConstInt(in.Ty, lv.c))
 			b.Remove(in)
+			i--
 			changed = true
 		}
 	}

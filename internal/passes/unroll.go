@@ -106,18 +106,12 @@ func unrollOne(f *ir.Func, l *ir.Loop) bool {
 				if in.Op == ir.OpPhi && b == h {
 					continue // header phis become direct values
 				}
-				ni := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-					AllocTy: in.AllocTy, BranchWeight: in.BranchWeight,
-					Cases: append([]int64(nil), in.Cases...)}
-				for _, tb := range in.Blocks {
+				ni := in.Copy() // operands are remapped below
+				ni.Name = ""
+				for k, tb := range ni.Blocks {
 					if ntb, ok := bmap[tb]; ok {
-						ni.Blocks = append(ni.Blocks, ntb)
-					} else {
-						ni.Blocks = append(ni.Blocks, tb)
+						ni.Blocks[k] = ntb
 					}
-				}
-				for _, a := range in.Args {
-					ni.Args = append(ni.Args, a) // remapped below
 				}
 				iterMap[in] = ni
 				nb.Append(ni)

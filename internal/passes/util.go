@@ -20,6 +20,35 @@ func buildUseCounts(f *ir.Func) map[*ir.Instr]int32 {
 	return uses
 }
 
+// instrsOf copies b's instructions into *buf, reusing its storage, and
+// returns the copy: a loop that changes b while it ranges over the copy
+// allocates once per pass instead of once per block.
+func instrsOf(buf *[]*ir.Instr, b *ir.Block) []*ir.Instr {
+	*buf = append((*buf)[:0], b.Instrs...)
+	return *buf
+}
+
+// soleUser returns the one instruction of f that uses v, or nil when no
+// instruction or several do: what a one-element f.Uses(v) holds, without
+// building the list.
+func soleUser(f *ir.Func, v ir.Value) *ir.Instr {
+	var user *ir.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if a == v {
+					if user != nil {
+						return nil
+					}
+					user = in
+					break
+				}
+			}
+		}
+	}
+	return user
+}
+
 // removeTriviallyDead iteratively deletes instructions whose results are
 // unused and that have no side effects. Returns whether anything was
 // removed. This is the cheap DCE sweep many passes run as a clean-up. The
@@ -110,28 +139,14 @@ func removeUnreachableBlocks(f *ir.Func) bool {
 // loopsOf computes the natural loops of f with a fresh dominator tree,
 // innermost-first ordering for transformation safety.
 func loopsOf(f *ir.Func) []*ir.Loop {
-	dt := ir.NewDomTree(f)
-	loops := ir.FindLoops(f, dt)
-	// Innermost first: sort by descending depth (stable insertion).
-	out := make([]*ir.Loop, 0, len(loops))
-	for d := maxDepth(loops); d >= 1; d-- {
-		for _, l := range loops {
-			if l.Depth == d {
-				out = append(out, l)
-			}
+	loops := ir.FindLoops(f, ir.NewDomTree(f))
+	// Innermost first: a stable insertion sort by descending depth.
+	for i := 1; i < len(loops); i++ {
+		for j := i; j > 0 && loops[j-1].Depth < loops[j].Depth; j-- {
+			loops[j-1], loops[j] = loops[j], loops[j-1]
 		}
 	}
-	return out
-}
-
-func maxDepth(loops []*ir.Loop) int {
-	m := 0
-	for _, l := range loops {
-		if l.Depth > m {
-			m = l.Depth
-		}
-	}
-	return m
+	return loops
 }
 
 // isLoopInvariant reports whether v is computed outside loop l (constants,
@@ -146,32 +161,38 @@ func isLoopInvariant(v ir.Value, l *ir.Loop) bool {
 
 // vnKey is a structural hash key for pure instructions, used by the
 // CSE/GVN family. Constant operands are canonicalized by (width, value) so
-// two equal constants number identically; other values use identity.
+// two equal constants number identically; other values use identity. The
+// key is at most 128 bytes: a Go map stores a larger key in an allocation
+// of its own.
 type vnKey struct {
 	op     ir.Op
 	pred   ir.CmpPred
+	nargs  uint8
 	ty     string
-	a0, a1 any
-	a2     any
+	args   [3]vnOperand
 	callee *ir.Func
 }
 
-// constKey is the canonical form of a constant operand.
-type constKey struct {
+// vnOperand is an operand's value-numbering form: the operand itself, or
+// for a constant (v nil) its width and value. It is a plain struct, not an
+// interface holding the constant's key, so building a vnKey allocates
+// nothing.
+type vnOperand struct {
+	v    ir.Value
 	bits int
 	val  int64
 }
 
 // canonVal maps an operand to its value-numbering representation.
-func canonVal(v ir.Value) any {
+func canonVal(v ir.Value) vnOperand {
 	if c, ok := v.(*ir.Const); ok {
 		bits := 64
 		if c.Ty.IsInt() {
 			bits = c.Ty.Bits
 		}
-		return constKey{bits, c.Val}
+		return vnOperand{bits: bits, val: c.Val}
 	}
-	return v
+	return vnOperand{v: v}
 }
 
 func numberable(in *ir.Instr) bool {
@@ -186,20 +207,18 @@ func numberable(in *ir.Instr) bool {
 }
 
 func keyOf(in *ir.Instr) vnKey {
-	k := vnKey{op: in.Op, pred: in.Pred, ty: in.Ty.String(), callee: in.Callee}
 	args := in.Args
+	if len(args) > 3 {
+		args = args[:3]
+	}
+	k := vnKey{op: in.Op, pred: in.Pred, nargs: uint8(len(args)), ty: in.Ty.String(), callee: in.Callee}
 	// Canonicalize commutative operand order before keying.
 	if in.Op.IsCommutative() && len(args) == 2 && lessValue(args[1], args[0]) {
-		args = []ir.Value{args[1], args[0]}
+		k.args[0], k.args[1] = canonVal(args[1]), canonVal(args[0])
+		return k
 	}
-	if len(args) > 0 {
-		k.a0 = canonVal(args[0])
-	}
-	if len(args) > 1 {
-		k.a1 = canonVal(args[1])
-	}
-	if len(args) > 2 {
-		k.a2 = canonVal(args[2])
+	for i, a := range args {
+		k.args[i] = canonVal(a)
 	}
 	return k
 }
@@ -215,7 +234,7 @@ func lessValue(a, b ir.Value) bool {
 	if aok != bok {
 		return aok // constants first
 	}
-	return a.Ref() < b.Ref()
+	return ir.RefLess(a, b)
 }
 
 // promotableAllocas returns, in order, the entry-block allocas of f whose

@@ -162,10 +162,9 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	if len(f.Blocks) == 0 {
 		return fail(declinef("%s: empty function", f.Name))
 	}
-	if len(f.Entry().Phis()) > 0 {
+	if f.Entry().NumPhis() > 0 {
 		return fail(declinef("%s: phi in entry block", f.Name))
 	}
-	reach := f.ReachableBlocks()
 	dt := ir.NewDomTree(f)
 
 	// Pass 1: shape checks and register assignment. Every value-producing
@@ -184,7 +183,7 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	next := int32(nparams)
 	maxPhis := 0
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !dt.Reachable(b) {
 			continue
 		}
 		term := -1
@@ -204,8 +203,9 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 			// executed. Decline rather than trust either.
 			return fail(declinef("%s/%s: instructions after terminator", f.Name, b.Name))
 		}
-		phis := b.Phis()
-		for _, in := range b.Instrs[len(phis):term] {
+		np := b.NumPhis()
+		phis := b.Instrs[:np:np]
+		for _, in := range b.Instrs[np:term] {
 			if in.Op == ir.OpPhi {
 				return fail(declinef("%s/%s: phi after non-phi", f.Name, b.Name))
 			}
