@@ -64,11 +64,12 @@ func TestESWorkerDeterminism(t *testing.T) {
 }
 
 func TestGeneticWorkerDeterminism(t *testing.T) {
+	search1 := func(ev *core.Evaluator) (search.Result, int) {
+		r := search.Genetic(ev.Objective(8), rand.New(rand.NewSource(9)), search.DefaultGA(), 120)
+		return r, ev.Program().Samples()
+	}
 	run := func(workers int) (search.Result, int) {
-		p := detProgram(t, "matmul")
-		obj := core.NewEvaluator(p, workers).Objective(8)
-		r := search.Genetic(obj, rand.New(rand.NewSource(9)), search.DefaultGA(), 120)
-		return r, p.Samples()
+		return search1(core.NewEvaluator(detProgram(t, "matmul"), workers))
 	}
 	r1, n1 := run(1)
 	r8, n8 := run(8)
@@ -77,6 +78,27 @@ func TestGeneticWorkerDeterminism(t *testing.T) {
 	}
 	if n1 != n8 {
 		t.Fatalf("genetic sample counts diverged: workers=1 %d vs workers=8 %d", n1, n8)
+	}
+
+	// Two searches on one shared budget, as the service runs its jobs:
+	// each must match its own one-worker run.
+	budget := core.NewBudget(3)
+	rq1, nq1 := search1(core.NewEvaluator(detProgram(t, "qsort"), 1))
+	var rs, rq search.Result
+	var ns, nq int
+	qsort := budget.Evaluator(detProgram(t, "qsort"))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rq, nq = search1(qsort)
+	}()
+	rs, ns = search1(budget.Evaluator(detProgram(t, "matmul")))
+	<-done
+	if rs.Cycles != r1.Cycles || !reflect.DeepEqual(rs.Seq, r1.Seq) || ns != n1 {
+		t.Fatalf("genetic on a shared budget diverged: %+v (%d samples) vs workers=1 %+v (%d samples)", rs, ns, r1, n1)
+	}
+	if rq.Cycles != rq1.Cycles || !reflect.DeepEqual(rq.Seq, rq1.Seq) || nq != nq1 {
+		t.Fatalf("concurrent genetic on a shared budget diverged: %+v (%d samples) vs workers=1 %+v (%d samples)", rq, nq, rq1, nq1)
 	}
 }
 

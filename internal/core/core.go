@@ -496,7 +496,7 @@ func (p *Program) compile(seq []int) compileResult {
 // singleflight owner's work: the staged boundaries inside compileMiss
 // attribute pass, feature and profile panics precisely, and this catch-all
 // converts anything that still escapes (cache bookkeeping, stats) into a
-// panic-class fault instead of unwinding into the worker pool with the
+// panic-class fault instead of unwinding into the evaluator's batch with the
 // inflight entry still registered — which would deadlock every waiter.
 func (p *Program) compileGuarded(seq []int, key string) (res compileResult, cacheable bool) {
 	defer func() {

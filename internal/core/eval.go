@@ -11,33 +11,29 @@ import (
 	"autophase/internal/search"
 )
 
-// Evaluator is the concurrent batch-evaluation engine: a fixed-size worker
-// pool scoring candidate pass sequences against one Program through its
-// sharded compile cache. Results come back in submission order, so callers
-// that generate candidates deterministically get bit-identical outcomes at
-// Workers=1 and Workers=N; the only nondeterminism under concurrency is
-// *which* duplicate compile wins the singleflight race, and that is
-// invisible in the results.
+// Evaluator is the concurrent batch-evaluation engine: it scores candidate
+// pass sequences against one Program through its sharded compile cache,
+// on the calling goroutine plus the helpers its compile Budget allows.
+// Results come back in submission order, so callers that generate
+// candidates deterministically get bit-identical outcomes at any width;
+// the only nondeterminism under concurrency is *which* duplicate compile
+// wins the singleflight race, and that is invisible in the results.
 type Evaluator struct {
 	p       *Program
-	workers int
+	budget  *Budget
 	batches atomic.Int64
 	wallNS  atomic.Int64
 }
 
-// NewEvaluator wraps p with a worker pool of the given width (minimum 1).
-func NewEvaluator(p *Program, workers int) *Evaluator {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Evaluator{p: p, workers: workers}
-}
+// NewEvaluator wraps p with a private budget of the given width (minimum
+// 1). A width of 1 evaluates every batch inline on the caller.
+func NewEvaluator(p *Program, workers int) *Evaluator { return NewBudget(workers).Evaluator(p) }
 
 // Program returns the underlying program.
 func (e *Evaluator) Program() *Program { return e.p }
 
-// Workers returns the pool width.
-func (e *Evaluator) Workers() int { return e.workers }
+// Workers returns the width of the evaluator's budget.
+func (e *Evaluator) Workers() int { return int(e.budget.slots) }
 
 // EvalResult is one scored sequence. A compile that faulted reports
 // Ok=false with the contained fault attached.
@@ -51,12 +47,11 @@ type EvalResult struct {
 }
 
 // EvalBatch scores every sequence and returns results in submission order.
-// Work is spread over min(Workers, len(seqs)) goroutines pulling from a
-// shared index, so a slow compile never stalls the rest of the batch.
-// Compiles are contained (a faulting sequence yields Ok=false, not a dead
-// process); should a panic still escape the containment boundaries, the
-// worker is replaced rather than leaked and the batch completes, with the
-// interrupted index reported as Ok=false.
+// The caller and its budget's helpers pull sequences from a shared index,
+// so a slow compile never stalls the rest of the batch. Compiles are
+// contained (a faulting sequence yields Ok=false, not a dead process);
+// should a panic still escape the containment boundaries, the batch
+// completes with the interrupted index reported as Ok=false.
 func (e *Evaluator) EvalBatch(seqs [][]int) []EvalResult {
 	//contractvet:allow nondeterminism -- BatchWall is observability only; results and accounting are wall-clock independent
 	start := time.Now()
@@ -64,11 +59,11 @@ func (e *Evaluator) EvalBatch(seqs [][]int) []EvalResult {
 	for i := range out {
 		out[i].Seq = seqs[i]
 	}
-	runIndexed(len(seqs), e.workers, func(i int) {
+	e.budget.run(len(seqs), func(i int) {
 		r := e.p.compile(seqs[i])
 		out[i] = EvalResult{Seq: seqs[i], Cycles: r.cycles, Area: r.area,
 			Feats: r.feats, Ok: r.ok, Fault: r.fault}
-	}, func(int, any) {})
+	})
 	e.batches.Add(1)
 	//contractvet:allow nondeterminism -- observability only, as above
 	e.wallNS.Add(time.Since(start).Nanoseconds())
@@ -83,7 +78,7 @@ func (e *Evaluator) Objective(n int) *search.Objective {
 	return &search.Objective{
 		K:     passes.NumActions,
 		N:     n,
-		Batch: e.workers,
+		Batch: e.Workers(),
 		EvalBatch: func(seqs [][]int) []search.EvalOutcome {
 			rs := e.EvalBatch(seqs)
 			outs := make([]search.EvalOutcome, len(rs))
@@ -254,68 +249,137 @@ func (p *Program) snapshot(batches, wallNS int64) EvalStats {
 	return s
 }
 
-// runIndexed runs fn(i) for every i in [0,n) across min(workers, n)
-// goroutines pulling indices from a shared counter. fn must only write
-// state owned by its own index. workers<=1 degenerates to a plain
-// sequential loop with no goroutines at all.
-//
-// onPanic, when non-nil, turns escaped panics into worker restarts: the
-// dying worker reports (index, recovered value) and a replacement goroutine
-// is spawned so pool width — and the WaitGroup ledger — never shrinks. The
-// panicked index is skipped (fn observed it once); with onPanic nil a panic
-// propagates as before. In the sequential degenerate case onPanic is
-// honored too, so Workers=1 and Workers=N agree on containment semantics.
-func runIndexed(n, workers int, fn func(i int), onPanic func(i int, v any)) {
-	if workers > n {
-		workers = n
+// Budget bounds the compiles that the Evaluators sharing it run at once.
+// The goroutine that calls EvalBatch (the runner) always compiles, and it
+// counts against the budget even past the bound, so a runner never waits
+// for a slot. While its batch has unclaimed sequences and a slot is free,
+// the runner starts helpers. Before taking each further sequence a helper
+// gives its slot back and exits if runners have pushed the count over the
+// bound, so a runner that arrives later gets its core back at the helpers'
+// next compile boundary; until then the helpers finish the compiles they
+// are in, which is the only time the count exceeds max(slots, runners).
+type Budget struct {
+	slots int64
+	busy  atomic.Int64 // runners inside a batch plus live helpers
+}
+
+// NewBudget returns a budget of n compile slots (minimum 1). Any number of
+// Evaluators, over any Programs, may share it.
+func NewBudget(n int) *Budget {
+	if n < 1 {
+		n = 1
 	}
-	if workers <= 1 {
+	return &Budget{slots: int64(n)}
+}
+
+// Evaluator returns an Evaluator for p whose batches draw helpers from b.
+func (b *Budget) Evaluator(p *Program) *Evaluator { return &Evaluator{p: p, budget: b} }
+
+// acquire takes a free slot for a new helper, or reports that none is free.
+func (b *Budget) acquire() bool {
+	for {
+		c := b.busy.Load()
+		if c >= b.slots {
+			return false
+		}
+		if b.busy.CompareAndSwap(c, c+1) {
+			return true
+		}
+	}
+}
+
+// yield gives a helper's slot back when runners have pushed the count over
+// the bound, and reports whether it did.
+func (b *Budget) yield() bool {
+	for {
+		c := b.busy.Load()
+		if c <= b.slots {
+			return false
+		}
+		if b.busy.CompareAndSwap(c, c-1) {
+			return true
+		}
+	}
+}
+
+// run calls fn(i) for every i in [0,n) on the calling goroutine plus the
+// helpers the budget allows. fn must only write state owned by its own
+// index. A one-slot budget runs the batch inline, with no goroutine. A
+// panic in fn(i) is contained: index i is left as fn left it, and the rest
+// of the batch still runs, at any width.
+func (b *Budget) run(n int, fn func(i int)) {
+	if b.slots <= 1 {
 		for i := 0; i < n; i++ {
-			runOne(i, fn, onPanic)
+			runOne(i, fn)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var body func()
-	body = func() {
-		i := -1
-		defer func() {
-			if v := recover(); v != nil {
-				if onPanic == nil {
-					panic(v)
-				}
-				onPanic(i, v)
-				go body() // replace the dead worker; wg balance unchanged
-				return
-			}
-			wg.Done()
-		}()
-		for {
-			i = int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
+	b.busy.Add(1)
+	t := &batch{b: b, n: int64(n), fn: fn}
+	for i := t.claim(); i >= 0; i = t.claim() {
+		t.spawn()
+		runOne(i, fn)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go body()
-	}
-	wg.Wait()
+	// The runner's own work is done: free its slot for other batches while
+	// its helpers finish theirs.
+	b.busy.Add(-1)
+	t.wg.Wait()
 }
 
-// runOne is the sequential arm of runIndexed: one fn(i) call with the same
-// panic containment the pool workers get.
-func runOne(i int, fn func(i int), onPanic func(i int, v any)) {
+// batch is one run call's shared state.
+type batch struct {
+	b       *Budget
+	n       int64
+	fn      func(i int)
+	next    atomic.Int64 // next unclaimed index
+	helpers atomic.Int64 // live helpers
+	wg      sync.WaitGroup
+}
+
+// claim returns the next unclaimed index, or -1 when none is left.
+func (t *batch) claim() int {
+	if i := t.next.Add(1) - 1; i < t.n {
+		return int(i)
+	}
+	return -1
+}
+
+// spawn starts helpers while more indices are unclaimed than the live
+// helpers will take and the budget has a free slot.
+func (t *batch) spawn() {
+	for t.next.Load()+t.helpers.Load() < t.n && t.b.acquire() {
+		t.helpers.Add(1)
+		t.wg.Add(1)
+		go t.help()
+	}
+}
+
+// help is one helper: it claims and runs indices until none is left or the
+// budget wants its slot back. A panic that escapes fn replaces the dead
+// helper with a new one that inherits its slot and its wait-group count, so
+// the batch completes; the panicked index is left as fn left it.
+func (t *batch) help() {
 	defer func() {
-		if v := recover(); v != nil {
-			if onPanic == nil {
-				panic(v)
-			}
-			onPanic(i, v)
+		if recover() != nil {
+			go t.help()
+			return
 		}
+		t.helpers.Add(-1)
+		t.wg.Done()
 	}()
+	for !t.b.yield() {
+		i := t.claim()
+		if i < 0 {
+			t.b.busy.Add(-1)
+			return
+		}
+		t.fn(i)
+	}
+}
+
+// runOne is the runner's arm of run: one fn(i) call with the same panic
+// containment the helpers get.
+func runOne(i int, fn func(i int)) {
+	defer func() { _ = recover() }()
 	fn(i)
 }

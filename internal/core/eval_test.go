@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"autophase/internal/passes"
 )
@@ -202,5 +205,200 @@ func TestProgramParallelStress(t *testing.T) {
 				t.Fatalf("goroutine %d: graph features of %v differ from a sequential Program's", g, o.seq)
 			}
 		}
+	}
+}
+
+// TestSharedBudgetMatchesOneWorker: evaluators on one shared budget, each
+// scoring its own Program while the others run, return exactly the
+// EvalResults a one-worker evaluator does.
+func TestSharedBudgetMatchesOneWorker(t *testing.T) {
+	names := []string{"matmul", "qsort", "gsm"}
+	seqs := randSeqs(rand.New(rand.NewSource(23)), 24, 6)
+	want := make([][]EvalResult, len(names))
+	for k, name := range names {
+		want[k] = NewEvaluator(mustProgram(t, name), 1).EvalBatch(seqs)
+	}
+	budget := NewBudget(3)
+	got := make([][]EvalResult, len(names))
+	var wg sync.WaitGroup
+	for k, name := range names {
+		ev := budget.Evaluator(mustProgram(t, name))
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got[k] = ev.EvalBatch(seqs)
+		}(k)
+	}
+	wg.Wait()
+	for k, name := range names {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("%s: results on a shared budget differ from NewEvaluator(p, 1)", name)
+		}
+	}
+	if n := budget.busy.Load(); n != 0 {
+		t.Fatalf("budget holds %d slots after every batch returned", n)
+	}
+}
+
+// callCounter counts concurrent calls of a test fn and keeps the peak.
+type callCounter struct {
+	cur, peak atomic.Int64
+}
+
+func (c *callCounter) enter() int64 {
+	n := c.cur.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return n
+}
+
+func (c *callCounter) leave() { c.cur.Add(-1) }
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(end) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestBudgetBoundsInflight: runners sharing an N-slot budget never have
+// more than runners+N-1 calls in flight, because helpers only start while a
+// slot is free and the runners hold at least one; a lone runner therefore
+// never exceeds N. (TestBudgetHelperYields checks that the count falls back
+// to max(N, runners) at the helpers' next boundary.)
+func TestBudgetBoundsInflight(t *testing.T) {
+	for _, slots := range []int{2, 3} {
+		for runners := 1; runners <= 4; runners++ {
+			b := NewBudget(slots)
+			var c callCounter
+			var wg sync.WaitGroup
+			for r := 0; r < runners; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for batch := 0; batch < 20; batch++ {
+						b.run(8, func(int) {
+							c.enter()
+							time.Sleep(20 * time.Microsecond)
+							c.leave()
+						})
+					}
+				}()
+			}
+			wg.Wait()
+			if peak, max := c.peak.Load(), int64(runners+slots-1); peak > max {
+				t.Errorf("slots=%d runners=%d: %d calls in flight, want at most %d", slots, runners, peak, max)
+			}
+			if n := b.busy.Load(); n != 0 {
+				t.Errorf("slots=%d runners=%d: %d slots still held", slots, runners, n)
+			}
+		}
+	}
+}
+
+// TestBudgetLoneRunnerReachesSlots: a runner alone on an N-slot budget gets
+// N calls going at once.
+func TestBudgetLoneRunnerReachesSlots(t *testing.T) {
+	const slots = 3
+	b := NewBudget(slots)
+	var c callCounter
+	full := make(chan struct{})
+	var once sync.Once
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	b.run(30, func(int) {
+		if c.enter() == slots {
+			once.Do(func() { close(full) })
+		}
+		select {
+		case <-full:
+		case <-ctx.Done():
+		}
+		c.leave()
+	})
+	if peak := c.peak.Load(); peak != slots {
+		t.Fatalf("a lone runner on %d slots peaked at %d calls in flight", slots, peak)
+	}
+}
+
+// TestBudgetHelperYields: a runner alone on a two-slot budget has one
+// helper; when a second runner joins, the helper gives its slot back at its
+// next boundary, and while both runners stay the first runs one call at a
+// time and the two have at most max(slots, runners) = 2 in flight.
+func TestBudgetHelperYields(t *testing.T) {
+	b := NewBudget(2)
+	var a, all callCounter
+	gateA, gateB := make(chan struct{}), make(chan struct{})
+	var settled atomic.Bool
+	var checked, violations atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.run(400, func(int) {
+			n := a.enter()
+			m := all.enter()
+			if settled.Load() {
+				checked.Add(1)
+				if n > 1 || m > 2 {
+					violations.Add(1)
+				}
+			}
+			<-gateA
+			time.Sleep(20 * time.Microsecond)
+			all.leave()
+			a.leave()
+		})
+	}()
+	waitFor(t, "the first runner's helper", func() bool { return a.cur.Load() == 2 })
+
+	doneB := make(chan struct{})
+	go func() {
+		defer close(doneB)
+		b.run(4, func(int) {
+			m := all.enter()
+			if settled.Load() && m > 2 {
+				violations.Add(1)
+			}
+			<-gateB
+			all.leave()
+		})
+	}()
+	waitFor(t, "the second runner to join", func() bool { return b.busy.Load() == 3 })
+	close(gateA)
+	waitFor(t, "the helper to yield", func() bool { return b.busy.Load() == 2 })
+	settled.Store(true)
+	waitFor(t, "the first runner to go on alone", func() bool { return checked.Load() >= 50 })
+	// Once the second runner leaves, the first may take a helper again.
+	settled.Store(false)
+	close(gateB)
+	<-done
+	<-doneB
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d calls started over max(slots, runners) after the helper yielded", v)
+	}
+	if n := b.busy.Load(); n != 0 {
+		t.Fatalf("%d slots still held", n)
+	}
+}
+
+// TestEvalBatchInlineAllocs: at width 1 a batch runs inline, so beyond the
+// compiles themselves it allocates only its result slice and the closure
+// that fills it.
+func TestEvalBatchInlineAllocs(t *testing.T) {
+	p := mustProgram(t, "matmul")
+	seqs := randSeqs(rand.New(rand.NewSource(5)), 16, 6)
+	ev := NewEvaluator(p, 1)
+	ev.EvalBatch(seqs)
+	compiles := testing.AllocsPerRun(50, func() {
+		for _, s := range seqs {
+			p.compile(s)
+		}
+	})
+	batch := testing.AllocsPerRun(50, func() { ev.EvalBatch(seqs) })
+	if batch > compiles+2 {
+		t.Fatalf("a warm width-1 batch allocates %v objects, its compiles %v: want at most 2 more", batch, compiles)
 	}
 }

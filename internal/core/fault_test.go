@@ -188,33 +188,33 @@ func TestStatsStringFaultsConditional(t *testing.T) {
 	}
 }
 
-func TestRunIndexedWorkerRestart(t *testing.T) {
+// TestBudgetRunReplacesPanickedHelper checks run's containment at every
+// width: a panicking index does not stop the batch, and a helper killed by
+// one is replaced, so every other index still runs.
+func TestBudgetRunReplacesPanickedHelper(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		const n = 100
 		seen := make([]bool, n)
 		panics := 0
-		runIndexed(n, workers, func(i int) {
+		NewBudget(workers).run(n, func(i int) {
+			mu.Lock()
+			defer mu.Unlock()
 			if i%10 == 3 {
+				panics++
 				panic("boom")
 			}
-			mu.Lock()
 			seen[i] = true
-			mu.Unlock()
-		}, func(i int, v any) {
-			mu.Lock()
-			panics++
-			mu.Unlock()
 		})
 		if panics != n/10 {
-			t.Fatalf("workers=%d: %d panics recorded, want %d", workers, panics, n/10)
+			t.Fatalf("workers=%d: %d panics, want %d", workers, panics, n/10)
 		}
 		for i, ok := range seen {
 			if i%10 == 3 {
 				continue
 			}
 			if !ok {
-				t.Fatalf("workers=%d: index %d never ran — a panicked worker was not replaced", workers, i)
+				t.Fatalf("workers=%d: index %d never ran — a panicked helper was not replaced", workers, i)
 			}
 		}
 	}

@@ -25,7 +25,8 @@ func CollectTuples(programs []*Program, episodes, episodeLen int, rng *rand.Rand
 	return CollectTuplesParallel(programs, episodes, episodeLen, rng, 1)
 }
 
-// CollectTuplesParallel is CollectTuples with a worker pool over episodes.
+// CollectTuplesParallel is CollectTuples with episodes spread over a
+// private budget of workers compile slots.
 // Every episode's action sequence is drawn from rng up front, in episode
 // order, so the tuple set is a function of the seed alone: workers only
 // decide which episodes replay concurrently, and the concatenated result is
@@ -46,8 +47,8 @@ func CollectTuplesParallel(programs []*Program, episodes, episodeLen int, rng *r
 			eps = append(eps, &episode{prog: p, actions: actions})
 		}
 	}
-	runIndexed(len(eps), workers, func(i int) {
-		defer func() { _ = recover() }() // a faulting episode contributes no tuples
+	// A faulting episode contributes the tuples it finished.
+	NewBudget(workers).run(len(eps), func(i int) {
 		ep := eps[i]
 		p := ep.prog
 		var seq []int
@@ -72,7 +73,7 @@ func CollectTuplesParallel(programs []*Program, episodes, episodeLen int, rng *r
 			cycles, feats = nc, nf
 			ep.tuples = append(ep.tuples, tu)
 		}
-	}, nil)
+	})
 	var tuples []Tuple
 	for _, ep := range eps {
 		tuples = append(tuples, ep.tuples...)

@@ -138,28 +138,35 @@ func mergeLatches(f *ir.Func, l *ir.Loop) bool {
 
 // dedicateExits splits edges leaving the loop that land in blocks which also
 // have predecessors outside the loop. It returns after the first exit it
-// splits, so the predecessors it reads are those of the loop's tree.
+// splits, so the predecessors it reads are those of the loop's tree. It
+// walks the exit edges in place, in the order of l.Exits(): an exit reached
+// again by a later edge was left alone the first time and is again.
 func dedicateExits(f *ir.Func, l *ir.Loop) bool {
 	changed := false
-	for _, e := range l.Exits() {
-		preds := l.Dom().Preds(e)
-		mixed := false
-		for _, p := range preds {
-			if !l.Contains(p) {
-				mixed = true
+	for _, b := range l.Body {
+		for _, e := range b.Succs() {
+			if l.Contains(e) {
+				continue
 			}
-		}
-		if !mixed {
-			continue
-		}
-		for _, p := range preds {
-			if l.Contains(p) {
-				ir.SplitEdge(f, p, e, e.Name+".loopexit")
-				changed = true
+			preds := l.Dom().Preds(e)
+			mixed := false
+			for _, p := range preds {
+				if !l.Contains(p) {
+					mixed = true
+				}
 			}
-		}
-		if changed {
-			return true
+			if !mixed {
+				continue
+			}
+			for _, p := range preds {
+				if l.Contains(p) {
+					ir.SplitEdge(f, p, e, e.Name+".loopexit")
+					changed = true
+				}
+			}
+			if changed {
+				return true
+			}
 		}
 	}
 	return false

@@ -1,6 +1,10 @@
 package passes
 
-import "autophase/internal/ir"
+import (
+	"math/bits"
+
+	"autophase/internal/ir"
+)
 
 // No-op prescans. Each predicate here is paired with a pass in table1 and
 // must be sound: returning false guarantees the pass would report no change
@@ -69,6 +73,9 @@ func hasCriticalEdge(f *ir.Func) bool { return len(ir.CriticalEdges(f)) > 0 }
 // hasUnreachableBlock gates prune-eh, which (on this exception-free IR)
 // only removes entry-unreachable blocks.
 func hasUnreachableBlock(f *ir.Func) bool {
+	if mask, ok := reachableMask(f); ok {
+		return bits.OnesCount64(mask) < len(f.Blocks)
+	}
 	return len(f.ReachableBlocks()) < len(f.Blocks)
 }
 

@@ -1,6 +1,10 @@
 package passes
 
-import "autophase/internal/ir"
+import (
+	"math/bits"
+
+	"autophase/internal/ir"
+)
 
 // buildUseCounts returns, for each instruction used within f, the number of
 // operand slots referencing it. Only instructions are counted: every caller
@@ -114,11 +118,19 @@ func foldConstants(f *ir.Func) bool {
 // removeUnreachableBlocks deletes blocks not reachable from entry and fixes
 // phis in their successors. Returns whether anything changed.
 func removeUnreachableBlocks(f *ir.Func) bool {
-	reach := f.ReachableBlocks()
 	var dead []*ir.Block
-	for _, b := range f.Blocks {
-		if !reach[b] {
-			dead = append(dead, b)
+	if mask, ok := reachableMask(f); ok {
+		for i, b := range f.Blocks {
+			if mask&(1<<i) == 0 {
+				dead = append(dead, b)
+			}
+		}
+	} else {
+		reach := f.ReachableBlocks()
+		for _, b := range f.Blocks {
+			if !reach[b] {
+				dead = append(dead, b)
+			}
 		}
 	}
 	if len(dead) == 0 {
@@ -134,6 +146,38 @@ func removeUnreachableBlocks(f *ir.Func) bool {
 		f.RemoveBlock(b)
 	}
 	return true
+}
+
+// reachableMask sets bit i for every block f.Blocks[i] reachable from the
+// entry, walking the CFG by block position without allocating. ok is false
+// when f has more blocks than the mask holds; the caller then falls back
+// to f.ReachableBlocks. Positions are found by a linear scan, which stays
+// cheaper than a map at this size.
+func reachableMask(f *ir.Func) (mask uint64, ok bool) {
+	n := len(f.Blocks)
+	if n > 64 {
+		return 0, false
+	}
+	if n == 0 {
+		return 0, true
+	}
+	mask = 1
+	for todo := uint64(1); todo != 0; {
+		i := bits.TrailingZeros64(todo)
+		todo &^= 1 << i
+		for _, s := range f.Blocks[i].Succs() {
+			for j, b := range f.Blocks {
+				if b == s {
+					if mask&(1<<j) == 0 {
+						mask |= 1 << j
+						todo |= 1 << j
+					}
+					break
+				}
+			}
+		}
+	}
+	return mask, true
 }
 
 // loopsOf computes the natural loops of f with a fresh dominator tree,

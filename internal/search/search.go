@@ -20,9 +20,9 @@ type Objective struct {
 	// the estimated cycle count. Optional when EvalBatch is set.
 	Eval func(seq []int) (int64, bool)
 	// EvalBatch scores many candidates at once (typically through
-	// core.Evaluator's worker pool). Optional: when nil, EvaluateBatch
-	// falls back to scalar Eval calls; when set, scalar Evaluate becomes a
-	// one-element batch.
+	// core.Evaluator, which spreads a batch over its compile budget).
+	// Optional: when nil, EvaluateBatch falls back to scalar Eval calls;
+	// when set, scalar Evaluate becomes a one-element batch.
 	EvalBatch func(seqs [][]int) []EvalOutcome
 	// Batch hints how many candidates the backend can usefully score
 	// concurrently (the -workers knob). Sequential algorithms with

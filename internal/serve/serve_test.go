@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"autophase/internal/faults"
+	"autophase/internal/progen"
 )
 
 // testIR is a tiny, quickly profiled module every engine handles.
@@ -829,5 +831,84 @@ func TestDrainInterruptCheckpoint(t *testing.T) {
 	s2.mu.Unlock()
 	if int(thisLife) != 4096-used {
 		t.Fatalf("second life ran %d samples, want exactly the remaining %d", thisLife, 4096-used)
+	}
+}
+
+// TestServeResultsIndependentOfWorkers: the same job list gives every job
+// ID the same best cycles, best sequence and sample count at one runner
+// and at two, whether the jobs run one at a time (so a lone job spreads
+// its batches over the compile budget's helpers) or overlap (so runners
+// contend for it). Each tenant's accounting invariant holds in every run.
+func TestServeResultsIndependentOfWorkers(t *testing.T) {
+	mods := []string{testIR, progen.Benchmark("qsort").String(), progen.Benchmark("gsm").String()}
+	var reqs []SubmitRequest
+	for i := 0; i < 6; i++ {
+		algo := []string{"random", "genetic"}[i%2]
+		reqs = append(reqs, SubmitRequest{Tenant: []string{"acme", "globex"}[i%2], IR: mods[i%len(mods)],
+			Algo: algo, Budget: 24, SeqLen: 6})
+	}
+	type result struct {
+		best    int64
+		seq     []int
+		samples int
+	}
+	run := func(workers int, overlap bool) map[string]result {
+		cfg := testConfig()
+		cfg.Workers = workers
+		s := newTestServer(t, cfg)
+		s.Start()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		defer s.Close()
+		defer s.Shutdown(context.Background())
+
+		var ids []string
+		out := make(map[string]result)
+		wait := func(id string) {
+			st := waitTerminal(t, ts, id)
+			if st.State != "done" || st.BestCycles <= 0 {
+				t.Fatalf("workers=%d overlap=%v: job %s ended %s with best %d (%s)",
+					workers, overlap, id, st.State, st.BestCycles, st.Error)
+			}
+			out[id] = result{st.BestCycles, st.BestSeq, st.SamplesUsed}
+		}
+		for _, req := range reqs {
+			resp, body := submit(t, ts, req)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
+			}
+			var ack SubmitResponse
+			if err := json.Unmarshal(body, &ack); err != nil {
+				t.Fatal(err)
+			}
+			if overlap {
+				ids = append(ids, ack.ID)
+			} else {
+				wait(ack.ID)
+			}
+		}
+		for _, id := range ids {
+			wait(id)
+		}
+		for _, tr := range s.Stats().Tenants {
+			if tr.Samples != tr.Successes+tr.Faults+tr.Flagged {
+				t.Fatalf("workers=%d overlap=%v: tenant %s: samples=%d != successes=%d + faults=%d + flagged=%d",
+					workers, overlap, tr.ID, tr.Samples, tr.Successes, tr.Faults, tr.Flagged)
+			}
+		}
+		return out
+	}
+	want := run(1, false)
+	for _, tc := range []struct {
+		workers int
+		overlap bool
+	}{{1, true}, {2, false}, {2, true}} {
+		got := run(tc.workers, tc.overlap)
+		for id, w := range want {
+			if g := got[id]; g.best != w.best || !reflect.DeepEqual(g.seq, w.seq) || g.samples != w.samples {
+				t.Fatalf("workers=%d overlap=%v: job %s got %+v, want %+v (workers=1, one job at a time)",
+					tc.workers, tc.overlap, id, g, w)
+			}
+		}
 	}
 }

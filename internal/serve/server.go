@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,6 +101,10 @@ type Server struct {
 	cfg   Config
 	now   func() time.Time
 	store *artifact.Store
+	// compile is the server-wide compile budget every job's evaluator
+	// shares: a job running alone spreads its batches over the idle cores,
+	// and jobs that run together take them back.
+	compile *core.Budget
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -141,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenant),
 		jobs:    make(map[string]*Job),
 		cancels: make(map[string]func()),
+		compile: core.NewBudget(runtime.GOMAXPROCS(0)),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.ArtifactDir != "" {
@@ -466,7 +472,7 @@ func (s *Server) runSearch(j *Job, prior int, cancel <-chan struct{}) (out searc
 		lim.Deadline = rem
 		p.SetLimits(lim)
 	}
-	ev := core.NewEvaluator(p, 1)
+	ev := s.compile.Evaluator(p)
 
 	var interrupted, deadlined bool
 	expired := func() bool {
