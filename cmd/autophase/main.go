@@ -75,7 +75,6 @@ func main() {
 	budget := flag.Int("budget", 800, "sample/step budget for the chosen algorithm")
 	seqLen := flag.Int("len", 45, "maximum pass-sequence length")
 	dumpFeatures := flag.Bool("features", false, "print the 56 Table 2 features and exit")
-	dumpGraph := flag.Bool("graph-features", false, "with -features, also print the structural graph feature block")
 	passList := flag.String("passes", "", "apply this comma-separated pass list instead of searching")
 	rtl := flag.Bool("rtl", false, "emit scheduled RTL for the optimized design")
 	binding := flag.Bool("binding", false, "print the functional-unit binding report")
@@ -158,12 +157,6 @@ func main() {
 		f := features.Extract(m)
 		for i, v := range f {
 			fmt.Printf("%2d %-55s %d\n", i, features.Names[i], v)
-		}
-		if *dumpGraph {
-			g := features.ExtractGraph(m)
-			for i, v := range g {
-				fmt.Printf("g%2d %-54s %d\n", i, features.GraphNames[i], v)
-			}
 		}
 		return
 	}

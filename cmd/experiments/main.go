@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table3, randomgen, graphobs, all")
+	exp := flag.String("exp", "all", "experiment: fig5, fig6, fig7, fig8, fig9, table3, randomgen, all")
 	scale := flag.String("scale", "quick", "budget scale: quick or full")
 	csv := flag.Bool("csv", false, "emit heat maps as CSV instead of ASCII")
 	workers := flag.Int("workers", 0, "evaluation parallelism (0 = the scale's default: quick pins 1, full uses all CPUs)")
@@ -111,8 +111,6 @@ func run(exp string, sc experiments.Scale, csv bool) error {
 		return nil
 	case "fig7":
 		return runFig7(sc)
-	case "graphobs":
-		return runGraphObs(sc)
 	case "fig5", "fig6", "fig8", "fig9", "randomgen", "all":
 		// These need the random-program training set and the forest
 		// importance analysis.
@@ -195,26 +193,6 @@ func runFig9(train []*core.Program, imp *core.Importance, sc experiments.Scale) 
 		"Figure 9: zero-shot generalization to the nine benchmarks ("+sc.Name+" scale)", rows))
 	fmt.Println()
 	fmt.Print(experiments.RenderPerProgram(rows))
-	return nil
-}
-
-// runGraphObs is the graph-observation ablation: two generalizers that
-// differ only in whether the structural feature block extends the
-// observation, compared zero-shot on the nine benchmarks.
-func runGraphObs(sc experiments.Scale) error {
-	train, err := experiments.RandomPrograms(sc.TrainPrograms, 9000)
-	if err != nil {
-		return err
-	}
-	test, err := experiments.BenchmarkPrograms()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Graph-observation ablation (%s scale):\n", sc.Name)
-	for _, r := range experiments.GraphObsAB(train, test, sc) {
-		fmt.Printf("  %-14s obs=%3d  final-reward=%7.1f  zero-shot vs -O3: %+.1f%%\n",
-			r.Name, r.ObsSize, r.Final, r.Mean*100)
-	}
 	return nil
 }
 

@@ -135,83 +135,3 @@ func hasDominatingDef(dt *ir.DomTree, defs []*ir.Instr, use *ir.Instr) bool {
 	}
 	return false
 }
-
-// AvailLoads is the memory-dependence companion to AvailExpr: the set of
-// loaded locations whose value is still in a register on every path
-// reaching a block boundary. A location dies at a may-aliasing store or
-// memset — and at a call, unless effect summaries prove the callee
-// preserves it. Built without summaries (s == nil) every call kills
-// everything, which is exactly the pre-interprocedural behavior; the
-// summary-aware solution is therefore always a superset (a refinement) of
-// the summary-free one.
-type AvailLoads struct {
-	fn      *ir.Func
-	In, Out map[*ir.Block]Set[string]
-	// PtrOf maps a load key back to the pointer value it loads from.
-	PtrOf map[string]ir.Value
-}
-
-// LoadKey canonicalizes a load by its pointer operand (pointer identity,
-// like operandKey), or returns "" for non-loads.
-func LoadKey(in *ir.Instr) string {
-	if in.Op != ir.OpLoad {
-		return ""
-	}
-	return "load(" + operandKey(in.Args[0]) + ")"
-}
-
-// ComputeAvailLoads solves forward available loads over f. s may be nil
-// (no interprocedural information) or the module's effect summaries, in
-// which case calls only kill the locations their callee may actually write.
-func ComputeAvailLoads(f *ir.Func, s *Summaries) *AvailLoads {
-	al := ComputeAliases(f)
-	universe := NewSet[string]()
-	ptrOf := make(map[string]ir.Value)
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		if key := LoadKey(in); key != "" {
-			universe.Add(key)
-			ptrOf[key] = in.Args[0]
-		}
-	})
-	// The transfer re-simulates the block's memory timeline against the
-	// incoming set: loads generate their key, clobbers sweep the keys whose
-	// pointer they may touch. Kills depend on the in-flight set, so there
-	// is no precomputed gen/kill pair — the scan is the transfer.
-	kill := func(avail Set[string], clobbers func(ir.Value) bool) {
-		for key := range avail {
-			if clobbers(ptrOf[key]) {
-				avail.Remove(key)
-			}
-		}
-	}
-	res := Solve(f, Problem[string]{
-		Dir:  Forward,
-		Meet: Intersect,
-		Init: universe,
-		Transfer: func(b *ir.Block, in Set[string]) Set[string] {
-			for _, i := range b.Instrs {
-				switch i.Op {
-				case ir.OpLoad:
-					in.Add(LoadKey(i))
-				case ir.OpStore, ir.OpMemset:
-					addr := addrOperand(i)
-					kill(in, func(p ir.Value) bool { return al.MayAlias(p, addr) })
-				case ir.OpCall:
-					if s == nil {
-						kill(in, func(ir.Value) bool { return true })
-					} else {
-						kill(in, func(p ir.Value) bool { return !s.CallPreserves(al, i, p) })
-					}
-				}
-			}
-			return in
-		},
-	})
-	return &AvailLoads{fn: f, In: res.In, Out: res.Out, PtrOf: ptrOf}
-}
-
-// AvailableAt reports whether the load key is available at b's entry.
-func (av *AvailLoads) AvailableAt(key string, b *ir.Block) bool {
-	in := av.In[b]
-	return in != nil && in.Has(key)
-}

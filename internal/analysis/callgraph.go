@@ -24,12 +24,6 @@ type CGNode struct {
 	UnknownCallee bool
 }
 
-// FanOut is the number of distinct functions Fn calls.
-func (n *CGNode) FanOut() int { return len(n.Callees) }
-
-// FanIn is the number of distinct functions calling Fn.
-func (n *CGNode) FanIn() int { return len(n.Callers) }
-
 // CallGraph is the module's direct call graph plus its SCC condensation.
 type CallGraph struct {
 	Nodes  []*CGNode // one per module function, in module order

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"autophase/internal/ir"
 )
@@ -141,8 +140,7 @@ func (e *Effects) clone() *Effects {
 // Summaries holds the per-function effect summaries of one module instance
 // together with the call graph they were computed over. The structure is
 // pointer-rich (it references the module's *ir.Func/*ir.Global values
-// directly), so it must not outlive pass mutations of the module — use
-// ModuleEffects for a fingerprint-keyed, reuse-safe view.
+// directly), so it must not outlive pass mutations of the module.
 type Summaries struct {
 	CG     *CallGraph
 	byFunc map[*ir.Func]*Effects
@@ -313,163 +311,6 @@ func mergeCall(e *Effects, s *Summaries, al *Aliases, site *ir.Instr) {
 			}
 		}
 	}
-}
-
-// CallPreserves reports whether executing the call site leaves the value
-// stored at ptr intact — the memory-dependence query that lets available
-// loads survive calls to summarized-pure (or merely non-clobbering)
-// callees. al must be the caller's alias analysis.
-func (s *Summaries) CallPreserves(al *Aliases, site *ir.Instr, ptr ir.Value) bool {
-	if site.Op != ir.OpCall || site.Callee == nil {
-		return false
-	}
-	ce := s.byFunc[site.Callee]
-	if ce == nil {
-		return false
-	}
-	if !ce.WritesMemory() {
-		return true
-	}
-	if ce.WritesUnknown {
-		return false
-	}
-	// Objects the callee may write: its global write set, plus — when it
-	// writes through pointer formals — everything the pointer arguments at
-	// this site can address.
-	var written []Root
-	for g := range ce.WritesGlobals {
-		written = append(written, Root{Kind: RootGlobal, Global: g})
-	}
-	if ce.WritesParams {
-		for _, a := range site.Args {
-			if a.Type() != nil && a.Type().IsPtr() {
-				written = mergeRoots(written, al.RootsOf(a))
-			}
-		}
-	}
-	for _, w := range written {
-		if w.Kind == RootUnknown || w.Kind == RootUndef {
-			return false
-		}
-	}
-	rs := al.RootsOf(ptr)
-	if len(rs) == 0 {
-		return false
-	}
-	for _, r := range rs {
-		switch r.Kind {
-		case RootUnknown, RootUndef:
-			return false
-		}
-		if containsRoot(written, r) {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// Pointer-free, fingerprint-keyed summary view.
-//
-// Effects/Summaries hold *ir.Func and *ir.Global pointers, which differ
-// between structurally identical module instances (COW clones), so they
-// cannot be cached across modules. FuncEffects re-keys everything by name,
-// making the summary a pure function of the module fingerprint.
-
-// FuncEffects is the pointer-free form of one function's Effects.
-type FuncEffects struct {
-	ReadsGlobals    []string // sorted global names
-	WritesGlobals   []string // sorted global names
-	ReadsParams     bool
-	WritesParams    bool
-	ReadsUnknown    bool
-	WritesUnknown   bool
-	Prints          bool
-	MayPanic        bool
-	MayNotTerminate bool
-	Recursive       bool
-	FanIn           int
-	FanOut          int
-}
-
-// Pure mirrors Effects.Pure on the pointer-free form.
-func (fe FuncEffects) Pure() bool {
-	return len(fe.WritesGlobals) == 0 && !fe.WritesParams && !fe.WritesUnknown &&
-		!fe.Prints && !fe.MayPanic && !fe.MayNotTerminate
-}
-
-// ModuleSummary is the cached, module-instance-independent analysis result:
-// per-function effects plus call-graph shape, keyed by function name.
-type ModuleSummary struct {
-	Fingerprint ir.Fingerprint
-	Funcs       map[string]FuncEffects
-}
-
-// effectsCacheCap bounds the package-level summary cache. Summaries are
-// small (a few strings and bools per function), so a generous cap is cheap;
-// on overflow the whole cache is dropped rather than tracking LRU order.
-const effectsCacheCap = 1024
-
-var effectsCache = struct {
-	sync.Mutex
-	m map[ir.Fingerprint]*ModuleSummary
-}{m: make(map[ir.Fingerprint]*ModuleSummary)}
-
-// ModuleEffects returns the pointer-free effect summary of m, cached by
-// m's content fingerprint. The fingerprint is recomputed on every call, so
-// a module mutated in place (or a COW clone that diverged) can never be
-// served a stale summary: its new fingerprint misses the cache and the
-// summary is recomputed.
-func ModuleEffects(m *ir.Module) *ModuleSummary {
-	fp := m.Fingerprint()
-	effectsCache.Lock()
-	if ms, ok := effectsCache.m[fp]; ok {
-		effectsCache.Unlock()
-		return ms
-	}
-	effectsCache.Unlock()
-
-	ms := &ModuleSummary{Fingerprint: fp, Funcs: make(map[string]FuncEffects, len(m.Funcs))}
-	s := ComputeEffects(m)
-	for _, n := range s.CG.Nodes {
-		e := s.byFunc[n.Fn]
-		ms.Funcs[n.Fn.Name] = FuncEffects{
-			ReadsGlobals:    sortedGlobalNames(e.ReadsGlobals),
-			WritesGlobals:   sortedGlobalNames(e.WritesGlobals),
-			ReadsParams:     e.ReadsParams,
-			WritesParams:    e.WritesParams,
-			ReadsUnknown:    e.ReadsUnknown,
-			WritesUnknown:   e.WritesUnknown,
-			Prints:          e.Prints,
-			MayPanic:        e.MayPanic,
-			MayNotTerminate: e.MayNotTerminate,
-			Recursive:       s.CG.Recursive(n.Fn),
-			FanIn:           n.FanIn(),
-			FanOut:          n.FanOut(),
-		}
-	}
-
-	effectsCache.Lock()
-	if len(effectsCache.m) >= effectsCacheCap {
-		effectsCache.m = make(map[ir.Fingerprint]*ModuleSummary)
-	}
-	effectsCache.m[fp] = ms
-	effectsCache.Unlock()
-	return ms
-}
-
-// EffectsCacheLen reports the number of cached module summaries (tests).
-func EffectsCacheLen() int {
-	effectsCache.Lock()
-	defer effectsCache.Unlock()
-	return len(effectsCache.m)
-}
-
-// ResetEffectsCache drops all cached module summaries (tests).
-func ResetEffectsCache() {
-	effectsCache.Lock()
-	defer effectsCache.Unlock()
-	effectsCache.m = make(map[ir.Fingerprint]*ModuleSummary)
 }
 
 // VerifyAttrs cross-checks the optimizer-derived function attributes

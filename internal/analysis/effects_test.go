@@ -5,8 +5,6 @@ import (
 
 	"autophase/internal/analysis"
 	"autophase/internal/ir"
-	"autophase/internal/passes"
-	"autophase/internal/progen"
 )
 
 // mutualFixture: main -> even <-> odd, plus an uncalled helper.
@@ -67,8 +65,8 @@ func TestCallGraphStructure(t *testing.T) {
 	if ne.SCC >= nm.SCC {
 		t.Errorf("callee SCC %d not before caller SCC %d", ne.SCC, nm.SCC)
 	}
-	if nm.FanOut() != 1 || ne.FanIn() != 2 { // called by odd and main
-		t.Errorf("fan-out(main)=%d fan-in(even)=%d, want 1 and 2", nm.FanOut(), ne.FanIn())
+	if len(nm.Callees) != 1 || len(ne.Callers) != 2 { // called by odd and main
+		t.Errorf("callees(main)=%d callers(even)=%d, want 1 and 2", len(nm.Callees), len(ne.Callers))
 	}
 	reach := cg.ReachableFrom(main)
 	if !reach[even] || !reach[odd] || !reach[main] {
@@ -162,57 +160,26 @@ func TestEffectsSummaries(t *testing.T) {
 	if me.MayPanic || me.MayNotTerminate {
 		t.Errorf("main calls no trapping or diverging function, got %s", me)
 	}
-}
 
-// TestAvailLoadsRefinement: a call to a function with no visible writes
-// preserves available loads only under summaries; the summary-free
-// solution kills them (the pre-interprocedural behavior).
-func TestAvailLoadsRefinement(t *testing.T) {
-	m := ir.NewModule("avail")
-	g := m.NewGlobal("g", ir.ArrayOf(ir.I32, 4), nil, false)
+	// Mutate square in place to write a global nothing else touches:
+	// recomputed summaries must see the write in square and, transitively,
+	// in main.
+	h := m.NewGlobal("h", ir.ArrayOf(ir.I32, 2), nil, false)
+	entry := m.Func("square").Entry()
+	ret := entry.Term()
+	entry.Remove(ret)
 	b := ir.NewBuilder()
-
-	id := m.NewFunc("id", ir.I32, ir.I32)
-	b.SetInsert(id.NewBlock("entry"))
-	b.Ret(id.Params[0])
-
-	wr := m.NewFunc("wr", ir.I32)
-	b.SetInsert(wr.NewBlock("entry"))
-	b.Store(ir.ConstInt(ir.I32, 7), b.GEP(g, ir.ConstInt(ir.I32, 0)))
-	b.Ret(ir.ConstInt(ir.I32, 0))
-
-	main := m.NewFunc("main", ir.I32)
-	entry := main.NewBlock("entry")
-	mid := main.NewBlock("mid")
-	last := main.NewBlock("last")
 	b.SetInsert(entry)
-	gp := b.GEP(g, ir.ConstInt(ir.I32, 0))
-	ld := b.Load(gp)
-	b.Call(id, ld)
-	b.Br(mid)
-	b.SetInsert(mid)
-	b.Call(wr)
-	b.Br(last)
-	b.SetInsert(last)
-	ld2 := b.Load(gp)
-	b.Ret(ld2)
+	b.Store(ir.ConstInt(ir.I32, 1), b.GEP(h, ir.ConstInt(ir.I32, 1)))
+	entry.Append(ret)
 
-	key := analysis.LoadKey(ld)
-	s := analysis.ComputeEffects(m)
-	base := analysis.ComputeAvailLoads(main, nil)
-	aware := analysis.ComputeAvailLoads(main, s)
-
-	// After the pure call (entry -> mid): only the summary-aware solution
-	// keeps the load.
-	if base.AvailableAt(key, mid) {
-		t.Error("summary-free analysis must kill the load at the @id call")
+	s = analysis.ComputeEffects(m)
+	sq = s.Of(m.Func("square"))
+	if sq.Pure() || len(sq.WritesGlobals) != 1 || !sq.WritesGlobals[h] {
+		t.Errorf("mutated square writes only @h and is no longer pure, got %s", sq)
 	}
-	if !aware.AvailableAt(key, mid) {
-		t.Error("summaries must preserve the load across the @id call (no visible writes)")
-	}
-	// After @wr (mid -> last): both must kill it — @wr writes @g.
-	if base.AvailableAt(key, last) || aware.AvailableAt(key, last) {
-		t.Error("the @wr call writes @g and must kill the load in both solutions")
+	if me := s.Of(m.Func("main")); !me.WritesGlobals[h] || !me.WritesGlobals[g] {
+		t.Errorf("main must inherit square's new @h write next to setg's @g, got %s", me)
 	}
 }
 
@@ -278,99 +245,4 @@ func TestVerifyAttrsOverclaim(t *testing.T) {
 	if !ds.HasErrors() {
 		t.Error("attr overclaims are Error severity")
 	}
-}
-
-// TestModuleEffectsCache: summaries are keyed by module fingerprint, so a
-// mutated callee can never be served a stale summary.
-func TestModuleEffectsCache(t *testing.T) {
-	analysis.ResetEffectsCache()
-	m, g := effectsFixture()
-
-	s1 := analysis.ModuleEffects(m)
-	if !s1.Funcs["square"].Pure() {
-		t.Fatalf("square must summarize pure, got %+v", s1.Funcs["square"])
-	}
-	if s2 := analysis.ModuleEffects(m); s2 != s1 {
-		t.Error("unchanged module must hit the cache (same summary instance)")
-	}
-	if analysis.EffectsCacheLen() != 1 {
-		t.Errorf("cache holds %d summaries, want 1", analysis.EffectsCacheLen())
-	}
-
-	// Mutate the callee in place: square now writes @g.
-	sq := m.Func("square")
-	entry := sq.Entry()
-	ret := entry.Term()
-	entry.Remove(ret)
-	b := ir.NewBuilder()
-	b.SetInsert(entry)
-	b.Store(ir.ConstInt(ir.I32, 1), b.GEP(g, ir.ConstInt(ir.I32, 2)))
-	entry.Append(ret)
-
-	s3 := analysis.ModuleEffects(m)
-	if s3 == s1 || s3.Fingerprint == s1.Fingerprint {
-		t.Fatal("mutated module must miss the cache under a new fingerprint")
-	}
-	if s3.Funcs["square"].Pure() {
-		t.Error("mutated square writes @g and must no longer be pure")
-	}
-	if got := s3.Funcs["square"].WritesGlobals; len(got) != 1 || got[0] != "g" {
-		t.Errorf("square WritesGlobals = %v, want [g]", got)
-	}
-	// The caller's transitive summary must see the new write too.
-	found := false
-	for _, n := range s3.Funcs["main"].WritesGlobals {
-		if n == "g" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("main's summary must inherit square's new @g write")
-	}
-	if analysis.EffectsCacheLen() != 2 {
-		t.Errorf("cache holds %d summaries, want 2", analysis.EffectsCacheLen())
-	}
-	analysis.ResetEffectsCache()
-}
-
-// TestAvailLoadsRefinementSweep is the differential guarantee over the real
-// corpus: on every benchmark under every pipeline, the summary-aware
-// available-load facts contain the summary-free facts block for block, and
-// somewhere in the corpus the containment is strict.
-func TestAvailLoadsRefinementSweep(t *testing.T) {
-	preludes := map[string][]int{
-		"mem2reg":       {38},
-		"canonicalized": {38, 31, 30, 29, 23, 30},
-		"o3":            passes.O3Sequence,
-	}
-	strict := 0
-	for _, name := range progen.BenchmarkNames {
-		for pname, seq := range preludes {
-			m := progen.Benchmark(name)
-			passes.Apply(m, seq)
-			s := analysis.ComputeEffects(m)
-			for _, f := range m.Funcs {
-				if len(f.Blocks) == 0 {
-					continue
-				}
-				base := analysis.ComputeAvailLoads(f, nil)
-				aware := analysis.ComputeAvailLoads(f, s)
-				for _, b := range f.Blocks {
-					for key := range base.In[b] {
-						if !aware.In[b].Has(key) {
-							t.Fatalf("%s/%s @%s/%s: summary-aware facts lost %q present without summaries",
-								name, pname, f.Name, b.Label(), key)
-						}
-					}
-					if len(aware.In[b]) > len(base.In[b]) {
-						strict++
-					}
-				}
-			}
-		}
-	}
-	if strict == 0 {
-		t.Fatal("summaries refined nothing anywhere in the corpus; the interprocedural layer is inert")
-	}
-	t.Logf("summary-aware facts strictly larger on %d blocks across the corpus", strict)
 }

@@ -47,19 +47,17 @@ const (
 	// KindFeatures is a 56-feature vector; features are a pure function of
 	// the IR, so Aux is zero.
 	KindFeatures Kind = 2
-	// KindGraphFeatures is the structural graph feature block (same key
-	// discipline as KindFeatures, separate namespace).
-	KindGraphFeatures Kind = 3
-	// Kind 4 is retired: it held serialized VM bytecode, which no build
-	// reads any more. Never reuse the value; loadSegment skips such records
-	// left in old stores.
+	// Kinds 3 and 4 are retired: 3 held a structural graph feature block
+	// and 4 serialized VM bytecode, neither of which any build reads any
+	// more. Never reuse the values; loadSegment skips such records left in
+	// old stores.
 )
 
 // readKind reports whether this build reads records of kind k. Records of
 // any other kind (retired ones, or ones a newer build wrote) are skipped at
 // load time rather than indexed, so they hold no memory.
 func readKind(k Kind) bool {
-	return k == KindProfile || k == KindFeatures || k == KindGraphFeatures
+	return k == KindProfile || k == KindFeatures
 }
 
 // Key addresses one record: the structural fingerprint of the IR the

@@ -90,8 +90,8 @@ func TestKindAndAuxSeparateNamespaces(t *testing.T) {
 			t.Fatalf("Get(%+v) = %q, %v; want %q", tc.k, got, ok, tc.want)
 		}
 	}
-	if _, ok := s.Get(Key{FP: fp, Kind: KindGraphFeatures}); ok {
-		t.Fatal("unwritten kind resolved to a record")
+	if _, ok := s.Get(Key{FP: ir.Fingerprint{Hi: 7, Lo: 10}, Kind: KindFeatures}); ok {
+		t.Fatal("unwritten key of a live kind resolved to a record")
 	}
 }
 
@@ -222,31 +222,149 @@ func TestVersionMismatchDropsSegment(t *testing.T) {
 	}
 }
 
-// TestRetiredKindSkippedOnLoad: a well-formed record of a kind this build
-// does not read (4, the retired bytecode kind) is neither indexed nor
-// counted corrupt when a store reopens; records beside it load as usual.
+// TestRetiredKindSkippedOnLoad: a well-formed record of a retired kind (3,
+// the structural graph feature block; 4, serialized VM bytecode) left in an
+// old store is neither indexed nor counted corrupt when the store reopens;
+// the record beside it loads as usual.
 func TestRetiredKindSkippedOnLoad(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, 0)
-	retired := Key{FP: key(1).FP, Kind: Kind(4), Aux: 5}
-	s.Put(retired, []byte("old bytecode"))
-	s.Put(key(2), []byte("profile"))
-	s.Close()
+	for _, kind := range []Kind{3, 4} {
+		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, 0)
+			retired := Key{FP: key(1).FP, Kind: kind, Aux: 5}
+			s.Put(retired, []byte("retired payload"))
+			s.Put(key(2), []byte("profile"))
+			s.Close()
 
-	s2 := mustOpen(t, dir, 0)
-	defer s2.Close()
-	if _, ok := s2.Get(retired); ok {
-		t.Fatal("retired-kind record indexed")
+			s2 := mustOpen(t, dir, 0)
+			defer s2.Close()
+			if _, ok := s2.Get(retired); ok {
+				t.Fatal("retired-kind record indexed")
+			}
+			if got, ok := s2.Get(key(2)); !ok || string(got) != "profile" {
+				t.Fatalf("record beside the retired one: %q, %v", got, ok)
+			}
+			if n := s2.Len(); n != 1 {
+				t.Fatalf("len = %d, want 1", n)
+			}
+			if st := s2.Stats(); st.Corrupt != 0 {
+				t.Fatalf("corrupt = %d, want 0", st.Corrupt)
+			}
+		})
 	}
-	if got, ok := s2.Get(key(2)); !ok || string(got) != "profile" {
-		t.Fatalf("record beside the retired one: %q, %v", got, ok)
+}
+
+// flushedSegment puts recs into a fresh store and returns the one segment
+// file its Close commits.
+func flushedSegment(tb testing.TB, recs ...record) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if n := s2.Len(); n != 1 {
-		t.Fatalf("len = %d, want 1", n)
+	for _, r := range recs {
+		s.Put(r.key, r.data)
 	}
-	if st := s2.Stats(); st.Corrupt != 0 {
-		t.Fatalf("corrupt = %d, want 0", st.Corrupt)
+	s.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if len(segs) != 1 {
+		tb.Fatalf("want 1 flushed segment, got %d", len(segs))
 	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// segmentPrefix is the reference reading of one segment file. ok is false
+// when the header is unreadable, so Open must delete the file. Otherwise
+// want holds what Open must index: every checksum-valid record of a live
+// kind up to the first framing break, the last copy of a key winning.
+func segmentPrefix(data []byte) (want map[Key][]byte, ok bool) {
+	if len(data) < headerLen || string(data[:4]) != segMagic ||
+		binary.LittleEndian.Uint16(data[4:]) != segVersion {
+		return nil, false
+	}
+	want = make(map[Key][]byte)
+	for rest := data[headerLen:]; len(rest) >= recHeaderLen; {
+		n := int(binary.LittleEndian.Uint32(rest))
+		sum := binary.LittleEndian.Uint64(rest[4:])
+		rest = rest[recHeaderLen:]
+		if n < bodyFixed || n > len(rest) {
+			break
+		}
+		body := rest[:n]
+		rest = rest[n:]
+		k := Key{
+			FP:   ir.Fingerprint{Hi: binary.LittleEndian.Uint64(body), Lo: binary.LittleEndian.Uint64(body[8:])},
+			Kind: Kind(body[16]),
+			Aux:  binary.LittleEndian.Uint64(body[17:]),
+		}
+		if fnv1a(body) == sum && readKind(k.Kind) {
+			want[k] = body[bodyFixed:]
+		}
+	}
+	return want, true
+}
+
+// FuzzLoadSegment feeds arbitrary bytes to Open as a segment file. Open
+// must not panic, must either index exactly the segment's readable record
+// prefix or delete the file, and must never index a payload of maxRecord
+// bytes or more.
+func FuzzLoadSegment(f *testing.F) {
+	valid := flushedSegment(f,
+		record{key(0), payload(0, 24)},
+		record{key(1), payload(1, 25)},
+		record{key(2), payload(2, 26)},
+		record{Key{FP: key(0).FP, Kind: KindFeatures}, payload(9, 8*4)},
+	)
+	edit := func(fn func([]byte)) []byte {
+		c := append([]byte(nil), valid...)
+		fn(c)
+		return c
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-10]) // torn tail
+	f.Add(edit(func(c []byte) { c[headerLen+recHeaderLen+bodyFixed+3] ^= 0x10 }))
+	f.Add(edit(func(c []byte) { c[0] = 'X' }))
+	f.Add(edit(func(c []byte) { binary.LittleEndian.PutUint16(c[4:], segVersion+1) }))
+	f.Add(flushedSegment(f,
+		record{Key{FP: key(1).FP, Kind: 3}, payload(3, 20*8)},
+		record{Key{FP: key(1).FP, Kind: 4, Aux: 5}, []byte("bytecode")},
+		record{key(2), []byte("profile")},
+	))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "seg-000000000001.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		want, ok := segmentPrefix(data)
+		_, statErr := os.Stat(path)
+		if kept := statErr == nil; kept != ok {
+			t.Fatalf("segment kept = %v, want %v", kept, ok)
+		}
+		if n := s.Len(); n != len(want) {
+			t.Fatalf("indexed %d records, want %d", n, len(want))
+		}
+		for k, w := range want {
+			got, hit := s.Get(k)
+			if !hit || string(got) != string(w) {
+				t.Fatalf("Get(%+v) = %q, %v; want %q", k, got, hit, w)
+			}
+			if len(got) >= maxRecord {
+				t.Fatalf("Get(%+v) returned %d bytes, maxRecord is %d", k, len(got), maxRecord)
+			}
+		}
+	})
 }
 
 // TestBudgetEvictsOldestSegments: exceeding the byte budget deletes whole

@@ -42,13 +42,12 @@ const cacheShards = 32
 // The cache is two-level. The per-shard sequence index maps a pass sequence
 // to the structural fingerprint of the IR it produces; the fingerprint store
 // holds one record per fingerprint with everything that is a pure function
-// of that IR: the physical profile (cycles, area), the feature vector and
-// the graph feature block. Distinct sequences that converge on the same IR —
-// the common case, since most passes are no-ops most of the time — share one
-// profiler run and one extraction per vector (counted as FPHits rather than
-// Compiles). The store has no cap: a record exists only for an IR that a
-// compile or a feature query produced, and distinct IRs are far fewer than
-// distinct sequences.
+// of that IR: the physical profile (cycles, area) and the feature vector.
+// Distinct sequences that converge on the same IR — the common case, since
+// most passes are no-ops most of the time — share one profiler run and one
+// feature extraction (counted as FPHits rather than Compiles). The store
+// has no cap: a record exists only for an IR that a compile or a feature
+// query produced, and distinct IRs are far fewer than distinct sequences.
 type Program struct {
 	Name string
 	orig *ir.Module
@@ -79,15 +78,15 @@ type Program struct {
 	shards [cacheShards]cacheShard
 
 	// The fingerprint store: one record per structural fingerprint of an
-	// optimized IR, holding its profile and its feature vectors.
+	// optimized IR, holding its profile and its feature vector.
 	fpMu      sync.Mutex
 	fpEntries map[ir.Fingerprint]*fpEntry // guarded by fpMu
 
 	// artifacts is the optional persistent tier beneath the fingerprint
-	// store: feature and graph-feature vectors for previously seen
-	// fingerprints are read from disk instead of re-extracted, and fresh
-	// extractions are written behind. The profiler holds the same store for
-	// profile verdicts. Nil means memory-only.
+	// store: feature vectors for previously seen fingerprints are read
+	// from disk instead of re-extracted, and fresh extractions are written
+	// behind. The profiler holds the same store for profile verdicts. Nil
+	// means memory-only.
 	artifacts atomic.Pointer[artifact.Store]
 
 	irMu    sync.Mutex
@@ -140,34 +139,15 @@ type seqEntry struct {
 	ok bool
 }
 
-// fpEntry is one fingerprint-store record. The vectors are pure in the IR;
-// the profile verdict also depends on the interpreter limits, so SetLimits
-// clears hasProfile and keeps the vectors. A nil vector is not extracted
-// yet. Published vectors are shared and must be treated as immutable.
+// fpEntry is one fingerprint-store record. The feature vector is pure in
+// the IR; the profile verdict also depends on the interpreter limits, so
+// SetLimits clears hasProfile and keeps the features. A nil feats is not
+// extracted yet. A published vector is shared and must be treated as
+// immutable.
 type fpEntry struct {
 	cycles, area int64
 	hasProfile   bool
-	vecs         [numVecKinds][]int64
-}
-
-// vecKind names one of the IR-derived vectors a fingerprint record holds.
-type vecKind int
-
-const (
-	vecFeatures vecKind = iota // the paper's 56 static features
-	vecGraph                   // the opt-in structural graph feature block
-	numVecKinds
-)
-
-// vecKinds declares each vector kind: its length, its persistent artifact
-// record kind, and its extractor.
-var vecKinds = [numVecKinds]struct {
-	n       int
-	art     artifact.Kind
-	extract func(*ir.Module) []int64
-}{
-	vecFeatures: {features.NumFeatures, artifact.KindFeatures, features.Extract},
-	vecGraph:    {features.NumGraphFeatures, artifact.KindGraphFeatures, features.ExtractGraph},
+	feats        []int64
 }
 
 // irEntry pairs a cached optimized module with its fingerprint, so prefix
@@ -293,7 +273,7 @@ func (p *Program) SanitizerReport() *passes.SanitizerReport {
 // observation-only surface, so a contained extraction fault degrades to an
 // all-zero vector instead of failing the caller.
 func (p *Program) Features() []int64 {
-	if f, fault := p.extractSafe(p.orig, p.origFP, vecFeatures, nil); fault == nil {
+	if f, fault := p.extractSafe(p.orig, p.origFP, nil); fault == nil {
 		return f
 	}
 	return make([]int64, features.NumFeatures)
@@ -348,10 +328,10 @@ func (p *Program) resolve(e seqEntry) (compileResult, bool) {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
 	r := p.fpEntries[e.fp]
-	if r == nil || !r.hasProfile || r.vecs[vecFeatures] == nil {
+	if r == nil || !r.hasProfile || r.feats == nil {
 		return compileResult{}, false
 	}
-	return compileResult{cycles: r.cycles, area: r.area, feats: r.vecs[vecFeatures], fp: e.fp, ok: true}, true
+	return compileResult{cycles: r.cycles, area: r.area, feats: r.feats, fp: e.fp, ok: true}, true
 }
 
 // fpProfile returns the stored profile for fp, if there is one.
@@ -384,27 +364,27 @@ func (p *Program) fpRecord(fp ir.Fingerprint) *fpEntry {
 	return e
 }
 
-// fpVec returns the stored vector of kind k for fp, or nil.
-func (p *Program) fpVec(fp ir.Fingerprint, k vecKind) []int64 {
+// fpVec returns the stored feature vector for fp, or nil.
+func (p *Program) fpVec(fp ir.Fingerprint) []int64 {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
 	if e := p.fpEntries[fp]; e != nil {
-		return e.vecs[k]
+		return e.feats
 	}
 	return nil
 }
 
-// fpPutVec publishes v as fp's vector of kind k and returns the stored one:
+// fpPutVec publishes v as fp's feature vector and returns the stored one:
 // the first published vector wins (extraction is pure, so any copy is the
 // right one).
-func (p *Program) fpPutVec(fp ir.Fingerprint, k vecKind, v []int64) []int64 {
+func (p *Program) fpPutVec(fp ir.Fingerprint, v []int64) []int64 {
 	p.fpMu.Lock()
 	defer p.fpMu.Unlock()
 	e := p.fpRecord(fp)
-	if e.vecs[k] == nil {
-		e.vecs[k] = v
+	if e.feats == nil {
+		e.feats = v
 	}
-	return e.vecs[k]
+	return e.feats
 }
 
 // compile is the shared memoized entry point: boundary validation, then
@@ -589,7 +569,7 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 	}
 	// Features are extracted (and stored) before the profile so a
 	// feature-stage fault never pays for a profiler run.
-	feats, ffault := p.extractSafe(m, fp, vecFeatures, seq)
+	feats, ffault := p.extractSafe(m, fp, seq)
 	if ffault != nil {
 		return p.faultResult(ffault, key), false
 	}
@@ -643,34 +623,33 @@ func (p *Program) buildIRSafe(seq []int, key string, sanitize bool) (m *ir.Modul
 	return
 }
 
-// extractSafe returns fp's vector of kind k, extracted from m at most once
+// extractSafe returns fp's feature vector, extracted from m at most once
 // per fingerprint, behind the feature-stage containment boundary. The
 // persistent tier sits underneath the fingerprint store: a disk record for
-// the fingerprint skips extraction entirely (the vectors are pure in the
+// the fingerprint skips extraction entirely (the features are pure in the
 // IR, so the stored vector IS the extraction), and fresh extractions are
 // written behind.
-func (p *Program) extractSafe(m *ir.Module, fp ir.Fingerprint, k vecKind, seq []int) (vec []int64, fault *EvalFault) {
+func (p *Program) extractSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (vec []int64, fault *EvalFault) {
 	defer func() {
 		if v := recover(); v != nil {
 			vec = nil
 			fault = newPanicFault(v, "features", p.Name, seq)
 		}
 	}()
-	if v := p.fpVec(fp, k); v != nil {
+	if v := p.fpVec(fp); v != nil {
 		return v, nil
 	}
-	kind := &vecKinds[k]
 	st := p.artifacts.Load()
-	key := artifact.Key{FP: fp, Kind: kind.art}
+	key := artifact.Key{FP: fp, Kind: artifact.KindFeatures}
 	if st != nil {
 		if data, ok := st.Get(key); ok {
-			if v, ok := decodeVec(data, kind.n); ok {
-				return p.fpPutVec(fp, k, v), nil
+			if v, ok := decodeVec(data, features.NumFeatures); ok {
+				return p.fpPutVec(fp, v), nil
 			}
 			st.NoteCorrupt(key)
 		}
 	}
-	v := p.fpPutVec(fp, k, kind.extract(m))
+	v := p.fpPutVec(fp, features.Extract(m))
 	if st != nil {
 		st.Put(key, encodeVec(v))
 	}
@@ -1035,12 +1014,6 @@ type EnvConfig struct {
 	// no samples are consumed. InferGreedy uses it to reach the paper's
 	// 1 sample per program (Figure 9).
 	NoProfile bool
-	// GraphObs appends the structural graph feature block (CFG shape, loop
-	// nesting, call-graph topology, effect aggregates — see
-	// features.GraphNames) to the feature section of the observation. Off
-	// by default: the paper's 56-feature observation stays bit-identical
-	// unless an experiment opts in.
-	GraphObs bool
 }
 
 // DefaultEnv matches the per-program evaluation setting of §6.1.
@@ -1096,22 +1069,6 @@ func (c EnvConfig) normalizeFeatures(raw []int64) []float64 {
 	return out
 }
 
-// normalizeGraph maps the raw graph feature block into observation space.
-// NormLog applies the same log(1+x) squash as the 56-feature block;
-// NormTotal has no meaningful denominator here (the block carries no
-// instruction count), so graph features pass through raw under it.
-func (c EnvConfig) normalizeGraph(raw []int64) []float64 {
-	out := make([]float64, len(raw))
-	for i, v := range raw {
-		if c.Norm == NormLog {
-			out[i] = math.Log1p(float64(v))
-		} else {
-			out[i] = float64(v)
-		}
-	}
-	return out
-}
-
 func (c EnvConfig) reward(prev, cur, base int64) float64 {
 	// §5.1: R = c_prev − c_cur.
 	d := float64(prev - cur)
@@ -1133,20 +1090,12 @@ func (c EnvConfig) reward(prev, cur, base int64) float64 {
 // FeaturesAfter applies the pass sequence and extracts features without
 // invoking the clock-cycle profiler. Inference needs the next observation
 // but no reward, so this does not count as a sample — which is how the
-// paper's deep-RL inference reaches 1 sample per program (Figure 9).
-// Any fault degrades to an all-zero observation: this is the inference
-// path, where a crash would cost the whole rollout.
-func (p *Program) FeaturesAfter(seq []int) []int64 { return p.vecAfter(seq, vecFeatures) }
-
-// GraphFeaturesAfter is FeaturesAfter for the opt-in graph feature block,
-// with the same profiler-free, zero-on-fault contract.
-func (p *Program) GraphFeaturesAfter(seq []int) []int64 { return p.vecAfter(seq, vecGraph) }
-
-// vecAfter applies the sequence and returns the vector of kind k of the
-// resulting IR, stored under its fingerprint, without ever invoking the
-// profiler.
-func (p *Program) vecAfter(seq []int, k vecKind) (out []int64) {
-	n := vecKinds[k].n
+// paper's deep-RL inference reaches 1 sample per program (Figure 9). The
+// vector is stored under the resulting IR's fingerprint. Any fault degrades
+// to an all-zero observation: this is the inference path, where a crash
+// would cost the whole rollout.
+func (p *Program) FeaturesAfter(seq []int) (out []int64) {
+	const n = features.NumFeatures
 	defer func() {
 		if recover() != nil {
 			out = make([]int64, n)
@@ -1161,7 +1110,7 @@ func (p *Program) vecAfter(seq []int, k vecKind) (out []int64) {
 	e, hit := sh.cache[key]
 	sh.mu.RUnlock()
 	if hit && e.ok {
-		if v := p.fpVec(e.fp, k); v != nil {
+		if v := p.fpVec(e.fp); v != nil {
 			return v
 		}
 	}
@@ -1174,9 +1123,9 @@ func (p *Program) vecAfter(seq []int, k vecKind) (out []int64) {
 	if !ok {
 		// Sanitizer-flagged sequence: observe the corrupted module without
 		// polluting the fingerprint store.
-		return vecKinds[k].extract(m)
+		return features.Extract(m)
 	}
-	v, fault := p.extractSafe(m, fp, k, seq)
+	v, fault := p.extractSafe(m, fp, seq)
 	if fault != nil {
 		return make([]int64, n)
 	}

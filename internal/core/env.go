@@ -1,7 +1,6 @@
 package core
 
 import (
-	"autophase/internal/features"
 	"autophase/internal/hls"
 	"autophase/internal/passes"
 )
@@ -64,9 +63,6 @@ func (e *PhaseEnv) ObsSize() int {
 	case ObsBoth:
 		n = len(e.Cfg.actions()) + len(e.Cfg.featIdx())
 	}
-	if e.Cfg.GraphObs && e.Cfg.Obs != ObsHistogram {
-		n += features.NumGraphFeatures
-	}
 	return n
 }
 
@@ -83,13 +79,6 @@ func (e *PhaseEnv) observe(rawFeats []int64) []float64 {
 	}
 	if e.Cfg.Obs == ObsFeatures || e.Cfg.Obs == ObsBoth {
 		obs = append(obs, e.Cfg.normalizeFeatures(rawFeats)...)
-		if e.Cfg.GraphObs {
-			// Quarantinable faults roll e.seq back before observing, so the
-			// graph block describes the same module as rawFeats everywhere
-			// except the terminal failing-compile observation, where the
-			// episode is over anyway.
-			obs = append(obs, e.Cfg.normalizeGraph(e.Program.GraphFeaturesAfter(e.seq))...)
-		}
 	}
 	return obs
 }
@@ -210,9 +199,6 @@ func (e *MultiPhaseEnv) ObsSize() int {
 	n := e.Slots
 	if e.Cfg.Obs == ObsFeatures || e.Cfg.Obs == ObsBoth {
 		n += len(e.Cfg.featIdx())
-		if e.Cfg.GraphObs {
-			n += features.NumGraphFeatures
-		}
 	}
 	return n
 }
@@ -243,9 +229,6 @@ func (e *MultiPhaseEnv) observe(rawFeats []int64) []float64 {
 	}
 	if e.Cfg.Obs == ObsFeatures || e.Cfg.Obs == ObsBoth {
 		obs = append(obs, e.Cfg.normalizeFeatures(rawFeats)...)
-		if e.Cfg.GraphObs {
-			obs = append(obs, e.Cfg.normalizeGraph(e.Program.GraphFeaturesAfter(e.sequence()))...)
-		}
 	}
 	return obs
 }
