@@ -26,7 +26,6 @@ import (
 	"autophase/internal/artifact"
 	"autophase/internal/core"
 	"autophase/internal/faults"
-	"autophase/internal/hls"
 	"autophase/internal/progen"
 	"autophase/internal/rl"
 	"autophase/internal/search"
@@ -105,15 +104,18 @@ func TestChaosRandom(t *testing.T) {
 	})
 }
 
-// TestChaosVMPinned pins the profiler to the bytecode VM so every injected
-// vm-panic fires inside the dispatch loop; containment must hold exactly as
-// it does for interpreter panics, with the panic surfacing as a contained
-// profile-stage fault rather than a dead worker.
+// TestChaosVMPinned runs on the bytecode VM, which answers every profile of
+// a lowerable module, so every injected vm-panic fires inside the dispatch
+// loop; containment must hold exactly as it does for interpreter panics,
+// with the panic surfacing as a contained profile-stage fault rather than
+// a dead worker.
 func TestChaosVMPinned(t *testing.T) {
 	runChaos(t, "gsm", func(p *core.Program) {
-		p.SetEngine(hls.EngineVM)
 		obj := core.NewEvaluator(p, chaosWorkers).Objective(10)
 		search.Random(obj, rand.New(rand.NewSource(11)), 300)
+		if st := p.EvalStats(); st.VMHits == 0 || st.StaticHits != 0 || st.InterpHits != 0 {
+			t.Errorf("profiles did not all run on the VM: %+v", st)
+		}
 	})
 }
 

@@ -93,7 +93,6 @@ func main() {
 	faultSeed := flag.Int64("faults-seed", 1, "deterministic seed for the -faults injector")
 	crashDirFlag := flag.String("crashdir", "", "write a crash-repro bundle here for every contained panic/deadline fault")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline per profile, e.g. 2s (0 = unbounded)")
-	engineFlag := flag.String("engine", "auto", "profiler backend: auto (static → vm → interp cascade), static, vm, or interp")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles and features survive restarts)")
 	cacheBudget := flag.Int64("cache-budget", 0, "artifact cache size budget in bytes (0 = 512 MiB default); whole segments evict oldest-first")
 	flag.Parse()
@@ -112,11 +111,6 @@ func main() {
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "autophase:", err)
 		os.Exit(2)
-	}
-
-	engine, err := hls.ParseEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
 	}
 
 	closeArtifacts, err := openArtifacts(*cacheDir, *cacheBudget)
@@ -168,9 +162,6 @@ func main() {
 	if *sanitize {
 		p.EnableSanitizer()
 	}
-	if engine != hls.EngineAuto {
-		p.SetEngine(engine)
-	}
 	if *crashDirFlag != "" {
 		core.SetCrashDir(*crashDirFlag)
 	}
@@ -216,7 +207,7 @@ func main() {
 		report(p, seq, p.O3Cycles)
 	default:
 		ev := core.NewEvaluator(p, *workers)
-		seq = optimize(p, ev, *algo, *budget, *seqLen, *objective, engine)
+		seq = optimize(p, ev, *algo, *budget, *seqLen, *objective)
 		best, bestSeq := p.BestCycles()
 		if bestSeq != nil {
 			seq = bestSeq
@@ -490,10 +481,9 @@ func parsePasses(s string) ([]int, error) {
 	return seq, nil
 }
 
-func optimize(p *core.Program, ev *core.Evaluator, algo string, budget, seqLen int, objective string, engine hls.Engine) []int {
+func optimize(p *core.Program, ev *core.Evaluator, algo string, budget, seqLen int, objective string) []int {
 	cfgEnv := core.DefaultEnv()
 	cfgEnv.EpisodeLen = seqLen
-	cfgEnv.Engine = engine
 	switch objective {
 	case "area":
 		cfgEnv.Objective = core.MinimizeArea

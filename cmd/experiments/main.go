@@ -21,7 +21,6 @@ import (
 	"autophase/internal/core"
 	"autophase/internal/experiments"
 	"autophase/internal/faults"
-	"autophase/internal/hls"
 	"autophase/internal/profiling"
 )
 
@@ -35,7 +34,6 @@ func main() {
 	faultSpec := flag.String("faults", "", `fault-injection spec, e.g. "pass-panic:0.01,interp-stall:0.005"`)
 	faultSeed := flag.Int64("faults-seed", 1, "deterministic seed for the -faults injector")
 	crashDir := flag.String("crashdir", "", "write crash-repro bundles here for contained panic/deadline faults")
-	engineFlag := flag.String("engine", "auto", "profiler backend: auto (static → vm → interp cascade), static, vm, or interp")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (profiles and features survive restarts)")
 	cacheBudget := flag.Int64("cache-budget", 0, "artifact cache size budget in bytes (0 = 512 MiB default)")
 	flag.Parse()
@@ -49,12 +47,6 @@ func main() {
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
-	}
-
-	engine, err := hls.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
 	}
 
 	if *cacheDir != "" {
@@ -95,7 +87,6 @@ func main() {
 	if *workers > 0 {
 		sc.Workers = *workers
 	}
-	sc.Engine = engine
 	runErr := run(*exp, sc, *csv)
 	stopProf()
 	if runErr != nil {

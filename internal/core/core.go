@@ -61,17 +61,17 @@ type Program struct {
 
 	hlsCfg hls.Config
 
-	// profiler is the unified engine front end (static → VM → interpreter
-	// under EngineAuto). It owns the per-engine hit counters; its
-	// limits/engine/cross-check knobs are only ever changed under cfgMu so
-	// in-flight compiles (which hold cfgMu for read) never observe a
-	// mid-compile switch.
+	// profiler is the unified engine front end (VM, or the interpreter on
+	// a module the VM's lowerer declines). It owns the per-engine hit
+	// counters; its limits and cross-check mode are only ever changed
+	// under cfgMu so in-flight compiles (which hold cfgMu for read) never
+	// observe a mid-compile switch.
 	profiler *hls.Profiler
 
-	// cfgMu guards the compile configuration (interpreter limits, engine
-	// selection, sanitizer mode) against whole-cache operations: compiles
-	// hold it for read, so SetLimits/ResetSamples/EnableSanitizer observe
-	// no in-flight compile using the old configuration.
+	// cfgMu guards the compile configuration (interpreter limits,
+	// sanitizer mode) against whole-cache operations: compiles hold it for
+	// read, so SetLimits/ResetSamples/EnableSanitizer observe no in-flight
+	// compile using the old configuration.
 	cfgMu    sync.RWMutex
 	sanitize bool // guarded by cfgMu
 
@@ -255,9 +255,10 @@ func (p *Program) EnableSanitizer() {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
 	p.sanitize = true
-	// Profiles join in: every engine (static, VM, interpreter) runs and
-	// must agree bit-for-bit, so a miscompiled reward can't slip through
-	// whichever engine happened to answer.
+	// Profiles join in: all three engines (static estimator, VM,
+	// interpreter) run and must agree bit-for-bit wherever they answer, so
+	// an engine bug cannot slip a wrong cycle count into the reward. This
+	// is the only place the static estimator runs on the reward path.
 	p.profiler.SetCrossCheck(true)
 }
 
@@ -889,20 +890,6 @@ func (p *Program) ResetSamples(dropCache bool) {
 	}
 }
 
-// SetEngine pins the profiler backend used by subsequent profiles
-// (hls.EngineAuto restores the static → VM → interpreter cascade). Caches
-// survive an engine switch: all engines produce bit-identical reports
-// wherever they overlap, which is exactly the contract the sanitizer's
-// cross-check mode enforces.
-func (p *Program) SetEngine(e hls.Engine) {
-	p.cfgMu.Lock()
-	defer p.cfgMu.Unlock()
-	p.profiler.SetEngine(e)
-}
-
-// Engine returns the current profiler backend policy.
-func (p *Program) Engine() hls.Engine { return p.profiler.Engine() }
-
 // SetLimits replaces the interpreter limits used by subsequent profiles and
 // drops the memoized compile results, whose success verdicts depend on the
 // limits: the sequence index is cleared and every fingerprint-store record
@@ -1003,11 +990,6 @@ type EnvConfig struct {
 	// Program.SanitizerReport. Training gets slower but cannot silently
 	// learn from a broken reward oracle.
 	Sanitize bool
-	// Engine pins the profiler backend (hls.EngineStatic, hls.EngineVM,
-	// hls.EngineInterp); the zero value hls.EngineAuto keeps the default
-	// static → VM → interpreter cascade. All engines are bit-identical
-	// where they overlap, so this trades speed, not results.
-	Engine hls.Engine
 	// NoProfile puts the environment in inference mode: steps extend the
 	// sequence and observe features through the profiler-free FeaturesAfter
 	// path, but the clock-cycle profiler never runs, rewards are zero and

@@ -1,19 +1,12 @@
 package core
 
-import (
-	"testing"
-
-	"autophase/internal/hls"
-)
+import "testing"
 
 // TestEngineStatsAttribution: the per-engine hit counters in EvalStats
-// attribute every profile to the backend that answered it, and the Auto
-// cascade prefers the cheapest engine that can.
+// attribute every profile to the backend that answered it, and Auto
+// answers a lowerable module through the VM.
 func TestEngineStatsAttribution(t *testing.T) {
 	p := mustProgram(t, "matmul")
-	if p.Engine() != hls.EngineAuto {
-		t.Fatalf("fresh program engine = %v, want Auto", p.Engine())
-	}
 	// NewProgram already profiled the original module and its -O3 form.
 	st := p.EvalStats()
 	if st.StaticHits+st.VMHits+st.InterpHits == 0 {
@@ -28,75 +21,7 @@ func TestEngineStatsAttribution(t *testing.T) {
 	if got := st.VMHits + st.StaticHits + st.InterpHits; got != before+1 {
 		t.Fatalf("one fresh compile added %d engine hits, want 1", got-before)
 	}
-	if st.InterpHits != 0 {
-		t.Fatalf("auto cascade fell through to the interpreter on a lowerable module: %+v", st)
-	}
-}
-
-// TestSetEnginePins: pinning an engine routes every subsequent profile
-// through it without changing the answer, and cached results are reused
-// across the switch (the engines are bit-identical, so no invalidation).
-func TestSetEnginePins(t *testing.T) {
-	p := mustProgram(t, "qsort")
-	seq := []int{38, 31, 30}
-	autoCycles, _, ok := p.Compile(seq)
-	if !ok {
-		t.Fatal("auto compile failed")
-	}
-	compiles := p.EvalStats().Compiles
-
-	p.SetEngine(hls.EngineInterp)
-	if p.Engine() != hls.EngineInterp {
-		t.Fatalf("Engine() = %v after SetEngine(Interp)", p.Engine())
-	}
-	// The memoized result survives the engine switch: same cycles, no new
-	// physical compile.
-	pinnedCycles, _, ok := p.Compile(seq)
-	if !ok || pinnedCycles != autoCycles {
-		t.Fatalf("pinned recompile: cycles=%d ok=%v, want %d", pinnedCycles, ok, autoCycles)
-	}
-	if got := p.EvalStats().Compiles; got != compiles {
-		t.Fatalf("engine switch invalidated the compile cache: %d -> %d compiles", compiles, got)
-	}
-	// A fresh sequence under the pinned interpreter agrees with Auto's
-	// answer for the same IR and is attributed to InterpHits.
-	fresh := []int{38, 31}
-	pinned, _, ok := p.Compile(fresh)
-	if !ok {
-		t.Fatal("pinned fresh compile failed")
-	}
-	if p.EvalStats().InterpHits == 0 {
-		t.Fatal("pinned interpreter profile not counted in InterpHits")
-	}
-	q := mustProgram(t, "qsort")
-	auto, _, ok := q.Compile(fresh)
-	if !ok || auto != pinned {
-		t.Fatalf("pinned interpreter cycles %d != auto cycles %d", pinned, auto)
-	}
-}
-
-// TestEnvConfigEngineThreading: EnvConfig.Engine pins the program's
-// profiler when an environment is built (the -engine flag's path into the
-// RL loop); the zero value leaves the Auto cascade untouched.
-func TestEnvConfigEngineThreading(t *testing.T) {
-	p := mustProgram(t, "matmul")
-	cfg := DefaultEnv()
-	NewPhaseEnv(p, cfg)
-	if p.Engine() != hls.EngineAuto {
-		t.Fatalf("zero-value EnvConfig changed the engine to %v", p.Engine())
-	}
-
-	cfg.Engine = hls.EngineInterp
-	NewPhaseEnv(p, cfg)
-	if p.Engine() != hls.EngineInterp {
-		t.Fatalf("EnvConfig.Engine not threaded through NewPhaseEnv: %v", p.Engine())
-	}
-
-	p2 := mustProgram(t, "qsort")
-	cfg2 := DefaultEnv()
-	cfg2.Engine = hls.EngineVM
-	NewMultiPhaseEnv(p2, cfg2, 8, 8)
-	if p2.Engine() != hls.EngineVM {
-		t.Fatalf("EnvConfig.Engine not threaded through NewMultiPhaseEnv: %v", p2.Engine())
+	if st.InterpHits != 0 || st.StaticHits != 0 {
+		t.Fatalf("auto answered a lowerable module off the VM: %+v", st)
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"autophase/internal/hls"
-	"autophase/internal/passes"
-)
+import "autophase/internal/passes"
 
 // Env is the common surface of the phase-ordering environments: the
 // gym-style subset (Reset/Step/ObsSize/ActionDims) the rl trainers consume,
@@ -45,9 +42,6 @@ type PhaseEnv struct {
 func NewPhaseEnv(p *Program, cfg EnvConfig) *PhaseEnv {
 	if cfg.Sanitize {
 		p.EnableSanitizer()
-	}
-	if cfg.Engine != hls.EngineAuto {
-		p.SetEngine(cfg.Engine)
 	}
 	return &PhaseEnv{Cfg: cfg, Program: p}
 }
@@ -186,9 +180,6 @@ type MultiPhaseEnv struct {
 func NewMultiPhaseEnv(p *Program, cfg EnvConfig, slots, steps int) *MultiPhaseEnv {
 	if cfg.Sanitize {
 		p.EnableSanitizer()
-	}
-	if cfg.Engine != hls.EngineAuto {
-		p.SetEngine(cfg.Engine)
 	}
 	return &MultiPhaseEnv{Cfg: cfg, Program: p, Slots: slots, Steps: steps}
 }

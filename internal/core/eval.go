@@ -99,7 +99,7 @@ type EvalStats struct {
 	Compiles   int64 // physical compile+profile executions
 	CacheHits  int64 // memoized answers from the sequence index
 	Merges     int64 // concurrent duplicate compiles folded by singleflight
-	StaticHits int64 // profiles answered by the SCEV static estimator
+	StaticHits int64 // cross-checked profiles the SCEV static estimator agreed on (sanitizer only)
 	VMHits     int64 // profiles answered by the bytecode VM
 	InterpHits int64 // profiles answered by the tree-walking interpreter
 	FPHits     int64 // new sequences whose IR fingerprint matched an existing profile

@@ -9,9 +9,9 @@ import (
 )
 
 // findDeadlineSeq compiles candidate sequences under interp-stall injection
-// until one takes the interpreter path (the static estimator answers some
-// matmul sequences without running the interpreter, and those cannot stall)
-// and comes back as a deadline-class fault.
+// until one comes back as a deadline-class fault (the stall is drawn at the
+// VM's and the interpreter's strided step polls, so a short run may draw
+// none).
 func findDeadlineSeq(t *testing.T, p *Program) []int {
 	t.Helper()
 	candidates := [][]int{

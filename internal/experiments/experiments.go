@@ -13,7 +13,6 @@ import (
 	"runtime"
 
 	"autophase/internal/core"
-	"autophase/internal/hls"
 	"autophase/internal/ir"
 	"autophase/internal/progen"
 )
@@ -60,12 +59,6 @@ type Scale struct {
 	// available CPU; Quick pins 1 so recorded trajectories stay bit-stable
 	// across machines.
 	Workers int
-
-	// Engine pins the profiler backend for every environment the
-	// experiments build (the -engine CLI knob); the zero value
-	// hls.EngineAuto keeps the static → VM → interpreter cascade. Results
-	// are bit-identical across engines, so this only moves wall-clock.
-	Engine hls.Engine
 }
 
 // workers resolves the Scale's worker count (0 = all CPUs).

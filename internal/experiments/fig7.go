@@ -133,7 +133,6 @@ func envCfg(obs core.ObsKind, sc Scale) core.EnvConfig {
 	cfg := core.DefaultEnv()
 	cfg.Obs = obs
 	cfg.EpisodeLen = sc.EpisodeLen
-	cfg.Engine = sc.Engine
 	return cfg
 }
 

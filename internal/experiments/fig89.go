@@ -25,7 +25,7 @@ type GenSetting struct {
 func GenSettings(imp *core.Importance, sc Scale) []GenSetting {
 	feats := imp.TopFeatures(sc.KeepFeatures)
 	pass := imp.TopPasses(sc.KeepPasses)
-	base := core.EnvConfig{Obs: core.ObsBoth, EpisodeLen: sc.EpisodeLen, RewardLog: true, Engine: sc.Engine}
+	base := core.EnvConfig{Obs: core.ObsBoth, EpisodeLen: sc.EpisodeLen, RewardLog: true}
 
 	orig := base
 	orig.Norm = core.NormTotal

@@ -16,10 +16,11 @@ type Report struct {
 	Steps   int   // interpreter steps (software-trace length)
 	Exit    int64 // program exit value (for validation)
 	// Engine records which backend produced the report (EngineStatic,
-	// EngineVM or EngineInterp; under CrossCheck, the engine EngineAuto
-	// would have chosen). On EngineStatic reports, derived by the SCEV-based
-	// static estimator, Exit is only populated when the return value is
-	// itself statically determined.
+	// EngineVM or EngineInterp). Under CrossCheck it is EngineStatic when
+	// the static estimator answered and agreed, otherwise the engine
+	// EngineAuto would have chosen. On reports from a pinned EngineStatic
+	// profiler, derived by the SCEV-based static estimator, Exit is only
+	// populated when the return value is itself statically determined.
 	Engine Engine
 }
 

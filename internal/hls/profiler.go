@@ -17,12 +17,13 @@ import (
 // Engine selects which profiling backend answers a Profile call.
 type Engine int
 
-// The profiling engines. EngineAuto is the production policy — cheapest
-// exact engine first: static estimation when the module is in the
-// statically-determined fragment, the bytecode VM when the module lowers,
-// the tree-walking interpreter otherwise. The other values pin one engine
-// for debugging and benchmarking; a pinned engine that cannot handle the
-// module fails with ErrEngineDeclined instead of falling back.
+// The profiling engines. EngineAuto is the production policy: the bytecode
+// VM when the module lowers, the tree-walking interpreter otherwise. The
+// other values pin one engine for reference tests and benchmarks; a pinned
+// engine that cannot handle the module fails with ErrEngineDeclined instead
+// of falling back. EngineStatic, the SCEV static estimator, is reachable
+// only pinned and in CrossCheck (DESIGN "No static estimator on the reward
+// path").
 const (
 	EngineAuto Engine = iota
 	EngineStatic
@@ -32,23 +33,12 @@ const (
 
 var engineNames = [...]string{"auto", "static", "vm", "interp"}
 
-// String returns the engine's flag-spelling ("auto", "static", "vm",
-// "interp").
+// String returns the engine's name ("auto", "static", "vm", "interp").
 func (e Engine) String() string {
 	if e >= 0 && int(e) < len(engineNames) {
 		return engineNames[e]
 	}
 	return fmt.Sprintf("hls.Engine(%d)", int(e))
-}
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	for i, n := range engineNames {
-		if s == n {
-			return Engine(i), nil
-		}
-	}
-	return EngineAuto, fmt.Errorf("hls: unknown engine %q (known: auto, static, vm, interp)", s)
 }
 
 // ErrEngineDeclined reports that a pinned engine cannot handle the module
@@ -67,7 +57,7 @@ type ProfileOptions struct {
 	// interp.DefaultLimits.
 	Limits interp.Limits
 	// Engine pins a profiling backend; EngineAuto (the zero value) selects
-	// static → VM → interpreter per module.
+	// VM → interpreter per module.
 	Engine Engine
 	// CrossCheck runs every applicable engine on every profile and errors
 	// on any cycle/step/exit/trace disagreement (the sanitizer mode).
@@ -77,16 +67,16 @@ type ProfileOptions struct {
 // Profiler is the unified profiling surface: one object owning the
 // synthesis config, the execution limits and the engine policy.
 //
-// A Profiler is safe for concurrent use. The synthesis config is fixed at
-// construction (it is part of every stored profile's key); limits, engine
-// and cross-check mode may be changed at runtime.
+// A Profiler is safe for concurrent use. The synthesis config and the
+// engine are fixed at construction (both are part of every stored
+// profile's key); limits and cross-check mode may be changed at runtime.
 type Profiler struct {
 	cfg    Config
 	cfgKey uint64 // artifact.HashString of the rendered config
+	engine Engine
 
 	mu     sync.RWMutex
 	lim    interp.Limits   // guarded by mu
-	engine Engine          // guarded by mu
 	check  bool            // guarded by mu
 	store  *artifact.Store // guarded by mu; nil = no persistence
 	limKey uint64          // guarded by mu; limitsKey(lim)
@@ -167,22 +157,6 @@ func limitsKey(lim interp.Limits) uint64 {
 	return artifact.HashString(fmt.Sprintf("%#v", lim))
 }
 
-// Engine returns the current engine policy.
-func (p *Profiler) Engine() Engine {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.engine
-}
-
-// SetEngine changes the engine policy for subsequent profiles. No caches
-// need invalidating: all engines produce bit-identical reports wherever
-// they overlap (that is the contract CrossCheck enforces).
-func (p *Profiler) SetEngine(e Engine) {
-	p.mu.Lock()
-	p.engine = e
-	p.mu.Unlock()
-}
-
 // SetCrossCheck toggles the run-every-engine sanitizer mode.
 func (p *Profiler) SetCrossCheck(on bool) {
 	p.mu.Lock()
@@ -222,7 +196,7 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 		return nil, fmt.Errorf("hls profile: %w", err)
 	}
 	p.mu.RLock()
-	engine, lim, check := p.engine, p.lim, p.check
+	lim, check := p.lim, p.check
 	store, limKey := p.store, p.limKey
 	p.mu.RUnlock()
 	if check {
@@ -236,13 +210,13 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 		if !haveFP {
 			fp = m.Fingerprint()
 		}
-		// The engine policy is part of the key: a pinned engine must see
-		// exactly the profiles (and the declines-as-errors) it would compute
-		// itself, so records written under one policy never answer another.
+		// The engine is part of the key: a pinned engine must see exactly
+		// the profiles (and the declines-as-errors) it would compute itself,
+		// so records written under one engine never answer another.
 		diskKey = artifact.Key{
 			FP:   fp,
 			Kind: artifact.KindProfile,
-			Aux:  artifact.MixAux(p.cfgKey, limKey, uint64(engine)),
+			Aux:  artifact.MixAux(p.cfgKey, limKey, uint64(p.engine)),
 		}
 		if data, ok := store.Get(diskKey); ok {
 			if rep, ok := decodeReport(data); ok {
@@ -252,20 +226,20 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 			store.NoteCorrupt(diskKey)
 		}
 	}
-	rep, err := p.runEngine(m, engine, lim)
+	rep, err := p.runEngine(m, lim)
 	if err == nil && store != nil {
 		// Only successes persist: an error is not a pure function of the key
 		// in any way the store should vouch for (and declines must re-decline
-		// live so a policy change behaves identically warm and cold).
+		// live so a pinned engine behaves identically warm and cold).
 		store.Put(diskKey, encodeReport(rep))
 	}
 	return rep, err
 }
 
-// runEngine dispatches one profile to the configured engine policy (the
-// live, non-disk path).
-func (p *Profiler) runEngine(m *ir.Module, engine Engine, lim interp.Limits) (*Report, error) {
-	switch engine {
+// runEngine dispatches one profile to the profiler's engine (the live,
+// non-disk path).
+func (p *Profiler) runEngine(m *ir.Module, lim interp.Limits) (*Report, error) {
+	switch p.engine {
 	case EngineStatic:
 		rep, ok := StaticProfile(m, p.cfg, lim)
 		if !ok {
@@ -273,28 +247,9 @@ func (p *Profiler) runEngine(m *ir.Module, engine Engine, lim interp.Limits) (*R
 		}
 		p.staticHits.Add(1)
 		return rep, nil
-	case EngineVM:
+	case EngineVM, EngineAuto:
 		prog, err := lowerModule(m, p.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("hls profile: %w: %v", ErrEngineDeclined, err)
-		}
-		rep, err := runVM(prog, lim)
 		if err == nil {
-			p.vmHits.Add(1)
-		}
-		return rep, err
-	case EngineInterp:
-		rep, _, err := interpProfile(m, p.cfg, lim)
-		if err == nil {
-			p.interpHits.Add(1)
-		}
-		return rep, err
-	default: // EngineAuto
-		if rep, ok := StaticProfile(m, p.cfg, lim); ok {
-			p.staticHits.Add(1)
-			return rep, nil
-		}
-		if prog, err := lowerModule(m, p.cfg); err == nil {
 			// A VM runtime error is a property of the program (trap,
 			// limit), not of the engine: the interpreter would fail the
 			// same way, so there is no fallback past this point.
@@ -304,12 +259,16 @@ func (p *Profiler) runEngine(m *ir.Module, engine Engine, lim interp.Limits) (*R
 			}
 			return rep, err
 		}
-		rep, _, err := interpProfile(m, p.cfg, lim)
-		if err == nil {
-			p.interpHits.Add(1)
+		if p.engine == EngineVM {
+			return nil, fmt.Errorf("hls profile: %w: %v", ErrEngineDeclined, err)
 		}
-		return rep, err
 	}
+	// EngineInterp, and EngineAuto on a module the lowerer declines.
+	rep, _, err := interpProfile(m, p.cfg, lim)
+	if err == nil {
+		p.interpHits.Add(1)
+	}
+	return rep, err
 }
 
 // The profile-record payload: four little-endian i64s (cycles, area,
@@ -400,11 +359,13 @@ func sameErrClass(a, b error) bool {
 	return true
 }
 
-// crossProfile runs every applicable engine and errors on any divergence:
-// the interpreter is ground truth, the VM must match it on cycles, steps,
-// exit value, print trace, and error class, and the static estimator keeps
-// its original cycle/step contract. The returned report is the
-// interpreter's, tagged with the engine EngineAuto would have chosen.
+// crossProfile runs all three engines and errors on any divergence: the
+// interpreter is ground truth, the VM must match it on cycles, steps, exit
+// value, print trace, and error class, and the static estimator, wherever
+// it answers, must match its cycles and steps. The returned report is the
+// interpreter's, tagged EngineStatic when the static estimator answered
+// and agreed, otherwise with the engine EngineAuto would have chosen; the
+// tag picks the hit counter the profile is charged to.
 func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error) {
 	static, sok := StaticProfile(m, p.cfg, lim)
 

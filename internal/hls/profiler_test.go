@@ -25,18 +25,6 @@ var preludes = []struct {
 	{"o3", passes.O3Sequence},
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, e := range []hls.Engine{hls.EngineAuto, hls.EngineStatic, hls.EngineVM, hls.EngineInterp} {
-		got, err := hls.ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := hls.ParseEngine("jit"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine name")
-	}
-}
-
 // diffEngines profiles m under the pinned-interpreter reference and the
 // pinned VM, demanding identical cycles/steps/exit/area or identical error
 // classes. It returns the interpreter report for further checks.
@@ -111,20 +99,38 @@ func TestVMDifferentialProgen(t *testing.T) {
 	}
 }
 
-// TestAutoEngineSelection: Auto answers statically when it can, otherwise
-// through the VM, otherwise through the interpreter — and says which.
+// TestAutoEngineSelection: Auto answers through the VM whenever the module
+// lowers, including modules inside the static estimator's fragment, and
+// says so; the static estimator is reached only when pinned, where it
+// returns the same cycles and steps.
 func TestAutoEngineSelection(t *testing.T) {
 	prof := hls.NewProfiler(hls.ProfileOptions{})
-
-	rep, err := prof.Profile(mem2reg(staticFixture()))
-	if err != nil {
-		t.Fatal(err)
+	pinned := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineStatic})
+	for _, c := range []struct {
+		name string
+		m    *ir.Module
+	}{
+		{"static fixture", mem2reg(staticFixture())},
+		{"mem2reg'd matmul", mem2reg(progen.Benchmark("matmul"))},
+	} {
+		rep, err := prof.Profile(c.m)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Engine != hls.EngineVM {
+			t.Fatalf("%s answered by %v, want the VM", c.name, rep.Engine)
+		}
+		srep, err := pinned.Profile(c.m)
+		if err != nil {
+			t.Fatalf("%s: pinned static: %v", c.name, err)
+		}
+		if srep.Engine != hls.EngineStatic || srep.Cycles != rep.Cycles || srep.Steps != rep.Steps {
+			t.Fatalf("%s: pinned static %v cycles=%d steps=%d, auto cycles=%d steps=%d",
+				c.name, srep.Engine, srep.Cycles, srep.Steps, rep.Cycles, rep.Steps)
+		}
 	}
-	if rep.Engine != hls.EngineStatic {
-		t.Fatalf("static fixture answered by %v", rep.Engine)
-	}
 
-	rep, err = prof.Profile(dynamicFixture())
+	rep, err := prof.Profile(dynamicFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +138,11 @@ func TestAutoEngineSelection(t *testing.T) {
 		t.Fatalf("dynamic fixture answered by %v, want the VM", rep.Engine)
 	}
 
-	st := prof.Stats()
-	if st.StaticHits != 1 || st.VMHits != 1 || st.InterpHits != 0 {
-		t.Fatalf("stats = %+v, want exactly one static and one VM hit", st)
+	if st := prof.Stats(); st.StaticHits != 0 || st.VMHits != 3 || st.InterpHits != 0 {
+		t.Fatalf("stats = %+v, want exactly three VM hits", st)
 	}
-
-	prof.SetEngine(hls.EngineInterp)
-	if _, err := prof.Profile(dynamicFixture()); err != nil {
-		t.Fatal(err)
-	}
-	if st := prof.Stats(); st.InterpHits != 1 {
-		t.Fatalf("pinned interpreter did not count: %+v", st)
+	if st := pinned.Stats(); st.StaticHits != 2 {
+		t.Fatalf("pinned static stats = %+v, want two static hits", st)
 	}
 }
 

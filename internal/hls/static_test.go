@@ -63,9 +63,10 @@ func interpReport(m *ir.Module, cfg hls.Config, lim interp.Limits) (*hls.Report,
 	return hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, Engine: hls.EngineInterp}).Profile(m)
 }
 
-// TestStaticProfileCrafted: the crafted fixture takes the fast path, and
-// the automatic and cross-checked profilers agree with the interpreter
-// exactly.
+// TestStaticProfileCrafted: the crafted fixture takes the fast path, the
+// automatic profiler answers it through the VM, and all of them agree with
+// the interpreter exactly; the cross-checked profiler tags the static
+// agreement.
 func TestStaticProfileCrafted(t *testing.T) {
 	m := mem2reg(staticFixture())
 	cfg, lim := hls.DefaultConfig, interp.DefaultLimits
@@ -87,9 +88,9 @@ func TestStaticProfileCrafted(t *testing.T) {
 	if static.Exit != 7 || ref.Exit != 7 {
 		t.Fatalf("exit: static=%d interp=%d, want 7", static.Exit, ref.Exit)
 	}
-	fast, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
-	if err != nil || fast.Engine != hls.EngineStatic || fast.Cycles != ref.Cycles {
-		t.Fatalf("auto profile: %+v, %v", fast, err)
+	auto, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim}).Profile(m)
+	if err != nil || auto.Engine != hls.EngineVM || auto.Cycles != ref.Cycles || auto.Steps != ref.Steps {
+		t.Fatalf("auto profile: %+v, %v", auto, err)
 	}
 	checked, err := hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
 	if err != nil || checked.Engine != hls.EngineStatic || checked.Cycles != ref.Cycles {

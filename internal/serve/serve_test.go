@@ -34,9 +34,9 @@ exit:
 }
 `
 
-// poisonIR faults organically in every engine: the static estimator
-// computes a step count past the interpreter limit and declines, and the
-// VM/interpreter then blow MaxSteps for real.
+// poisonIR faults organically in every engine: the VM and the interpreter
+// blow MaxSteps for real, and the static estimator (under the sanitizer)
+// computes a step count past the limit and declines.
 const poisonIR = `define i32 @main() {
 entry:
   br label %loop

@@ -78,31 +78,3 @@ func TestThreeEngineCrossCheck(t *testing.T) {
 		}
 	}
 }
-
-// TestPinnedEngineAgreement: pinning the profiler to one engine through the
-// core surface (the -engine flag's path) never changes a reward, only which
-// backend produces it. The VM may decline post-pipeline shapes it cannot
-// lower, so the pinned-VM run is checked only where it answers.
-func TestPinnedEngineAgreement(t *testing.T) {
-	for _, name := range []string{"matmul", "qsort", "sha"} {
-		base := detProgram(t, name)
-		ref := core.NewEvaluator(base, 1).EvalBatch(vmPipelines)
-
-		for _, eng := range []hls.Engine{hls.EngineVM, hls.EngineInterp} {
-			p := detProgram(t, name)
-			p.SetEngine(eng)
-			for i, r := range core.NewEvaluator(p, 8).EvalBatch(vmPipelines) {
-				if !r.Ok {
-					if eng == hls.EngineInterp {
-						t.Fatalf("%s pipeline %d: pinned interpreter failed: %v", name, i, r.Fault)
-					}
-					continue // a pinned-VM decline is a fault, not a wrong answer
-				}
-				if !ref[i].Ok || r.Cycles != ref[i].Cycles {
-					t.Fatalf("%s pipeline %d: pinned %v cycles %d != auto cycles %d",
-						name, i, eng, r.Cycles, ref[i].Cycles)
-				}
-			}
-		}
-	}
-}
