@@ -9,12 +9,14 @@ import "sort"
 // checkpoints so a restarted search does not re-run sequences already known
 // to panic or stall.
 func (p *Program) QuarantineRecords() []*EvalFault {
-	p.quarMu.Lock()
-	recs := make([]*EvalFault, 0, len(p.quar))
-	for _, f := range p.quar {
-		recs = append(recs, f)
+	p.mu.Lock()
+	recs := []*EvalFault{}
+	for _, e := range p.seqs {
+		if e.fault != nil {
+			recs = append(recs, e.fault)
+		}
 	}
-	p.quarMu.Unlock()
+	p.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool { return lessSeq(recs[i].Seq, recs[j].Seq) })
 	return recs
 }
@@ -26,17 +28,14 @@ func (p *Program) QuarantineRecords() []*EvalFault {
 // quarantined ones: every query is re-charged one sample and one fault, and
 // SetLimits clears the deadline-class entries.
 func (p *Program) RestoreQuarantine(recs []*EvalFault) {
-	p.quarMu.Lock()
-	defer p.quarMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, f := range recs {
 		if f == nil || !f.Kind.quarantinable() {
 			continue
 		}
-		if p.quar == nil {
-			p.quar = make(map[string]*EvalFault)
-		}
 		cp := *f
 		cp.Seq = append([]int(nil), f.Seq...)
-		p.quar[seqKey(cp.Seq)] = &cp
+		p.entry(seqKey(cp.Seq)).fault = &cp
 	}
 }

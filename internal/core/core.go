@@ -21,28 +21,24 @@ import (
 	"autophase/internal/passes"
 )
 
-// cacheShards is the number of key-hashed shards the compile/feature cache
-// is split into. 32 comfortably exceeds GOMAXPROCS on the machines this
-// runs on, so two workers rarely contend on the same shard lock, while the
-// per-shard map overhead stays negligible next to one compiled module.
-const cacheShards = 32
-
 // Program wraps one input program with compilation caching: the paper
 // counts "samples" as clock-cycle profiler invocations, so repeated
 // evaluations of the same pass sequence are memoized and free.
 //
-// Program is safe for concurrent use. The memoized compile and feature
-// results live in key-hashed shards, each guarded by its own RWMutex so
-// cache hits (the common case inside an episode) only take a read lock,
-// and misses on different sequences compile in parallel. Concurrent misses
-// on the *same* sequence are deduplicated singleflight-style: one goroutine
-// compiles, the rest wait on its result and are counted as merges — the
-// duplicated work is accounted for, not repeated.
+// Program is safe for concurrent use. Everything it remembers per pass
+// sequence lives in one table, guarded by one mutex together with the
+// fingerprint store: a cache hit is one lookup under that lock, and the
+// compile itself runs outside it. At most GOMAXPROCS (or -workers)
+// goroutines compile on one Program at a time, and each spends hundreds of
+// microseconds per compile, so the lock is never the bottleneck. Concurrent
+// misses on the *same* sequence are deduplicated singleflight-style: one
+// goroutine compiles, the rest wait on its result and are counted as
+// merges — the duplicated work is accounted for, not repeated.
 //
-// The cache is two-level. The per-shard sequence index maps a pass sequence
-// to the structural fingerprint of the IR it produces; the fingerprint store
-// holds one record per fingerprint with everything that is a pure function
-// of that IR: the physical profile (cycles, area) and the feature vector.
+// The cache is two-level. The sequence table maps a pass sequence to the
+// structural fingerprint of the IR it produces; the fingerprint store holds
+// one record per fingerprint with everything that is a pure function of
+// that IR: the physical profile (cycles, area) and the feature vector.
 // Distinct sequences that converge on the same IR — the common case, since
 // most passes are no-ops most of the time — share one profiler run and one
 // feature extraction (counted as FPHits rather than Compiles). The store
@@ -75,12 +71,14 @@ type Program struct {
 	cfgMu    sync.RWMutex
 	sanitize bool // guarded by cfgMu
 
-	shards [cacheShards]cacheShard
-
-	// The fingerprint store: one record per structural fingerprint of an
-	// optimized IR, holding its profile and its feature vector.
-	fpMu      sync.Mutex
-	fpEntries map[ir.Fingerprint]*fpEntry // guarded by fpMu
+	// mu guards the sequence table, the residency order of its optimized
+	// modules and the fingerprint store (one record per structural
+	// fingerprint of an optimized IR, holding its profile and its feature
+	// vector). The seqEntry fields are only touched under mu too.
+	mu        sync.Mutex
+	seqs      map[string]*seqEntry        // guarded by mu; keyed by seqKey
+	irOrder   []string                    // guarded by mu; keys with a resident module, oldest first
+	fpEntries map[ir.Fingerprint]*fpEntry // guarded by mu
 
 	// artifacts is the optional persistent tier beneath the fingerprint
 	// store: feature vectors for previously seen fingerprints are read
@@ -89,23 +87,11 @@ type Program struct {
 	// means memory-only.
 	artifacts atomic.Pointer[artifact.Store]
 
-	irMu    sync.Mutex
-	irCache map[string]irEntry // guarded by irMu; optimized IR + fingerprint per prefix
-	irOrder []string           // guarded by irMu; irCache keys in insertion order (eviction)
-
 	// The Program's own counters (evalCounters declares them). Every
 	// sample-charged query resolves to exactly one of cSuccesses, cFaults
 	// and cFlagged, so samples = successes + faults + flagged holds at any
 	// worker count (the chaos suite's invariant).
 	ctr [numCounters]atomic.Int64
-
-	// The quarantine tier: sequences whose compile faulted with a
-	// remembered kind (panic forever, deadline until SetLimits). A
-	// quarantined sequence is never re-run and never cached as valid;
-	// every query of it is re-charged as one sample and one fault, exactly
-	// as a failed profile is, so accounting is worker-count invariant.
-	quarMu sync.Mutex
-	quar   map[string]*EvalFault // guarded by quarMu
 
 	// faultHook (SetFaultHook) observes physical panic/deadline faults;
 	// when unset, crash bundles go to the process-wide SetCrashDir sink.
@@ -117,7 +103,7 @@ type Program struct {
 	bestSeq []int // guarded by bestMu
 
 	// Sanitizer mode (EnableSanitizer): every compile runs the pass
-	// sanitizer; a failing sequence compiles as !ok (the sequence index
+	// sanitizer; a failing sequence compiles as !ok (the sequence table
 	// caches that verdict, and the environment ends the episode with a
 	// penalty instead of learning from a corrupted reward) and the first
 	// report is retained.
@@ -125,18 +111,36 @@ type Program struct {
 	sanReport *passes.SanitizerReport // guarded by sanMu
 }
 
-type cacheShard struct {
-	mu       sync.RWMutex
-	cache    map[string]seqEntry  // guarded by mu
-	inflight map[string]*inflight // guarded by mu
+// seqEntry is everything the Program remembers about one pass sequence.
+type seqEntry struct {
+	m  *ir.Module     // optimized module, while irOrder keeps it resident
+	fp ir.Fingerprint // m's fingerprint; kept after eviction for the verdict
+	// verdict is the cached compile outcome. verdictNone is a miss even
+	// when m is resident: FeaturesAfter builds IR without charging a sample.
+	verdict verdict
+	// fault is the quarantine tier: a remembered panic (forever) or
+	// deadline (until SetLimits) fault. A quarantined sequence is never
+	// re-run; every query of it is re-charged as one sample and one fault,
+	// exactly as a failed profile is, so accounting is worker-count
+	// invariant.
+	fault *EvalFault
+	// fl is the compile in progress, if any. An entry in flight is never
+	// removed, so its owner publishes into the entry its waiters saw.
+	fl *inflight
 }
 
-// seqEntry is one sequence-index record: the fingerprint of the IR the
-// sequence produces (profile and features live in the fingerprint store),
-// or a cached failure verdict (ok=false, sanitizer-flagged sequences).
-type seqEntry struct {
-	fp ir.Fingerprint
-	ok bool
+// verdict is a sequence's cached compile outcome.
+type verdict uint8
+
+const (
+	verdictNone    verdict = iota // not compiled under the current limits
+	verdictOK                     // profiled; the result is fpEntries[fp]
+	verdictFlagged                // the sanitizer flagged the sequence
+)
+
+// empty reports whether e holds nothing worth keeping in the table.
+func (e *seqEntry) empty() bool {
+	return e.m == nil && e.verdict == verdictNone && e.fault == nil && e.fl == nil
 }
 
 // fpEntry is one fingerprint-store record. The feature vector is pure in
@@ -150,13 +154,6 @@ type fpEntry struct {
 	feats        []int64
 }
 
-// irEntry pairs a cached optimized module with its fingerprint, so prefix
-// extension and no-op reuse never re-hash a module already fingerprinted.
-type irEntry struct {
-	m  *ir.Module
-	fp ir.Fingerprint
-}
-
 // inflight is one in-progress compilation. Waiters block on done; the
 // channel close publishes res and cached to them.
 type inflight struct {
@@ -165,10 +162,11 @@ type inflight struct {
 	cached bool
 }
 
-// irCacheCap bounds the per-program optimized-IR cache; episodes extend
-// sequences one pass at a time, so the previous prefix is almost always
-// resident and each compile costs one pass application instead of the
-// whole sequence. It is a variable only so tests can shrink it.
+// irCacheCap bounds the optimized modules the sequence table keeps
+// resident; episodes extend sequences one pass at a time, so the previous
+// prefix is almost always resident and each compile costs one pass
+// application instead of the whole sequence. It is a variable only so
+// tests can shrink it.
 var irCacheCap = 2048
 
 type compileResult struct {
@@ -202,7 +200,7 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 		orig:      m.Clone(),
 		hlsCfg:    hls.DefaultConfig,
 		profiler:  hls.NewProfiler(hls.ProfileOptions{}),
-		irCache:   make(map[string]irEntry),
+		seqs:      make(map[string]*seqEntry),
 		fpEntries: make(map[ir.Fingerprint]*fpEntry),
 	}
 	if st := defaultArtifacts.Load(); st != nil {
@@ -210,9 +208,6 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 		p.profiler.SetArtifacts(st)
 	}
 	p.origFP = p.orig.Fingerprint()
-	for i := range p.shards {
-		p.shards[i].cache = make(map[string]seqEntry)
-	}
 	r0, err := p.profiler.ProfileFP(p.orig, p.origFP)
 	if err != nil {
 		return nil, fmt.Errorf("core: O0 profile of %s: %w", name, err)
@@ -281,9 +276,10 @@ func (p *Program) Features() []int64 {
 }
 
 // seqKey encodes a sequence as two big-endian bytes per pass index. The
-// fixed width keeps the byte-prefix ⟺ sequence-prefix equivalence the IR
-// cache's prefix reuse and eviction protection depend on, while indices up
-// to 65535 encode without aliasing (byte(s) collapsed 256+i onto i).
+// fixed width keeps the byte-prefix ⟺ sequence-prefix equivalence that
+// buildIR's prefix reuse and irPut's eviction protection depend on, while
+// indices up to 65535 encode without aliasing (byte(s) collapsed 256+i
+// onto i).
 func seqKey(seq []int) string {
 	b := make([]byte, 2*len(seq))
 	for i, s := range seq {
@@ -291,15 +287,6 @@ func seqKey(seq []int) string {
 		b[2*i+1] = byte(s)
 	}
 	return string(b)
-}
-
-// shardIndex hashes a sequence key onto a cache shard (FNV-1a).
-func shardIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % cacheShards)
 }
 
 // Compile applies the pass sequence to a clone of the program, extracts
@@ -318,27 +305,44 @@ func (p *Program) CompileArea(seq []int) (cycles, area int64, ok bool) {
 	return r.cycles, r.area, r.ok
 }
 
-// resolve materializes a compileResult from a sequence-index entry. It
-// fails (second return false) only when the entry went stale — its
-// fingerprint-store record lost its profile (SetLimits) — in which case the
-// caller recomputes as a miss.
-func (p *Program) resolve(e seqEntry) (compileResult, bool) {
-	if !e.ok {
+// resolve materializes a compileResult from e's verdict. It fails (second
+// return false) when e has no verdict, or when the verdict went stale — its
+// fingerprint-store record lost its profile — in which case the verdict is
+// dropped and the caller recomputes as a miss.
+//
+//contractvet:locked fpEntries -- callers hold mu
+func (p *Program) resolve(e *seqEntry) (compileResult, bool) {
+	switch e.verdict {
+	case verdictNone:
+		return compileResult{}, false
+	case verdictFlagged:
 		return compileResult{}, true // cached failure verdict
 	}
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
 	r := p.fpEntries[e.fp]
 	if r == nil || !r.hasProfile || r.feats == nil {
+		e.verdict = verdictNone
 		return compileResult{}, false
 	}
 	return compileResult{cycles: r.cycles, area: r.area, feats: r.feats, fp: e.fp, ok: true}, true
 }
 
+// entry returns key's sequence-table entry, creating an empty one if there
+// is none.
+//
+//contractvet:locked seqs -- callers hold mu
+func (p *Program) entry(key string) *seqEntry {
+	e := p.seqs[key]
+	if e == nil {
+		e = &seqEntry{}
+		p.seqs[key] = e
+	}
+	return e
+}
+
 // fpProfile returns the stored profile for fp, if there is one.
 func (p *Program) fpProfile(fp ir.Fingerprint) (cycles, area int64, ok bool) {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if e := p.fpEntries[fp]; e != nil && e.hasProfile {
 		return e.cycles, e.area, true
 	}
@@ -347,15 +351,15 @@ func (p *Program) fpProfile(fp ir.Fingerprint) (cycles, area int64, ok bool) {
 
 // fpPublish records a physical profile under fp.
 func (p *Program) fpPublish(fp ir.Fingerprint, cycles, area int64) {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := p.fpRecord(fp)
 	e.cycles, e.area, e.hasProfile = cycles, area, true
 }
 
 // fpRecord returns fp's record, creating an empty one if there is none.
 //
-//contractvet:locked fpEntries -- callers hold fpMu
+//contractvet:locked fpEntries -- callers hold mu
 func (p *Program) fpRecord(fp ir.Fingerprint) *fpEntry {
 	e := p.fpEntries[fp]
 	if e == nil {
@@ -367,8 +371,8 @@ func (p *Program) fpRecord(fp ir.Fingerprint) *fpEntry {
 
 // fpVec returns the stored feature vector for fp, or nil.
 func (p *Program) fpVec(fp ir.Fingerprint) []int64 {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if e := p.fpEntries[fp]; e != nil {
 		return e.feats
 	}
@@ -379,8 +383,8 @@ func (p *Program) fpVec(fp ir.Fingerprint) []int64 {
 // the first published vector wins (extraction is pure, so any copy is the
 // right one).
 func (p *Program) fpPutVec(fp ir.Fingerprint, v []int64) []int64 {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := p.fpRecord(fp)
 	if e.feats == nil {
 		e.feats = v
@@ -389,8 +393,8 @@ func (p *Program) fpPutVec(fp ir.Fingerprint, v []int64) []int64 {
 }
 
 // compile is the shared memoized entry point: boundary validation, then
-// the quarantine gate, then the shard read-lock fast path, then
-// singleflight on a miss.
+// one sequence-table lookup that answers a quarantined or cached sequence,
+// or joins or starts the singleflight compile on a miss.
 func (p *Program) compile(seq []int) compileResult {
 	// The API boundary for externally supplied sequences: an out-of-range
 	// index becomes a typed fault, not a ByIndex panic. Re-charged on every
@@ -403,38 +407,24 @@ func (p *Program) compile(seq []int) compileResult {
 		return compileResult{fault: f}
 	}
 	key := seqKey(seq)
-	// Quarantine gate: remembered faults short-circuit the compile — the
-	// sequence is never re-run — but are re-charged as one sample and one
-	// fault per query, mirroring the failed-profile accounting rule.
-	if f := p.quarGet(key); f != nil {
+	p.mu.Lock()
+	e := p.entry(key)
+	if f := e.fault; f != nil {
+		// Quarantine gate: remembered faults short-circuit the compile — the
+		// sequence is never re-run — but are re-charged as one sample and one
+		// fault per query, mirroring the failed-profile accounting rule.
+		p.mu.Unlock()
 		p.ctr[cSamples].Add(1)
 		p.ctr[cFaults].Add(1)
 		return compileResult{fault: f}
 	}
-	sh := &p.shards[shardIndex(key)]
-	sh.mu.RLock()
-	e, hit := sh.cache[key]
-	sh.mu.RUnlock()
-	if hit {
-		if r, ok := p.resolve(e); ok {
-			p.ctr[cCacheHits].Add(1)
-			return r
-		}
+	if r, ok := p.resolve(e); ok {
+		p.mu.Unlock()
+		p.ctr[cCacheHits].Add(1)
+		return r
 	}
-
-	sh.mu.Lock()
-	if e, hit := sh.cache[key]; hit {
-		if r, ok := p.resolve(e); ok {
-			sh.mu.Unlock()
-			p.ctr[cCacheHits].Add(1)
-			return r
-		}
-		// Stale index entry (fingerprint store cleared under it): drop it
-		// and recompute through the singleflight path.
-		delete(sh.cache, key)
-	}
-	if fl, busy := sh.inflight[key]; busy {
-		sh.mu.Unlock()
+	if fl := e.fl; fl != nil {
+		p.mu.Unlock()
 		<-fl.done
 		p.ctr[cMerges].Add(1)
 		switch {
@@ -454,20 +444,20 @@ func (p *Program) compile(seq []int) compileResult {
 		return fl.res
 	}
 	fl := &inflight{done: make(chan struct{})}
-	if sh.inflight == nil {
-		sh.inflight = make(map[string]*inflight)
-	}
-	sh.inflight[key] = fl
-	sh.mu.Unlock()
+	e.fl = fl
+	p.mu.Unlock()
 
 	res, cacheable := p.compileGuarded(seq, key)
 
-	sh.mu.Lock()
+	p.mu.Lock()
 	if cacheable {
-		sh.cache[key] = seqEntry{fp: res.fp, ok: res.ok}
+		e.verdict = verdictFlagged
+		if res.ok {
+			e.fp, e.verdict = res.fp, verdictOK
+		}
 	}
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
+	e.fl = nil
+	p.mu.Unlock()
 	fl.res, fl.cached = res, cacheable
 	close(fl.done)
 	return res
@@ -496,12 +486,9 @@ func (p *Program) compileGuarded(seq []int, key string) (res compileResult, cach
 func (p *Program) faultResult(f *EvalFault, key string) compileResult {
 	p.ctr[cFaults].Add(1)
 	if f.Kind.quarantinable() {
-		p.quarMu.Lock()
-		if p.quar == nil {
-			p.quar = make(map[string]*EvalFault)
-		}
-		p.quar[key] = f
-		p.quarMu.Unlock()
+		p.mu.Lock()
+		p.entry(key).fault = f
+		p.mu.Unlock()
 		p.hookMu.Lock()
 		hook := p.faultHook
 		p.hookMu.Unlock()
@@ -516,24 +503,27 @@ func (p *Program) faultResult(f *EvalFault, key string) compileResult {
 	return compileResult{fault: f}
 }
 
-// quarGet returns the remembered fault for key, or nil.
-func (p *Program) quarGet(key string) *EvalFault {
-	p.quarMu.Lock()
-	defer p.quarMu.Unlock()
-	return p.quar[key]
-}
-
 // IsQuarantined reports whether seq is quarantined, and with which fault.
 func (p *Program) IsQuarantined(seq []int) (*EvalFault, bool) {
-	f := p.quarGet(seqKey(seq))
-	return f, f != nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e := p.seqs[seqKey(seq)]; e != nil && e.fault != nil {
+		return e.fault, true
+	}
+	return nil, false
 }
 
 // QuarantineCount returns the number of quarantined sequences.
 func (p *Program) QuarantineCount() int {
-	p.quarMu.Lock()
-	defer p.quarMu.Unlock()
-	return len(p.quar)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, e := range p.seqs {
+		if e.fault != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // SetFaultHook routes physical panic/deadline-class faults to h instead of
@@ -550,7 +540,7 @@ func (p *Program) IRText() string { return p.orig.String() }
 
 // compileMiss does the uncached work — build the optimized IR, then either
 // share an existing profile by fingerprint or physically profile — outside
-// any shard lock, so misses on different sequences run in parallel. Each
+// the table lock, so misses on different sequences run in parallel. Each
 // stage (pass execution, feature extraction, profiling) runs behind its own
 // containment boundary; a stage panic becomes a typed fault, not a dead
 // worker.
@@ -683,8 +673,8 @@ func decodeVec(data []byte, n int) ([]int64, bool) {
 // profileSafe is the profiler behind the profile-stage containment
 // boundary, with the retry policy applied: deadline-class failures
 // (transient under contention) get one bounded retry; everything else gets
-// none. Panics inside scheduling, the interpreter or the static estimator
-// become panic-class faults.
+// none. Panics inside scheduling, the VM, the interpreter, or the static
+// estimator that the sanitizer's cross-check adds become panic-class faults.
 func (p *Program) profileSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (*hls.Report, *EvalFault) {
 	rep, err, fault := p.profileRecover(m, fp, seq)
 	if fault != nil {
@@ -745,37 +735,36 @@ func lessSeq(a, b []int) bool {
 }
 
 // buildIR produces the optimized module for seq and its fingerprint,
-// reusing the longest cached prefix so that sequence extensions apply only
-// the new suffix. The suffix runs on a copy-on-write clone of the cached
+// reusing the longest resident prefix so that sequence extensions apply only
+// the new suffix. The suffix runs on a copy-on-write clone of the resident
 // base, so passes deep-copy only the functions they rewrite — and a suffix
 // that changes nothing reuses the base module and its fingerprint outright
-// (no clone, no re-hash, counted in NoopIR). Cached modules are immutable
-// once published, so the apply work runs outside the cache lock. Callers
+// (no clone, no re-hash, counted in NoopIR). Resident modules are immutable
+// once published, so the apply work runs outside the table lock. Callers
 // hold cfgMu for read and pass the sanitize flag down to avoid
 // re-acquiring it. ok=false means the sanitizer flagged the sequence; the
 // returned module is the corrupted evidence and the fingerprint is zero.
 func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _ ir.Fingerprint, ok bool) {
-	p.irMu.Lock()
-	if e, hit := p.irCache[key]; hit {
-		p.irMu.Unlock()
+	p.mu.Lock()
+	if e := p.seqs[key]; e != nil && e.m != nil {
+		p.mu.Unlock()
 		return e.m, e.fp, true
 	}
-	// Longest cached prefix (the empty prefix is the original program).
-	start := 0
-	base := irEntry{m: p.orig, fp: p.origFP}
+	// Longest resident prefix (the empty prefix is the original program).
+	start, base, baseFP := 0, p.orig, p.origFP
 	for i := len(seq) - 1; i > 0; i-- {
-		if e, hit := p.irCache[key[:2*i]]; hit {
-			base, start = e, i
+		if e := p.seqs[key[:2*i]]; e != nil && e.m != nil {
+			start, base, baseFP = i, e.m, e.fp
 			break
 		}
 	}
-	p.irMu.Unlock()
+	p.mu.Unlock()
 
 	if sanitize {
 		// The sanitizer's verifiers renumber instructions and replay
 		// prefixes, so this path works on a deep clone, never shares, and
 		// always re-derives the fingerprint.
-		m := base.m.Clone()
+		m := base.Clone()
 		pm := passes.NewManager()
 		pm.Sanitize = true
 		pm.Apply(m, seq[start:])
@@ -785,39 +774,38 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 				p.sanReport = rep
 			}
 			p.sanMu.Unlock()
-			// Do not cache the corrupted module: extensions of this
+			// Do not keep the corrupted module: extensions of this
 			// sequence must re-derive (and re-flag) from a clean prefix.
 			return m, ir.Fingerprint{}, false
 		}
 		fp := m.Fingerprint()
-		p.irMu.Lock()
-		p.irCachePut(key, irEntry{m: m, fp: fp})
-		p.irMu.Unlock()
+		p.irPut(key, m, fp)
 		return m, fp, true
 	}
 
-	m, changed := passes.RunSequence(base.m, seq[start:])
-	fp := base.fp
+	m, changed := passes.RunSequence(base, seq[start:])
+	fp := baseFP
 	if changed {
 		fp = m.Fingerprint()
 	} else {
 		p.ctr[cNoopIR].Add(1)
 	}
-	p.irMu.Lock()
-	p.irCachePut(key, irEntry{m: m, fp: fp})
-	p.irMu.Unlock()
+	p.irPut(key, m, fp)
 	return m, fp, true
 }
 
-// irCachePut inserts key into the bounded IR cache, evicting the oldest
-// entries first but never a strict prefix of key: episodes extend one
-// sequence a pass at a time, and evicting the active episode's own prefix
-// chain would force every subsequent step to recompile from scratch.
-//
-//contractvet:locked irCache,irOrder -- callers hold irMu
-func (p *Program) irCachePut(key string, e irEntry) {
-	if _, ok := p.irCache[key]; !ok {
-		for len(p.irCache) >= irCacheCap {
+// irPut makes m resident as key's optimized module. At irCacheCap resident
+// modules it evicts the oldest first, but never a strict prefix of key:
+// episodes extend one sequence a pass at a time, and evicting the active
+// episode's own prefix chain would force every subsequent step to recompile
+// from scratch. Eviction drops only the module; the entry's fingerprint,
+// verdict and fault stay.
+func (p *Program) irPut(key string, m *ir.Module, fp ir.Fingerprint) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.entry(key)
+	if e.m == nil {
+		for len(p.irOrder) >= irCacheCap {
 			victim := -1
 			for i, k := range p.irOrder {
 				if len(k) < len(key) && key[:len(k)] == k {
@@ -831,12 +819,17 @@ func (p *Program) irCachePut(key string, e irEntry) {
 				// (shortest) one: buildIR only needs the longest prefix.
 				victim = 0
 			}
-			delete(p.irCache, p.irOrder[victim])
+			k := p.irOrder[victim]
 			p.irOrder = append(p.irOrder[:victim], p.irOrder[victim+1:]...)
+			v := p.seqs[k]
+			v.m = nil
+			if v.empty() {
+				delete(p.seqs, k)
+			}
 		}
 		p.irOrder = append(p.irOrder, key)
 	}
-	p.irCache[key] = e
+	e.m, e.fp = m, fp
 }
 
 // BestCycles returns the best cycle count (and its sequence) observed by
@@ -871,55 +864,46 @@ func (p *Program) ResetSamples(dropCache bool) {
 	p.bestSeq = nil
 	p.bestMu.Unlock()
 	if dropCache {
-		for i := range p.shards {
-			sh := &p.shards[i]
-			sh.mu.Lock()
-			sh.cache = make(map[string]seqEntry)
-			sh.mu.Unlock()
+		p.mu.Lock()
+		for k, e := range p.seqs {
+			if e.fl == nil {
+				delete(p.seqs, k)
+			} else {
+				*e = seqEntry{fl: e.fl}
+			}
 		}
-		p.irMu.Lock()
-		p.irCache = make(map[string]irEntry)
 		p.irOrder = nil
-		p.irMu.Unlock()
-		p.fpMu.Lock()
 		p.fpEntries = make(map[ir.Fingerprint]*fpEntry)
-		p.fpMu.Unlock()
-		p.quarMu.Lock()
-		p.quar = nil
-		p.quarMu.Unlock()
+		p.mu.Unlock()
 	}
 }
 
 // SetLimits replaces the interpreter limits used by subsequent profiles and
 // drops the memoized compile results, whose success verdicts depend on the
-// limits: the sequence index is cleared and every fingerprint-store record
-// loses its profile verdict. The optimized-IR cache and the records' feature
-// vectors are kept: IR and features do not depend on the limits.
+// limits: every sequence loses its verdict and every fingerprint-store
+// record loses its profile. Resident modules, fingerprints and the records'
+// feature vectors are kept: IR and features do not depend on the limits.
 func (p *Program) SetLimits(lim interp.Limits) {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
 	p.profiler.SetLimits(lim)
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.cache = make(map[string]seqEntry)
-		sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k, e := range p.seqs {
+		e.verdict = verdictNone
+		// Deadline-class quarantine verdicts depend on the limits, so new
+		// limits grant those sequences a fresh trial. Panic-class faults
+		// stay: a panicking pass panics under any limit.
+		if e.fault != nil && e.fault.Kind == FaultDeadline {
+			e.fault = nil
+		}
+		if e.empty() {
+			delete(p.seqs, k)
+		}
 	}
-	p.fpMu.Lock()
 	for _, e := range p.fpEntries {
 		e.hasProfile = false
 	}
-	p.fpMu.Unlock()
-	// Deadline-class quarantine verdicts depend on the limits, so new
-	// limits grant those sequences a fresh trial. Panic-class entries stay:
-	// a panicking pass panics under any limit.
-	p.quarMu.Lock()
-	for k, f := range p.quar {
-		if f.Kind == FaultDeadline {
-			delete(p.quar, k)
-		}
-	}
-	p.quarMu.Unlock()
 }
 
 // SpeedupOverO3 converts a cycle count into the paper's headline metric:
@@ -1083,18 +1067,25 @@ func (p *Program) FeaturesAfter(seq []int) (out []int64) {
 			out = make([]int64, n)
 		}
 	}()
-	key := seqKey(seq)
-	if passes.CheckSeq(seq) != nil || p.quarGet(key) != nil {
+	if passes.CheckSeq(seq) != nil {
 		return make([]int64, n)
 	}
-	sh := &p.shards[shardIndex(key)]
-	sh.mu.RLock()
-	e, hit := sh.cache[key]
-	sh.mu.RUnlock()
-	if hit && e.ok {
-		if v := p.fpVec(e.fp); v != nil {
-			return v
+	key := seqKey(seq)
+	p.mu.Lock()
+	e := p.seqs[key]
+	quarantined := e != nil && e.fault != nil
+	var v []int64
+	if e != nil && e.verdict == verdictOK {
+		if r := p.fpEntries[e.fp]; r != nil {
+			v = r.feats
 		}
+	}
+	p.mu.Unlock()
+	switch {
+	case quarantined:
+		return make([]int64, n)
+	case v != nil:
+		return v
 	}
 	p.cfgMu.RLock()
 	m, fp, ok, fault := p.buildIRSafe(seq, key, p.sanitize)
@@ -1107,8 +1098,7 @@ func (p *Program) FeaturesAfter(seq []int) (out []int64) {
 		// polluting the fingerprint store.
 		return features.Extract(m)
 	}
-	v, fault := p.extractSafe(m, fp, seq)
-	if fault != nil {
+	if v, fault = p.extractSafe(m, fp, seq); fault != nil {
 		return make([]int64, n)
 	}
 	return v

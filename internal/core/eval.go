@@ -12,7 +12,7 @@ import (
 )
 
 // Evaluator is the concurrent batch-evaluation engine: it scores candidate
-// pass sequences against one Program through its sharded compile cache,
+// pass sequences against one Program through its memoized compile cache,
 // on the calling goroutine plus the helpers its compile Budget allows.
 // Results come back in submission order, so callers that generate
 // candidates deterministically get bit-identical outcomes at any width;

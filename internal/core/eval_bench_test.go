@@ -11,8 +11,7 @@ import (
 // BenchmarkCompileParallel measures batch-evaluation throughput at
 // increasing worker counts over one matmul-scale program. Each iteration
 // drops the compile cache first, so the benchmark measures real compiles
-// plus the sharded-cache coordination, not memoized lookups. The acceptance
-// bar for the sharded design is ≥2x throughput at 4 workers over workers=1.
+// plus the sequence table's coordination, not memoized lookups.
 func BenchmarkCompileParallel(b *testing.B) {
 	p, err := NewProgram("matmul", progen.Benchmark("matmul"))
 	if err != nil {

@@ -139,15 +139,37 @@ func TestCollectTuplesWorkerInvariant(t *testing.T) {
 
 // TestProgramParallelStress hammers one Program from 32 goroutines with
 // overlapping prefixes of a shared base sequence plus private extensions —
-// the access pattern of a population algorithm under the sharded cache.
-// Each goroutine also reads the feature vector of its sequences, racing
-// the compiles that publish them into the shared fingerprint records. Run
-// under -race in CI; the correctness checks are that every goroutine
-// observes identical cycle counts for identical sequences, and that every
-// vector equals the one a fresh, sequential Program returns.
+// the access pattern of a population algorithm on the sequence table. Each
+// goroutine also reads the feature vector of its sequences, racing the
+// compiles that publish them into the shared fingerprint records, while
+// readers poll the quarantine API over a few restored records. The body
+// runs twice: with the default residency cap, and with a cap of 8 so that
+// evictions race with prefix lookups. Run under -race in CI; the
+// correctness checks are that every goroutine observes identical cycle
+// counts for identical sequences, that every vector equals the one a
+// fresh, sequential Program with the same quarantine returns, that the
+// restored sequences stay quarantined, and that the sample accounting
+// invariant holds.
 func TestProgramParallelStress(t *testing.T) {
+	t.Run("cap=default", parallelStress)
+	t.Run("cap=8", func(t *testing.T) {
+		oldCap := irCacheCap
+		irCacheCap = 8
+		defer func() { irCacheCap = oldCap }()
+		parallelStress(t)
+	})
+}
+
+func parallelStress(t *testing.T) {
 	p := mustProgram(t, "matmul")
 	base := []int{38, 31, 30, 12, 3, 5, 20, 7}
+	quarantined := [][]int{base[:3], base[:6], append(base[:2:2], 9)}
+	var recs []*EvalFault
+	for i, seq := range quarantined {
+		recs = append(recs, &EvalFault{Kind: []FaultKind{FaultPanic, FaultDeadline}[i%2],
+			Stage: "pass", Pass: -1, Pos: -1, Program: p.Name, Seq: seq, Err: "restored"})
+	}
+	p.RestoreQuarantine(recs)
 	const goroutines = 32
 
 	type vecs struct {
@@ -180,7 +202,43 @@ func TestProgramParallelStress(t *testing.T) {
 			results[g] = got
 		}()
 	}
+	stop := make(chan struct{})
+	readerErr := make([]error, 4)
+	var readers sync.WaitGroup
+	for r := range readerErr {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seq := quarantined[i%len(quarantined)]
+				if _, q := p.IsQuarantined(seq); !q {
+					readerErr[r] = fmt.Errorf("restored sequence %v not quarantined", seq)
+					return
+				}
+				if n := p.QuarantineCount(); n != len(quarantined) {
+					readerErr[r] = fmt.Errorf("QuarantineCount %d, want %d", n, len(quarantined))
+					return
+				}
+				if recs := p.QuarantineRecords(); len(recs) != len(quarantined) {
+					readerErr[r] = fmt.Errorf("QuarantineRecords returned %d records, want %d", len(recs), len(quarantined))
+					return
+				}
+			}
+		}()
+	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for _, err := range readerErr {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	merged := make(map[string]int64)
 	for g, got := range results {
@@ -194,8 +252,18 @@ func TestProgramParallelStress(t *testing.T) {
 	if len(merged) == 0 {
 		t.Fatal("no successful compiles under stress")
 	}
+	for _, seq := range quarantined {
+		if c, ok := merged[fmt.Sprint(seq)]; ok {
+			t.Fatalf("quarantined sequence %v compiled to %d cycles", seq, c)
+		}
+	}
+	if st := p.EvalStats(); st.Samples != st.Successes+st.Faults+st.Flagged {
+		t.Fatalf("samples=%d != successes=%d + faults=%d + flagged=%d",
+			st.Samples, st.Successes, st.Faults, st.Flagged)
+	}
 
 	fresh := mustProgram(t, "matmul")
+	fresh.RestoreQuarantine(recs)
 	for g, obs := range observed {
 		for _, o := range obs {
 			if !reflect.DeepEqual(o.feats, fresh.FeaturesAfter(o.seq)) {

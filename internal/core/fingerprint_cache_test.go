@@ -76,9 +76,9 @@ func TestStaleSeqIndexRecovers(t *testing.T) {
 	if !ok {
 		t.Fatal("compile failed")
 	}
-	p.fpMu.Lock()
+	p.mu.Lock()
 	p.fpEntries = make(map[ir.Fingerprint]*fpEntry)
-	p.fpMu.Unlock()
+	p.mu.Unlock()
 
 	c2, _, ok := p.Compile(seq)
 	if !ok || c2 != c1 {
@@ -90,21 +90,32 @@ func TestStaleSeqIndexRecovers(t *testing.T) {
 // records lose their profile verdicts but not their feature vectors. With
 // feature extraction rigged to panic, recompiling after SetLimits must
 // re-profile every record without a single re-extraction, which would show
-// up as a feature-stage fault.
+// up as a feature-stage fault. It also pins what SetLimits charges: every
+// sequence loses its verdict, so each pays one sample with no cache hit,
+// each distinct IR is profiled once, and a sequence whose IR another one
+// re-profiled first is an fp-hit — lowerinvoke and loweratomic are no-ops,
+// so {38, 2, 44} and {38, 44} converge on one IR.
 func TestSetLimitsKeepsVectors(t *testing.T) {
 	p := mustProgram(t, "gsm")
-	seqs := [][]int{passes.O3Sequence[:6], {38, 31, 30}, {38, 2, 44}, {12, 3, 5, 20}}
+	seqs := [][]int{passes.O3Sequence[:6], {38, 31, 30}, {38, 2, 44}, {12, 3, 5, 20}, {38, 44}}
 	type want struct {
 		cycles int64
 		feats  []int64
 	}
 	wants := make([]want, len(seqs))
+	distinct := make(map[ir.Fingerprint]bool)
 	for i, s := range seqs {
 		c, f, ok := p.Compile(s)
 		if !ok {
 			t.Fatalf("seq %v: compile failed", s)
 		}
 		wants[i] = want{c, f}
+		m := p.Module()
+		passes.Apply(m, s)
+		distinct[m.Fingerprint()] = true
+	}
+	if len(distinct) != len(seqs)-1 {
+		t.Fatalf("%d distinct IRs over %d sequences, want exactly one converging pair", len(distinct), len(seqs))
 	}
 
 	p.SetLimits(interp.DefaultLimits)
@@ -121,8 +132,10 @@ func TestSetLimitsKeepsVectors(t *testing.T) {
 	if d := after.Faults - before.Faults; d != 0 {
 		t.Fatalf("%d feature faults: SetLimits dropped stored vectors", d)
 	}
-	if after.Compiles == before.Compiles {
-		t.Fatal("no re-profile after SetLimits: profile verdicts were kept")
+	got := [4]int64{after.Samples - before.Samples, after.CacheHits - before.CacheHits,
+		after.Compiles - before.Compiles, after.FPHits - before.FPHits}
+	if wantD := [4]int64{int64(len(seqs)), 0, int64(len(distinct)), int64(len(seqs) - len(distinct))}; got != wantD {
+		t.Fatalf("after SetLimits: samples, cache-hits, compiles, fp-hits grew by %v, want %v", got, wantD)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"autophase/internal/progen"
 )
 
-// TestIRCacheEvictionOrder pins the irCache replacement policy: the cache
-// never exceeds its cap, unrelated sequences are evicted oldest-first, and
-// extending an episode never evicts the extension's own prefix chain.
+// TestIRCacheEvictionOrder pins the module residency policy: the sequence
+// table never keeps more than irCacheCap modules resident, unrelated
+// sequences are evicted oldest-first, and extending an episode never evicts
+// the extension's own prefix chain.
 func TestIRCacheEvictionOrder(t *testing.T) {
 	oldCap := irCacheCap
 	irCacheCap = 4
@@ -21,18 +22,23 @@ func TestIRCacheEvictionOrder(t *testing.T) {
 	episode := []int{38, 31, 30, 29, 23, 30}
 	for i := 1; i <= len(episode); i++ {
 		p.Compile(episode[:i])
-		if len(p.irCache) > irCacheCap {
-			t.Fatalf("after %d extensions irCache holds %d modules, cap %d",
-				i, len(p.irCache), irCacheCap)
+		n := 0
+		for _, e := range p.seqs {
+			if e.m != nil {
+				n++
+			}
 		}
-		if len(p.irCache) != len(p.irOrder) {
-			t.Fatalf("irOrder out of sync: %d keys vs %d modules", len(p.irOrder), len(p.irCache))
+		if n > irCacheCap {
+			t.Fatalf("after %d extensions %d modules are resident, cap %d", i, n, irCacheCap)
+		}
+		if n != len(p.irOrder) {
+			t.Fatalf("irOrder out of sync: %d keys vs %d modules", len(p.irOrder), n)
 		}
 	}
 	// The episode is longer than the cap, so early prefixes were evicted —
 	// but the longest prefix (the episode's direct parent) must be resident
 	// so the next extension applies exactly one pass.
-	if _, ok := p.irCache[seqKey(episode[:len(episode)-1])]; !ok {
+	if !resident(p, episode[:len(episode)-1]) {
 		t.Fatal("direct parent prefix of the active episode was evicted")
 	}
 	// Unrelated sequences are evicted before the active episode's prefixes.
@@ -44,15 +50,23 @@ func TestIRCacheEvictionOrder(t *testing.T) {
 		p.Compile(episode[:i])
 	}
 	for i := 1; i <= 4; i++ {
-		if _, ok := p.irCache[seqKey(episode[:i])]; !ok {
+		if !resident(p, episode[:i]) {
 			t.Fatalf("episode prefix of length %d evicted while unrelated entries were cached", i)
 		}
 	}
 	for _, seq := range [][]int{{5}, {6}, {7}} {
-		if _, ok := p.irCache[seqKey(seq)]; ok {
+		if resident(p, seq) {
 			t.Fatalf("unrelated sequence %v survived eviction ahead of the active episode", seq)
 		}
 	}
+}
+
+// resident reports whether seq's optimized module is resident.
+func resident(p *Program, seq []int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.seqs[seqKey(seq)]
+	return e != nil && e.m != nil
 }
 
 // TestLimitErrorsNotCached: a profile failing on interpreter limits must

@@ -102,7 +102,7 @@ func RunFig7Algo(algo string, p *core.Program, sc Scale) int64 {
 		cfg.LR = 0.08
 		cfg.Workers = sc.workers()
 		// One environment per worker: perturbations spread across them
-		// through the sharded compile cache (candidate i on env i%w).
+		// through the Program's shared compile cache (candidate i on env i%w).
 		envs := make([]rl.Env, sc.workers())
 		for i := range envs {
 			envs[i] = core.NewPhaseEnv(p, envCfg(core.ObsFeatures, sc))
