@@ -19,7 +19,9 @@ package ir
 // the borrowed function's spare: by the changed-reporting contract it is
 // still identical to the parent, so the next RunOwned or Materialize of that
 // function takes it instead of cloning again. Spares live only for the
-// duration of a pass pipeline; Seal and MaterializeAll drop them.
+// duration of a pass pipeline; Seal and MaterializeAll drop them. A spare
+// keeps the dominator tree its passes built (Func.Dom), so the next pass
+// over it reuses the tree while the CFG is unchanged.
 
 type cowState struct {
 	shared map[*Func]bool  // borrowed from the parent; must not be mutated
@@ -163,24 +165,29 @@ func (m *Module) RunOwned(f *Func, fn func(*Func) bool) bool {
 // Seal restores the no-dangling-callee invariant after a pass pipeline:
 // every still-borrowed function that calls a replaced function is
 // materialized (which reroutes the call), repeating until settled. It then
-// drops every spare, so a sealed module (the form the compile cache
-// publishes) holds no scratch copies. Cheap when nothing was replaced.
-// Idempotent.
+// drops every spare, and the dominator tree and loops (Func.Dom) of every
+// function m owns, so a sealed module (the form the compile cache
+// publishes) holds no scratch copies and no analyses. Cheap when nothing
+// was replaced. Idempotent.
 func (m *Module) Seal() {
-	if m.cow == nil {
-		return
-	}
-	for again := len(m.cow.remap) > 0; again; {
-		again = false
-		for _, f := range m.Funcs {
-			if !m.cow.shared[f] || !m.refsReplaced(f) {
-				continue
+	if m.cow != nil {
+		for again := len(m.cow.remap) > 0; again; {
+			again = false
+			for _, f := range m.Funcs {
+				if !m.cow.shared[f] || !m.refsReplaced(f) {
+					continue
+				}
+				m.Materialize(f)
+				again = true
 			}
-			m.Materialize(f)
-			again = true
+		}
+		m.cow.spare = nil
+	}
+	for _, f := range m.Funcs {
+		if !m.IsShared(f) {
+			f.dom.Store(nil)
 		}
 	}
-	m.cow.spare = nil
 }
 
 // refsReplaced reports whether f calls a function that was replaced in m.

@@ -29,6 +29,74 @@ type DomTree struct {
 	post           []int32  // reachable block numbers in postorder (order reversed)
 	rpo            []int32  // block -> reverse postorder number, -1 if unreachable
 	idom           []int32  // block -> immediate dominator (entry maps to itself), -1 if unreachable
+
+	// The loops found with this tree, when it came from Func.Loops.
+	loops     []*Loop
+	loopsDone bool
+}
+
+// Dom returns the dominator tree of f's current CFG: the last tree built
+// for f by Dom or Loops when it still describes f's blocks and edges, a
+// new one (remembered for the next call) otherwise. Whether it still
+// describes them is checked structurally on every call, in O(blocks +
+// edges) and without allocating, so nothing has to invalidate the cache
+// and an edit that a pass fails to report cannot leave it stale. A tree
+// is never changed once built, so one returned earlier keeps answering
+// about the CFG it was built from (like any tree from NewDomTree), and f
+// may be read this way by concurrent compiles that borrow it. Module.Seal
+// drops the cache of every function the module owns.
+func (f *Func) Dom() *DomTree {
+	if dt := f.dom.Load(); dt != nil && dt.describes(f) {
+		return dt
+	}
+	dt := NewDomTree(f)
+	f.dom.Store(dt)
+	return dt
+}
+
+// Loops returns FindLoops(f, f.Dom()), remembered with the tree it was
+// found with. The result must not be modified.
+func (f *Func) Loops() []*Loop {
+	dt := f.dom.Load()
+	switch {
+	case dt == nil || !dt.describes(f):
+		dt = NewDomTree(f)
+	case dt.loopsDone:
+		return dt.loops
+	default:
+		// Never change a tree someone may hold: find the loops with a
+		// copy that shares its tables.
+		c := *dt
+		dt = &c
+	}
+	dt.loops, dt.loopsDone = FindLoops(f, dt), true
+	f.dom.Store(dt)
+	return dt.loops
+}
+
+// describes reports whether NewDomTree(f) would build a tree equal to dt:
+// f has the blocks dt numbered, in the same order, no successor outside
+// them, and every block the same successors in the same order.
+func (dt *DomTree) describes(f *Func) bool {
+	if dt.nFunc != len(f.Blocks) || len(dt.blocks) != dt.nFunc {
+		return false
+	}
+	for i, b := range f.Blocks {
+		if dt.blocks[i] != b {
+			return false
+		}
+		row := dt.succs[dt.succOff[i]:dt.succOff[i+1]]
+		succs := b.Succs()
+		if len(succs) != len(row) {
+			return false
+		}
+		for k, s := range succs {
+			if dt.blocks[row[k]] != s {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NewDomTree computes the dominator tree of f.

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // FuncAttrs carries the interprocedural attributes the -functionattrs pass
 // derives and that enabling passes (licm, early-cse, gvn) consume.
@@ -22,7 +25,9 @@ type Func struct {
 	Attrs  FuncAttrs
 
 	module *Module
-	nextID int
+	// dom is the last dominator tree (with its loops, once asked for)
+	// built by Dom or Loops; see there.
+	dom atomic.Pointer[DomTree]
 }
 
 // Module returns the containing module.
@@ -76,14 +81,13 @@ func (f *Func) RemoveBlock(b *Block) {
 // Renumber assigns stable sequential ids to all instructions, used for
 // printing and value-numbering.
 func (f *Func) Renumber() {
-	id := 0
+	id := int32(0)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			in.id = id
 			id++
 		}
 	}
-	f.nextID = id
 }
 
 // NumInstrs counts the instructions in the function.

@@ -232,22 +232,26 @@ func (p CmpPred) Eval(a, b int64, bits int) bool {
 //	ret:         Args = [v] or empty
 //	br:          unconditional: Blocks = [dest]; conditional: Args = [cond], Blocks = [then, else]
 //	switch:      Args = [v], Blocks = [default, case0, ...], Cases = [v0, ...]
+//
+// The small fields share the first word, so an instruction is 128 bytes
+// on 64-bit targets (DESIGN "Allocation in the IR"; TestInstrSize).
 type Instr struct {
-	Op      Op
+	Op   Op
+	Pred CmpPred
+	// BranchWeight is -lower-expect metadata: >0 means the true edge of a
+	// conditional branch is expected (stripped by the lower-expect pass).
+	BranchWeight int8
+	id           int32 // stable per-function numbering assigned by Func.Renumber
+
 	Ty      *Type // result type; Void for non-value instructions
 	Name    string
 	Args    []Value
-	Pred    CmpPred
 	Callee  *Func
 	Blocks  []*Block
 	Cases   []int64
 	AllocTy *Type
-	// BranchWeight is -lower-expect metadata: >0 means the true edge of a
-	// conditional branch is expected (stripped by the lower-expect pass).
-	BranchWeight int
 
 	parent *Block
-	id     int // stable per-function numbering assigned by Func.renumber
 }
 
 // Type implements Value.

@@ -39,7 +39,23 @@ func BenchmarkNewDomTree(b *testing.B) {
 
 // BenchmarkLoopsOf runs the loop passes' analysis (dominator tree, loop
 // finder, innermost-first order) on every benchmark function once per op.
+// Sealing the module first drops the tree and loops the last op cached.
 func BenchmarkLoopsOf(b *testing.B) {
+	fs := cfgBenchFuncs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range fs {
+			f.Module().Seal()
+			loopsSink = loopsOf(f)
+		}
+	}
+}
+
+// BenchmarkLoopsOfCached is BenchmarkLoopsOf on functions whose CFG has
+// not changed since the last op: the cached loops are checked against the
+// CFG, copied and ordered.
+func BenchmarkLoopsOfCached(b *testing.B) {
 	fs := cfgBenchFuncs()
 	b.ReportAllocs()
 	b.ResetTimer()

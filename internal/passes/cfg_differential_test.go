@@ -1,6 +1,7 @@
 package passes_test
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -302,24 +303,73 @@ func checkCFGAnalyses(t *testing.T, where string, m *ir.Module) {
 	}
 }
 
-// TestCFGAnalysesMatchReference runs the nine benchmarks through every
-// prefix of the -O3 pipeline and checks the dominator tree and loop finder
-// against the references after each pass.
-func TestCFGAnalysesMatchReference(t *testing.T) {
-	for i, m := range progen.Benchmarks() {
-		m = m.Clone()
-		name := progen.BenchmarkNames[i]
-		checkCFGAnalyses(t, name+" O0", m)
-		for k, p := range passes.O3Sequence {
-			passes.Apply(m, []int{p})
-			checkCFGAnalyses(t, name+" O3["+strconv.Itoa(k)+"]", m)
+// checkCachedAnalyses compares f.Dom and f.Loops with a fresh
+// NewDomTree and FindLoops for every function of m. Asking leaves every
+// function with a cached tree and loops, which the next pass may change
+// the CFG under.
+func checkCachedAnalyses(t *testing.T, where string, m *ir.Module) {
+	t.Helper()
+	for _, f := range m.Funcs {
+		loops := f.Loops()
+		dt := f.Dom()
+		ref := ir.NewDomTree(f)
+		if !sameBlocks(dt.RPO(), ref.RPO()) {
+			t.Fatalf("%s @%s: cached RPO %v, fresh %v", where, f.Name, blockNames(dt.RPO()), blockNames(ref.RPO()))
+		}
+		for _, b := range f.Blocks {
+			if dt.IDom(b) != ref.IDom(b) || dt.Reachable(b) != ref.Reachable(b) || !sameBlocks(dt.Preds(b), ref.Preds(b)) {
+				t.Fatalf("%s @%s: cached tree disagrees at %s: idom %v preds %v, fresh %v %v",
+					where, f.Name, b.Name, dt.IDom(b), blockNames(dt.Preds(b)), ref.IDom(b), blockNames(ref.Preds(b)))
+			}
+		}
+		fresh := ir.FindLoops(f, ref)
+		if len(loops) != len(fresh) {
+			t.Fatalf("%s @%s: %d cached loops, fresh %d", where, f.Name, len(loops), len(fresh))
+		}
+		for i, l := range loops {
+			r := fresh[i]
+			if l.Dom() != dt || l.Header != r.Header || !sameBlocks(l.Body, r.Body) || !sameBlocks(l.Latches, r.Latches) ||
+				l.Depth != r.Depth || (l.Parent == nil) != (r.Parent == nil) || l.Parent != nil && l.Parent.Header != r.Parent.Header {
+				t.Fatalf("%s @%s: cached loop %d {%s body %v latches %v depth %d}, fresh {%s body %v latches %v depth %d}",
+					where, f.Name, i, l.Header.Name, blockNames(l.Body), blockNames(l.Latches), l.Depth,
+					r.Header.Name, blockNames(r.Body), blockNames(r.Latches), r.Depth)
+			}
 		}
 	}
 }
 
-// TestCFGAnalysesMatchReferenceCorpus does the same for the modules and
-// pass sequences of the checked-in fuzz corpora, built the way the fuzz
-// targets build them.
+// TestCFGAnalysesMatchReference runs the nine benchmarks through every
+// prefix of the -O3 pipeline and checks the dominator tree and loop finder
+// against the references after each pass. After each pass of -O3, and of
+// 20 seeded random 18-pass sequences on a copy-on-write clone, the cached
+// f.Dom and f.Loops must equal fresh ones.
+func TestCFGAnalysesMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for i, base := range progen.Benchmarks() {
+		m := base.Clone()
+		name := progen.BenchmarkNames[i]
+		checkCFGAnalyses(t, name+" O0", m)
+		checkCachedAnalyses(t, name+" O0", m)
+		for k, p := range passes.O3Sequence {
+			passes.Apply(m, []int{p})
+			where := name + " O3[" + strconv.Itoa(k) + "]"
+			checkCFGAnalyses(t, where, m)
+			checkCachedAnalyses(t, where, m)
+		}
+		for s := 0; s < 20; s++ {
+			m := base.CloneCOW()
+			for k := 0; k < 18; k++ {
+				p := r.Intn(passes.NumActions)
+				passes.Apply(m, []int{p})
+				checkCachedAnalyses(t, name+" seq"+strconv.Itoa(s)+"["+strconv.Itoa(k)+"]="+passes.Table1Names[p], m)
+			}
+		}
+	}
+}
+
+// TestCFGAnalysesMatchReferenceCorpus does the same (references and
+// cache) for the modules and pass sequences of the checked-in fuzz
+// corpora, built the way the fuzz targets build them.
 func TestCFGAnalysesMatchReferenceCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*", "*"))
 	if err != nil || len(files) == 0 {
@@ -336,6 +386,7 @@ func TestCFGAnalysesMatchReferenceCorpus(t *testing.T) {
 		}
 		where := filepath.Base(path)
 		checkCFGAnalyses(t, where, m)
+		checkCachedAnalyses(t, where, m)
 		for k, b := range []byte(raw) {
 			idx := int(b) % passes.NumActions
 			if idx == passes.TerminateIndex {
@@ -343,6 +394,7 @@ func TestCFGAnalysesMatchReferenceCorpus(t *testing.T) {
 			}
 			passes.Apply(m, []int{idx})
 			checkCFGAnalyses(t, where+"["+strconv.Itoa(k)+"]", m)
+			checkCachedAnalyses(t, where+"["+strconv.Itoa(k)+"]", m)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import "autophase/internal/ir"
 // elimination sweep with same-block store-to-load forwarding — the cheap
 // clean-up LLVM schedules early and often.
 func earlyCSE(f *ir.Func) bool {
-	changed := domCSE(f)
+	changed := domCSE(f, make(map[vnKey]*ir.Instr))
 	if blockLoadForward(f) {
 		changed = true
 	}
@@ -19,11 +19,13 @@ func earlyCSE(f *ir.Func) bool {
 // gvn is global value numbering: the dominator-scoped CSE iterated to a
 // fixed point together with load forwarding, additionally value-numbering
 // pure (readnone) calls — which is what lets a hoisted or repeated call to
-// a pure function (the paper's mag() example) collapse to one.
+// a pure function (the paper's mag() example) collapse to one. Every
+// round's CSE walk uses the same table.
 func gvn(f *ir.Func) bool {
 	changed := false
+	avail := make(map[vnKey]*ir.Instr)
 	for {
-		once := domCSE(f)
+		once := domCSE(f, avail)
 		if blockLoadForward(f) {
 			once = true
 		}
@@ -38,10 +40,11 @@ func gvn(f *ir.Func) bool {
 }
 
 // domCSE walks the dominator tree keeping a scoped table of available pure
-// expressions; an instruction equal to an available one is replaced by it.
-func domCSE(f *ir.Func) bool {
-	children := ir.NewDomTree(f).Children()
-	avail := make(map[vnKey]*ir.Instr)
+// expressions in avail, which it clears first; an instruction equal to an
+// available one is replaced by it.
+func domCSE(f *ir.Func, avail map[vnKey]*ir.Instr) bool {
+	clear(avail)
+	children := f.Dom().Children()
 	var scope []vnKey // keys made available by the blocks on the walk's path
 	changed := false
 	var walk func(b *ir.Block)

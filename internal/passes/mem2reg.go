@@ -27,7 +27,7 @@ func mem2reg(f *ir.Func) bool {
 		return i, ok
 	}
 
-	dt := ir.NewDomTree(f)
+	dt := f.Dom()
 	df := dt.Frontier()
 
 	type phiInfo struct {

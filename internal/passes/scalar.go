@@ -221,8 +221,7 @@ func phiReplacementSafe(f *ir.Func, phi *ir.Instr, v ir.Value) bool {
 	if !ok {
 		return true
 	}
-	dt := ir.NewDomTree(f)
-	return dt.StrictlyDominates(def.Parent(), phi.Parent())
+	return f.Dom().StrictlyDominates(def.Parent(), phi.Parent())
 }
 
 // reassociate flattens single-use chains of one associative operator,

@@ -347,7 +347,7 @@ func constantReturn(f *ir.Func) (int64, bool) {
 // dominated uses are rewritten to the constant.
 func correlatedPropagation(f *ir.Func) bool {
 	changed := false
-	dt := ir.NewDomTree(f)
+	dt := f.Dom()
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || !t.IsConditionalBr() {

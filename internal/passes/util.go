@@ -180,10 +180,11 @@ func reachableMask(f *ir.Func) (mask uint64, ok bool) {
 	return mask, true
 }
 
-// loopsOf computes the natural loops of f with a fresh dominator tree,
-// innermost-first ordering for transformation safety.
+// loopsOf returns the natural loops of f's current CFG (f.Loops, which
+// reuses the loops found for an unchanged CFG), in a slice of its own
+// ordered innermost first for transformation safety.
 func loopsOf(f *ir.Func) []*ir.Loop {
-	loops := ir.FindLoops(f, ir.NewDomTree(f))
+	loops := append([]*ir.Loop(nil), f.Loops()...)
 	// Innermost first: a stable insertion sort by descending depth.
 	for i := 1; i < len(loops); i++ {
 		for j := i; j > 0 && loops[j-1].Depth < loops[j].Depth; j-- {

@@ -9,7 +9,9 @@
 # Defaults: out-dir=.  bench-regex='SweepColdStore|SweepWarmStore|HLSProfile|DenseBatch|PPOTrainIteration'
 # benchtime=3x  packages='. ./internal/nn ./internal/rl' (a space-separated
 # list of package patterns).
-# Benchmarks run with -benchmem, so every entry carries B/op and allocs/op.
+# Benchmarks run with -benchmem, so every entry carries B/op and allocs/op,
+# and with -p 1, so the packages' benchmarks run one package at a time
+# instead of contending for the CPUs.
 # The output file name embeds today's UTC date (BENCH_2025-01-31.json); an
 # existing file for the same day is overwritten.
 set -euo pipefail
@@ -23,7 +25,7 @@ out="$outdir/BENCH_$(date -u +%F).json"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run=NONE -bench "$bench" -benchmem -benchtime "$benchtime" "${pkgs[@]}" | tee "$raw" >&2
+go test -p 1 -run=NONE -bench "$bench" -benchmem -benchtime "$benchtime" "${pkgs[@]}" | tee "$raw" >&2
 
 # go test bench lines: "BenchmarkName-8   <runs>   <v> ns/op   <v> B/op   <v> allocs/op"
 # with any custom metrics as further "<value> <unit>" pairs.
