@@ -44,6 +44,10 @@ import (
 // feature extraction (counted as FPHits rather than Compiles). The store
 // has no cap: a record exists only for an IR that a compile or a feature
 // query produced, and distinct IRs are far fewer than distinct sequences.
+//
+// Pass work is shared the same way. The pass-step table remembers, for a
+// pass run on the IR with a given fingerprint, the fingerprint it produced,
+// so buildIR skips every pass whose outcome it already knows.
 type Program struct {
 	Name string
 	orig *ir.Module
@@ -72,13 +76,15 @@ type Program struct {
 	sanitize bool // guarded by cfgMu
 
 	// mu guards the sequence table, the residency order of its optimized
-	// modules and the fingerprint store (one record per structural
-	// fingerprint of an optimized IR, holding its profile and its feature
-	// vector). The seqEntry fields are only touched under mu too.
+	// modules, the fingerprint store (one record per structural
+	// fingerprint of an optimized IR, holding its profile, its feature
+	// vector and a resident module) and the pass-step table. The seqEntry
+	// and fpEntry fields are only touched under mu too.
 	mu        sync.Mutex
 	seqs      map[string]*seqEntry        // guarded by mu; keyed by seqKey
 	irOrder   []string                    // guarded by mu; keys with a resident module, oldest first
 	fpEntries map[ir.Fingerprint]*fpEntry // guarded by mu
+	next      map[stepKey]ir.Fingerprint  // guarded by mu; the pass-step table
 
 	// artifacts is the optional persistent tier beneath the fingerprint
 	// store: feature vectors for previously seen fingerprints are read
@@ -147,11 +153,23 @@ func (e *seqEntry) empty() bool {
 // the IR; the profile verdict also depends on the interpreter limits, so
 // SetLimits clears hasProfile and keeps the features. A nil feats is not
 // extracted yet. A published vector is shared and must be treated as
-// immutable.
+// immutable. m is a module with this fingerprint that the sequence table
+// holds resident, or nil: irPut sets it, and evicting that module clears
+// it.
 type fpEntry struct {
 	cycles, area int64
 	hasProfile   bool
 	feats        []int64
+	m            *ir.Module
+}
+
+// stepKey names one pass run: the pass (a Table 1 index) applied to the IR
+// with fingerprint fp. The pass-step table maps it to the fingerprint of
+// the IR the pass produced, which is fp itself when the pass changed
+// nothing.
+type stepKey struct {
+	fp   ir.Fingerprint
+	pass int
 }
 
 // inflight is one in-progress compilation. Waiters block on done; the
@@ -202,6 +220,7 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 		profiler:  hls.NewProfiler(hls.ProfileOptions{}),
 		seqs:      make(map[string]*seqEntry),
 		fpEntries: make(map[ir.Fingerprint]*fpEntry),
+		next:      make(map[stepKey]ir.Fingerprint),
 	}
 	if st := defaultArtifacts.Load(); st != nil {
 		p.artifacts.Store(st)
@@ -736,10 +755,11 @@ func lessSeq(a, b []int) bool {
 
 // buildIR produces the optimized module for seq and its fingerprint,
 // reusing the longest resident prefix so that sequence extensions apply only
-// the new suffix. The suffix runs on a copy-on-write clone of the resident
-// base, so passes deep-copy only the functions they rewrite — and a suffix
-// that changes nothing reuses the base module and its fingerprint outright
-// (no clone, no re-hash, counted in NoopIR). Resident modules are immutable
+// the new suffix. The suffix is walked through the pass-step table (walk),
+// so passes whose outcome is known do not run, and passes that do run work
+// on one copy-on-write clone, deep-copying only the functions they rewrite.
+// A suffix that leaves the base's IR reuses the base module and its
+// fingerprint outright (counted in NoopIR). Resident modules are immutable
 // once published, so the apply work runs outside the table lock. Callers
 // hold cfgMu for read and pass the sanitize flag down to avoid
 // re-acquiring it. ok=false means the sanitizer flagged the sequence; the
@@ -762,8 +782,9 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 
 	if sanitize {
 		// The sanitizer's verifiers renumber instructions and replay
-		// prefixes, so this path works on a deep clone, never shares, and
-		// always re-derives the fingerprint.
+		// prefixes, so this path works on a deep clone, never shares, never
+		// consults the pass-step table, and always re-derives the
+		// fingerprint.
 		m := base.Clone()
 		pm := passes.NewManager()
 		pm.Sanitize = true
@@ -783,15 +804,95 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 		return m, fp, true
 	}
 
-	m, changed := passes.RunSequence(base, seq[start:])
-	fp := baseFP
-	if changed {
-		fp = m.Fingerprint()
-	} else {
+	m, fp := p.walk(base, baseFP, seq, start)
+	if fp == baseFP {
+		m = base
 		p.ctr[cNoopIR].Add(1)
 	}
 	p.irPut(key, m, fp)
 	return m, fp, true
+}
+
+// walk applies seq[start:] (up to -terminate) to base, whose fingerprint is
+// baseFP, and returns the result and its fingerprint. It relies on the
+// fingerprint contract: equal fingerprints are equal IR, so a pass run on
+// equal IR has the same outcome. Each pass is looked up in the pass-step
+// table first:
+//
+//   - a known no-op is skipped;
+//   - a known change to an IR with a resident module continues from that
+//     module, dropping the work clone;
+//   - a known change to an IR with no resident module runs the pass on the
+//     work clone, taking the new fingerprint from the table;
+//   - an unknown pass runs on the work clone. When it changes nothing, the
+//     walk records a no-op and goes on. When it changes the IR, the walk
+//     fingerprints the clone, records the step, and runs the rest of the
+//     sequence without lookups, fingerprinting once more at the end if the
+//     rest changed anything.
+//
+// The walk stops learning at the first new change because a fingerprint
+// per changing pass costs more than its steps save where few steps repeat
+// (a serve job's fresh Program).
+func (p *Program) walk(base *ir.Module, baseFP ir.Fingerprint, seq []int, start int) (*ir.Module, ir.Fingerprint) {
+	cur, fp := base, baseFP // the IR so far is cur, or work when dirty
+	var work *ir.Module     // copy-on-write clone of cur that passes run on
+	dirty := false
+	for i := start; i < len(seq) && seq[i] != passes.TerminateIndex; i++ {
+		k := stepKey{fp, seq[i]}
+		p.mu.Lock()
+		next, known := p.next[k]
+		var res *ir.Module
+		if known && next != fp {
+			if e := p.fpEntries[next]; e != nil {
+				res = e.m
+			}
+		}
+		p.mu.Unlock()
+		switch {
+		case known && next == fp:
+			continue
+		case res != nil:
+			cur, fp, work, dirty = res, next, nil, false
+			continue
+		}
+		if work == nil {
+			work = cur.CloneCOW()
+		}
+		changed := passes.Step(work, seq[i], i-start)
+		if known {
+			fp, dirty = next, true
+			continue
+		}
+		if !changed {
+			p.learn(k, fp)
+			continue
+		}
+		fp = work.Fingerprint()
+		p.learn(k, fp)
+		rest := false
+		for j := i + 1; j < len(seq) && seq[j] != passes.TerminateIndex; j++ {
+			if passes.Step(work, seq[j], j-start) {
+				rest = true
+			}
+		}
+		work.Seal()
+		if rest {
+			fp = work.Fingerprint()
+		}
+		return work, fp
+	}
+	if !dirty {
+		return cur, fp
+	}
+	work.Seal()
+	return work, fp
+}
+
+// learn records the pass-step k -> fp.
+func (p *Program) learn(k stepKey, fp ir.Fingerprint) {
+	p.mu.Lock()
+	p.next[k] = fp
+	p.mu.Unlock()
 }
 
 // irPut makes m resident as key's optimized module. At irCacheCap resident
@@ -799,12 +900,14 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 // episodes extend one sequence a pass at a time, and evicting the active
 // episode's own prefix chain would force every subsequent step to recompile
 // from scratch. Eviction drops only the module; the entry's fingerprint,
-// verdict and fault stay.
+// verdict and fault stay. m becomes its fingerprint's resident module.
 func (p *Program) irPut(key string, m *ir.Module, fp ir.Fingerprint) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := p.entry(key)
-	if e.m == nil {
+	if e.m != nil {
+		p.clearResident(e)
+	} else {
 		for len(p.irOrder) >= irCacheCap {
 			victim := -1
 			for i, k := range p.irOrder {
@@ -822,6 +925,7 @@ func (p *Program) irPut(key string, m *ir.Module, fp ir.Fingerprint) {
 			k := p.irOrder[victim]
 			p.irOrder = append(p.irOrder[:victim], p.irOrder[victim+1:]...)
 			v := p.seqs[k]
+			p.clearResident(v)
 			v.m = nil
 			if v.empty() {
 				delete(p.seqs, k)
@@ -830,6 +934,17 @@ func (p *Program) irPut(key string, m *ir.Module, fp ir.Fingerprint) {
 		p.irOrder = append(p.irOrder, key)
 	}
 	e.m, e.fp = m, fp
+	p.fpRecord(fp).m = m
+}
+
+// clearResident stops e's module being its fingerprint's resident module,
+// before the sequence table drops it.
+//
+//contractvet:locked fpEntries -- callers hold mu
+func (p *Program) clearResident(e *seqEntry) {
+	if r := p.fpEntries[e.fp]; r != nil && r.m == e.m {
+		r.m = nil
+	}
 }
 
 // BestCycles returns the best cycle count (and its sequence) observed by
@@ -874,6 +989,7 @@ func (p *Program) ResetSamples(dropCache bool) {
 		}
 		p.irOrder = nil
 		p.fpEntries = make(map[ir.Fingerprint]*fpEntry)
+		p.next = make(map[stepKey]ir.Fingerprint)
 		p.mu.Unlock()
 	}
 }
@@ -881,8 +997,9 @@ func (p *Program) ResetSamples(dropCache bool) {
 // SetLimits replaces the interpreter limits used by subsequent profiles and
 // drops the memoized compile results, whose success verdicts depend on the
 // limits: every sequence loses its verdict and every fingerprint-store
-// record loses its profile. Resident modules, fingerprints and the records'
-// feature vectors are kept: IR and features do not depend on the limits.
+// record loses its profile. Resident modules, fingerprints, the records'
+// feature vectors and the pass-step table are kept: IR, features and pass
+// steps do not depend on the limits.
 func (p *Program) SetLimits(lim interp.Limits) {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()

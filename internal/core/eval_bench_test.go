@@ -36,9 +36,11 @@ func BenchmarkCompileParallel(b *testing.B) {
 // is a changing optimization prefix followed by a distinct all-no-op suffix
 // (lowerinvoke/loweratomic never fire), so each Compile walks buildIR for a
 // new key but must reuse the prefix module and its fingerprint outright —
-// no clone, no re-hash, no physical profile. The suffix encodes the
-// iteration index in base 2 over the two no-op passes so no key repeats
-// within a run.
+// no re-hash, no physical profile. After the first compile has recorded
+// both passes as no-ops on the prefix's fingerprint in the pass-step table,
+// the walk skips every pass of a suffix without cloning or running it. The
+// suffix encodes the iteration index in base 2 over the two no-op passes so
+// no key repeats within a run.
 func BenchmarkCompileNoOpSuffix(b *testing.B) {
 	p, err := NewProgram("matmul", progen.Benchmark("matmul"))
 	if err != nil {

@@ -1,7 +1,10 @@
 package ir_test
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"autophase/internal/ir"
@@ -112,5 +115,56 @@ func BenchmarkClone(b *testing.B) {
 		for _, m := range bs {
 			cloneSink = m.Clone()
 		}
+	}
+}
+
+// TestFingerprintAllocs: the index maps come from a pool, so a repeated
+// Fingerprint allocates nothing, on a plain module and on an unsealed
+// copy-on-write one.
+func TestFingerprintAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop values")
+	}
+	for _, m := range progen.Benchmarks() {
+		cow := m.CloneCOW()
+		cow.Materialize(cow.Funcs[len(cow.Funcs)-1])
+		for _, x := range []*ir.Module{m, cow} {
+			if got := testing.AllocsPerRun(20, func() { x.Fingerprint() }); got != 0 {
+				t.Errorf("%s: Fingerprint allocates %v objects, want 0", m.Name, got)
+			}
+		}
+	}
+}
+
+// TestFingerprintKeepsNoModule: the pooled index maps are cleared before
+// they go back to the pool, so a fingerprinted module can be collected.
+// Functions, blocks and instructions point back at their module, and a
+// finalizer on a cycle never runs, so the finalizers sit on the global and
+// on a constant operand, which point at nothing in the module: a retained
+// function, block or instruction keeps the constant, a retained global
+// itself.
+func TestFingerprintKeepsNoModule(t *testing.T) {
+	var collected atomic.Int32
+	func() {
+		m := ir.NewModule("m")
+		g := m.NewGlobal("g", ir.I32, []int64{7}, false)
+		c := &ir.Const{Ty: ir.I32, Val: 5}
+		f := m.NewFunc("main", ir.I32)
+		bld := ir.NewBuilder()
+		bld.SetInsert(f.NewBlock("entry"))
+		bld.Ret(bld.Add(bld.Load(g), c))
+		runtime.SetFinalizer(g, func(*ir.Global) { collected.Add(1) })
+		runtime.SetFinalizer(c, func(*ir.Const) { collected.Add(1) })
+		m.Fingerprint()
+	}()
+	// One cycle only: sync.Pool keeps what it held through one collection
+	// (in its victim cache), so a scratch still holding module pointers
+	// would keep them alive through this one.
+	runtime.GC()
+	for i := 0; i < 100 && collected.Load() < 2; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := collected.Load(); n < 2 {
+		t.Fatalf("%d of 2 finalizers ran: Fingerprint kept part of the module reachable", n)
 	}
 }

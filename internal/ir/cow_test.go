@@ -253,3 +253,70 @@ func TestSealAndMaterializeAllDropSpares(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsealedFingerprintEqualsSealed: after a helper is replaced, the
+// borrowed main still calls the parent's helper until Seal reroutes it.
+// The fingerprint of the unsealed module must already be the sealed one,
+// since a pass pipeline fingerprints before it seals.
+func TestUnsealedFingerprintEqualsSealed(t *testing.T) {
+	checked := 0
+	for _, name := range progen.BenchmarkNames {
+		m := progen.Benchmark(name)
+		cow := m.CloneCOW()
+		var main *ir.Func
+		var stale []*ir.Func // replaced helpers main still calls
+		for _, f := range append([]*ir.Func(nil), cow.Funcs...) {
+			if f.Name == "main" {
+				main = f
+				continue
+			}
+			cow.RunOwned(f, func(nf *ir.Func) bool {
+				nf.Blocks[0].Prepend(&ir.Instr{Op: ir.OpAlloca,
+					Ty: ir.PointerTo(ir.I32), AllocTy: ir.I32})
+				return true
+			})
+			stale = append(stale, f)
+		}
+		if main == nil || !cow.IsShared(main) || !calls(main, stale) {
+			continue
+		}
+		checked++
+		unsealed := cow.Fingerprint()
+		cow.Seal()
+		if calls(cow.Funcs[indexOf(cow, "main")], stale) {
+			t.Fatalf("%s: main still calls a replaced helper after Seal", name)
+		}
+		if sealed := cow.Fingerprint(); unsealed != sealed {
+			t.Fatalf("%s: unsealed fingerprint %s, sealed %s", name, unsealed, sealed)
+		}
+		if unsealed == m.Fingerprint() {
+			t.Fatalf("%s: replacing the helpers did not change the fingerprint", name)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no benchmark has a borrowed main calling a replaced helper")
+	}
+}
+
+// calls reports whether f calls any of fs.
+func calls(f *ir.Func, fs []*ir.Func) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, g := range fs {
+				if in.Callee == g {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func indexOf(m *ir.Module, name string) int {
+	for i, f := range m.Funcs {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
+}

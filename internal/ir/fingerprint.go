@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Fingerprint is a 128-bit structural hash of a module. It is canonical in
@@ -102,18 +103,43 @@ const (
 	fpNone       = ^uint64(0)
 )
 
+// fpScratch holds Fingerprint's index maps. They come from fpPool and go
+// back empty, so a fingerprint allocates nothing once the pooled maps have
+// grown to the module's size, and a pooled scratch keeps no module
+// reachable.
+type fpScratch struct {
+	gidx map[*Global]uint64
+	fidx map[*Func]uint64
+	bidx map[*Block]uint64 // one function's blocks
+	iidx map[*Instr]uint64 // one function's instructions
+}
+
+var fpPool = sync.Pool{New: func() any {
+	return &fpScratch{
+		gidx: make(map[*Global]uint64),
+		fidx: make(map[*Func]uint64),
+		bidx: make(map[*Block]uint64),
+		iidx: make(map[*Instr]uint64),
+	}
+}}
+
 // Fingerprint computes the module's structural fingerprint in one streaming
 // sweep (no intermediate serialization). Safe to call concurrently on a
-// module that is not being mutated.
+// module that is not being mutated. On a copy-on-write module that is not
+// sealed yet, a call to a replaced function hashes as a call to its
+// replacement, so the fingerprint already equals the sealed module's.
 func (m *Module) Fingerprint() Fingerprint {
 	h := fpHasher{hi: fnvBasisHi, lo: fnvBasisLo}
-	gidx := make(map[*Global]uint64, len(m.Globals))
-	fidx := make(map[*Func]uint64, len(m.Funcs))
+	s := fpPool.Get().(*fpScratch)
 	for i, g := range m.Globals {
-		gidx[g] = uint64(i)
+		s.gidx[g] = uint64(i)
 	}
 	for i, f := range m.Funcs {
-		fidx[f] = uint64(i)
+		s.fidx[f] = uint64(i)
+	}
+	var remap map[*Func]*Func
+	if m.cow != nil {
+		remap = m.cow.remap
 	}
 
 	h.word(uint64(len(m.Funcs))<<32 | uint64(len(m.Globals)))
@@ -138,8 +164,11 @@ func (m *Module) Fingerprint() Fingerprint {
 		for _, p := range f.Params {
 			h.typ(p.Ty)
 		}
-		hashFuncBody(&h, f, fidx, gidx)
+		hashFuncBody(&h, f, s, remap)
 	}
+	clear(s.gidx)
+	clear(s.fidx)
+	fpPool.Put(s)
 	return Fingerprint{Hi: h.hi, Lo: h.lo}
 }
 
@@ -163,14 +192,14 @@ func attrsBits(a FuncAttrs) uint64 {
 	return b
 }
 
-func hashFuncBody(h *fpHasher, f *Func, fidx map[*Func]uint64, gidx map[*Global]uint64) {
-	bidx := make(map[*Block]uint64, len(f.Blocks))
-	iidx := make(map[*Instr]uint64)
+// hashFuncBody hashes f's body, indexing its blocks and instructions in
+// s.bidx and s.iidx, which it leaves empty.
+func hashFuncBody(h *fpHasher, f *Func, s *fpScratch, remap map[*Func]*Func) {
 	n := uint64(0)
 	for i, b := range f.Blocks {
-		bidx[b] = uint64(i)
+		s.bidx[b] = uint64(i)
 		for _, in := range b.Instrs {
-			iidx[in] = n
+			s.iidx[in] = n
 			n++
 		}
 	}
@@ -184,20 +213,23 @@ func hashFuncBody(h *fpHasher, f *Func, fidx map[*Func]uint64, gidx map[*Global]
 				h.typ(in.AllocTy)
 			}
 			h.word(uint64(int64(in.BranchWeight)))
-			if in.Callee != nil {
-				if ci, ok := fidx[in.Callee]; ok {
+			if c := in.Callee; c != nil {
+				if r, ok := remap[c]; ok {
+					c = r
+				}
+				if ci, ok := s.fidx[c]; ok {
 					h.word(ci)
 				} else {
 					// Callee outside the module: fall back to its name so
 					// the stream stays deterministic.
-					h.str(in.Callee.Name)
+					h.str(c.Name)
 				}
 			} else {
 				h.word(fpNone)
 			}
 			h.word(uint64(len(in.Blocks)))
 			for _, t := range in.Blocks {
-				h.word(bidx[t])
+				h.word(s.bidx[t])
 			}
 			h.word(uint64(len(in.Cases)))
 			for _, c := range in.Cases {
@@ -205,13 +237,15 @@ func hashFuncBody(h *fpHasher, f *Func, fidx map[*Func]uint64, gidx map[*Global]
 			}
 			h.word(uint64(len(in.Args)))
 			for _, a := range in.Args {
-				hashOperand(h, a, f, iidx, gidx)
+				hashOperand(h, a, f, s)
 			}
 		}
 	}
+	clear(s.bidx)
+	clear(s.iidx)
 }
 
-func hashOperand(h *fpHasher, v Value, f *Func, iidx map[*Instr]uint64, gidx map[*Global]uint64) {
+func hashOperand(h *fpHasher, v Value, f *Func, s *fpScratch) {
 	switch x := v.(type) {
 	case nil:
 		h.word(fpTagNil)
@@ -228,7 +262,7 @@ func hashOperand(h *fpHasher, v Value, f *Func, iidx map[*Instr]uint64, gidx map
 			h.word(uint64(x.Index))
 		}
 	case *Instr:
-		if i, ok := iidx[x]; ok {
+		if i, ok := s.iidx[x]; ok {
 			h.word(fpTagInstr)
 			h.word(i)
 		} else {
@@ -237,7 +271,7 @@ func hashOperand(h *fpHasher, v Value, f *Func, iidx map[*Instr]uint64, gidx map
 		}
 	case *Global:
 		h.word(fpTagGlobal)
-		h.word(gidx[x])
+		h.word(s.gidx[x])
 	case *Undef:
 		h.word(fpTagUndef)
 		h.typ(x.Ty)

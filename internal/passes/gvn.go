@@ -39,24 +39,26 @@ func gvn(f *ir.Func) bool {
 	}
 }
 
-// domCSE walks the dominator tree keeping a scoped table of available pure
+// domCSE walks the dominator tree keeping a table of available pure
 // expressions in avail, which it clears first; an instruction equal to an
-// available one is replaced by it.
+// available one is replaced by it. The walk never deletes from the table:
+// a leader whose block does not dominate the current block was left by a
+// finished subtree and is overwritten. So the table only grows, and how it
+// grows does not depend on the map's hash seed.
 func domCSE(f *ir.Func, avail map[vnKey]*ir.Instr) bool {
 	clear(avail)
-	children := f.Dom().Children()
-	var scope []vnKey // keys made available by the blocks on the walk's path
+	dt := f.Dom()
+	children := dt.Children()
 	changed := false
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		mark := len(scope)
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			if !numberable(in) {
 				continue
 			}
 			k := keyOf(in)
-			if leader, ok := avail[k]; ok {
+			if leader, ok := avail[k]; ok && dt.Dominates(leader.Parent(), b) {
 				f.ReplaceAllUses(in, leader)
 				b.Remove(in)
 				i--
@@ -64,15 +66,10 @@ func domCSE(f *ir.Func, avail map[vnKey]*ir.Instr) bool {
 				continue
 			}
 			avail[k] = in
-			scope = append(scope, k)
 		}
 		for _, c := range children.Of(b) {
 			walk(c)
 		}
-		for _, k := range scope[mark:] {
-			delete(avail, k)
-		}
-		scope = scope[:mark]
 	}
 	if e := f.Entry(); e != nil {
 		walk(e)

@@ -223,16 +223,17 @@ func Apply(m *ir.Module, sequence []int) bool {
 		if idx == TerminateIndex {
 			break
 		}
-		if runAttributed(m, idx, pos) {
+		if Step(m, idx, pos) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// runAttributed runs one pass, wrapping any panic (organic or injected)
-// into a *PassPanic carrying the pass identity.
-func runAttributed(m *ir.Module, idx, pos int) (changed bool) {
+// Step runs the pass at Table 1 index idx over m as position pos of a
+// sequence and reports whether it changed the module. Any panic (organic
+// or injected) unwinds as a *PassPanic carrying idx and pos.
+func Step(m *ir.Module, idx, pos int) (changed bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			if pp, ok := v.(*PassPanic); ok {
