@@ -440,28 +440,3 @@ func TestDotCFG(t *testing.T) {
 		t.Fatal("conditional edges unlabelled")
 	}
 }
-
-func TestRefLessMatchesRef(t *testing.T) {
-	f := &Func{Name: "f"}
-	vals := []Value{
-		&Instr{Op: OpAdd, Ty: I32, Name: "x"},
-		&Instr{Op: OpAdd, Ty: I32, Name: "a.very.long.value.name.that.outgrows.the.stack.buffer"},
-		&Instr{Op: OpAdd, Ty: I32}, // an unnamed clone: id 0
-		&Instr{Op: OpAdd, Ty: I32, id: 9},
-		&Instr{Op: OpAdd, Ty: I32, id: 10},
-		&Instr{Op: OpAdd, Ty: I32, id: 123},
-		&Param{Name: "arg0", Ty: I32, Parent: f},
-		&Param{Name: "1", Ty: I32, Parent: f},
-		&Global{Name: "tab", Elem: I32},
-		ConstInt(I32, -5),
-		ConstInt(I32, 42),
-		&Undef{Ty: I32},
-	}
-	for _, a := range vals {
-		for _, b := range vals {
-			if got, want := RefLess(a, b), a.Ref() < b.Ref(); got != want {
-				t.Errorf("RefLess(%s, %s) = %v, want %v", a.Ref(), b.Ref(), got, want)
-			}
-		}
-	}
-}

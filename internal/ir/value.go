@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"bytes"
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Value is anything that can appear as an instruction operand: constants,
 // function parameters, globals, and instructions themselves.
@@ -13,32 +9,6 @@ type Value interface {
 	Type() *Type
 	// Ref renders the operand reference form (e.g. "%v3", "42", "@tab").
 	Ref() string
-}
-
-// RefLess reports whether a.Ref() < b.Ref(). It spells both references
-// into stack buffers instead of building strings, so comparing unnamed
-// instructions allocates nothing.
-func RefLess(a, b Value) bool {
-	var ab, bb [32]byte
-	return bytes.Compare(appendRef(ab[:0], a), appendRef(bb[:0], b)) < 0
-}
-
-// appendRef appends v.Ref() to dst.
-func appendRef(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case *Instr:
-		if x.Name != "" {
-			return append(append(dst, '%'), x.Name...)
-		}
-		return strconv.AppendInt(append(dst, '%'), int64(x.id), 10)
-	case *Param:
-		return append(append(dst, '%'), x.Name...)
-	case *Global:
-		return append(append(dst, '@'), x.Name...)
-	case *Const:
-		return strconv.AppendInt(dst, x.Val, 10)
-	}
-	return append(dst, v.Ref()...)
 }
 
 // Const is an integer constant of a particular type.

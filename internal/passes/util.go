@@ -269,7 +269,10 @@ func keyOf(in *ir.Instr) vnKey {
 }
 
 // lessValue imposes a deterministic order on values for commutative
-// canonicalization: constants order by value; other values by Ref string.
+// canonicalization: constants order by value, other values by reference,
+// with every unnamed instruction spelled %0. Instruction numbers stay out
+// of the order: printing and linting renumber a function, and a pass
+// result must not depend on whether that happened.
 func lessValue(a, b ir.Value) bool {
 	ca, aok := ir.IsConst(a)
 	cb, bok := ir.IsConst(b)
@@ -279,7 +282,34 @@ func lessValue(a, b ir.Value) bool {
 	if aok != bok {
 		return aok // constants first
 	}
-	return ir.RefLess(a, b)
+	sa, na := refParts(a)
+	sb, nb := refParts(b)
+	if sa != sb {
+		return sa < sb
+	}
+	return na < nb
+}
+
+// refParts splits v's reference into its sigil and the rest, spelling an
+// unnamed instruction as %0. Comparing the parts orders values as
+// comparing the joined references would, without building them.
+func refParts(v ir.Value) (byte, string) {
+	switch x := v.(type) {
+	case *ir.Instr:
+		if x.Name == "" {
+			return '%', "0"
+		}
+		return '%', x.Name
+	case *ir.Param:
+		return '%', x.Name
+	case *ir.Global:
+		return '@', x.Name
+	}
+	r := v.Ref()
+	if r == "" {
+		return 0, ""
+	}
+	return r[0], r[1:]
 }
 
 // promotableAllocas returns, in order, the entry-block allocas of f whose
