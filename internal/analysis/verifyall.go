@@ -61,10 +61,9 @@ const (
 func VerifyAll(m *ir.Module) Diagnostics {
 	var c collector
 	for _, f := range m.Funcs {
-		// Ids are normally assigned by the printer; a freshly parsed (or
-		// never-printed) module would render every unnamed value as %0 in
-		// diagnostics without this.
-		f.Renumber()
+		// Diagnostics spell unnamed values by number; a freshly parsed
+		// module would render every one as %0 without this.
+		f.Number()
 		c.fn = f
 		verifyFuncAll(&c, m, f)
 	}

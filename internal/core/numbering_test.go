@@ -3,8 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"autophase/internal/features"
+	"autophase/internal/hls"
+	"autophase/internal/ir"
 	"autophase/internal/passes"
 	"autophase/internal/progen"
 )
@@ -44,5 +48,74 @@ func TestPassResultsIgnorePrinting(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPublishedModuleReadersWriteNoNumber: every module a Program
+// publishes (its original and each resident optimized module) is numbered
+// (ir.Func.Number), so its readers only read the numbers. Concurrent
+// printing, fingerprinting, feature extraction, copy-on-write pass runs
+// and HLS profiling of one published module must leave it unchanged;
+// under the race detector a reader that wrote a number is a reported race.
+func TestPublishedModuleReadersWriteNoNumber(t *testing.T) {
+	p := mustProgram(t, "matmul")
+	seqs := randSeqs(rand.New(rand.NewSource(3)), 8, 12)
+	NewEvaluator(p, 1).EvalBatch(seqs)
+	mods := []*ir.Module{p.orig}
+	p.mu.Lock()
+	for _, s := range seqs {
+		if e := p.seqs[seqKey(s)]; e != nil && e.m != nil {
+			mods = append(mods, e.m)
+		}
+	}
+	p.mu.Unlock()
+	numbered := func(m *ir.Module) {
+		t.Helper()
+		for _, f := range m.Funcs {
+			k := 0
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					if in.Num() != k {
+						t.Fatalf("%s: instruction %d of @%s has number %d", m.Name, k, f.Name, in.Num())
+					}
+					k++
+				}
+			}
+		}
+	}
+	for _, m := range mods {
+		numbered(m)
+	}
+	var wg sync.WaitGroup
+	for mi, m := range mods {
+		text, fp := m.String(), m.Fingerprint()
+		for r := 0; r < 10; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				switch r % 5 {
+				case 0:
+					if m.String() != text {
+						t.Errorf("module %d prints differently", mi)
+					}
+				case 1:
+					if m.Fingerprint() != fp {
+						t.Errorf("module %d fingerprints differently", mi)
+					}
+				case 2:
+					features.Extract(m)
+				case 3:
+					passes.RunSequence(m, seqs[r%len(seqs)])
+				case 4:
+					if _, err := hls.NewProfiler(hls.ProfileOptions{}).Profile(m); err != nil {
+						t.Errorf("module %d: %v", mi, err)
+					}
+				}
+			}(r)
+		}
+	}
+	wg.Wait()
+	for _, m := range mods {
+		numbered(m)
 	}
 }

@@ -30,10 +30,12 @@ type ModuleSchedule struct {
 // every function in the module.
 func Schedule(m *ir.Module, cfg Config) *ModuleSchedule {
 	ms := &ModuleSchedule{Config: cfg, Funcs: make(map[*ir.Func]*FuncSchedule, len(m.Funcs))}
+	var s blockScratch
 	for _, f := range m.Funcs {
+		f.Number() // only reads a published function
 		fs := &FuncSchedule{Func: f, Blocks: make(map[*ir.Block]*BlockSchedule, len(f.Blocks))}
 		for _, b := range f.Blocks {
-			bs := scheduleBlock(b, cfg)
+			bs := scheduleBlock(b, cfg, &s)
 			fs.Blocks[b] = bs
 			fs.States += bs.States
 		}
@@ -45,15 +47,35 @@ func Schedule(m *ir.Module, cfg Config) *ModuleSchedule {
 
 const eps = 1e-9
 
+// blockScratch is scheduleBlock's working storage, reused from block to
+// block.
+type blockScratch struct {
+	finish         []float64 // by position in the block
+	memUse, divUse []int     // by cycle
+}
+
+// use returns a pointer to cycle c's counter in *u, growing it as needed.
+func use(u *[]int, c int) *int {
+	for len(*u) <= c {
+		*u = append(*u, 0)
+	}
+	return &(*u)[c]
+}
+
 // scheduleBlock performs ASAP list scheduling with operation chaining under
 // the frequency constraint and memory-port/divider resource limits. The
 // returned state count is the number of FSM states (cycles) one execution of
-// the block takes.
-func scheduleBlock(b *ir.Block, cfg Config) *BlockSchedule {
+// the block takes. b's function must be numbered: an operand defined
+// earlier in b is found by its number.
+func scheduleBlock(b *ir.Block, cfg Config, s *blockScratch) *BlockSchedule {
 	budget := cfg.CycleNs()
-	finish := make(map[*ir.Instr]float64, len(b.Instrs))
-	memUse := make(map[int]int)
-	divUse := make(map[int]int)
+	finish := s.finish[:0]
+	s.memUse, s.divUse = s.memUse[:0], s.divUse[:0]
+	defer func() { s.finish = finish }()
+	base := 0
+	if len(b.Instrs) > 0 {
+		base = b.Instrs[0].Num()
+	}
 
 	// Memory/side-effect ordering: barriers (stores, calls, memsets,
 	// prints) keep program order among themselves and with loads.
@@ -65,9 +87,10 @@ func scheduleBlock(b *ir.Block, cfg Config) *BlockSchedule {
 		t := timing(in)
 		ready := 0.0
 		for _, a := range in.Args {
+			// Only an operand scheduled earlier in b has a finish time.
 			if d, ok := a.(*ir.Instr); ok && d.Parent() == b {
-				if f, ok := finish[d]; ok && f > ready {
-					ready = f
+				if k := d.Num() - base; k >= 0 && k < len(finish) && b.Instrs[k] == d && finish[k] > ready {
+					ready = finish[k]
 				}
 			}
 		}
@@ -94,16 +117,16 @@ func scheduleBlock(b *ir.Block, cfg Config) *BlockSchedule {
 		case t.latency > 0:
 			c := cycleCeil(ready, budget)
 			if t.memPort {
-				for memUse[c] >= cfg.MemPorts {
+				for *use(&s.memUse, c) >= cfg.MemPorts {
 					c++
 				}
-				memUse[c]++
+				*use(&s.memUse, c)++
 			}
 			if t.divider {
-				for divUse[c] >= cfg.Dividers {
+				for *use(&s.divUse, c) >= cfg.Dividers {
 					c++
 				}
-				divUse[c]++
+				*use(&s.divUse, c)++
 			}
 			end = float64(c+t.latency) * budget
 		default:
@@ -114,7 +137,7 @@ func scheduleBlock(b *ir.Block, cfg Config) *BlockSchedule {
 			}
 			end = start + t.delayNs
 		}
-		finish[in] = end
+		finish = append(finish, end)
 		if end > makespan {
 			makespan = end
 		}

@@ -72,6 +72,9 @@ type machine struct {
 	objs     []*object
 	gaddrs   map[*ir.Global]int64
 	res      *Result
+	funcs    map[*ir.Func][]*ir.Instr // each called function's instructions by number
+	frames   [][]slot                 // frame storage by call depth, reused
+	phiVals  []int64                  // phi values read before any is written
 }
 
 // poll is the strided liveness check: an injected stall and a blown
@@ -109,6 +112,7 @@ func Run(mod *ir.Module, lim Limits) (*Result, error) {
 	m := &machine{
 		lim:    lim,
 		gaddrs: make(map[*ir.Global]int64),
+		funcs:  make(map[*ir.Func][]*ir.Instr),
 		res: &Result{
 			Blocks: make(map[*ir.Block]int64),
 			Calls:  make(map[*ir.Func]int64),
@@ -168,8 +172,61 @@ func (m *machine) store(p, v int64) error {
 	return nil
 }
 
+// slot is one value of a frame: an instruction's result or a parameter.
+type slot struct {
+	v   int64
+	def bool
+}
+
+// frame holds a call's values: slots[k] for the instruction numbered k
+// (ir.Func.Number), then one slot per parameter. Each instruction slot is
+// checked against instrs, the function's instructions by number, so an
+// instruction from elsewhere never reads another's value; those (only in
+// malformed IR) live in outside.
 type frame struct {
-	vals map[ir.Value]int64
+	f       *ir.Func
+	instrs  []*ir.Instr
+	slots   []slot
+	outside map[*ir.Instr]int64
+}
+
+// frameOf returns an empty frame for a call of f at the given depth, its
+// storage reused from the last call at that depth.
+func (m *machine) frameOf(f *ir.Func, depth int) frame {
+	instrs, ok := m.funcs[f]
+	if !ok {
+		instrs = make([]*ir.Instr, f.Number()) // only reads a published function
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				instrs[in.Num()] = in
+			}
+		}
+		m.funcs[f] = instrs
+	}
+	for len(m.frames) <= depth {
+		m.frames = append(m.frames, nil)
+	}
+	n := len(instrs) + len(f.Params)
+	buf := m.frames[depth]
+	if cap(buf) < n {
+		buf = make([]slot, n)
+		m.frames[depth] = buf
+	}
+	buf = buf[:n]
+	clear(buf)
+	return frame{f: f, instrs: instrs, slots: buf}
+}
+
+// set defines in's value.
+func (fr *frame) set(in *ir.Instr, v int64) {
+	if k := in.Num(); k < len(fr.instrs) && fr.instrs[k] == in {
+		fr.slots[k] = slot{v, true}
+		return
+	}
+	if fr.outside == nil {
+		fr.outside = make(map[*ir.Instr]int64)
+	}
+	fr.outside[in] = v
 }
 
 func (fr *frame) get(m *machine, v ir.Value) (int64, error) {
@@ -180,13 +237,22 @@ func (fr *frame) get(m *machine, v ir.Value) (int64, error) {
 		return 0, nil
 	case *ir.Global:
 		return m.gaddrs[x], nil
-	default:
-		val, ok := fr.vals[v]
-		if !ok {
-			return 0, fmt.Errorf("interp: undefined value %s", v.Ref())
+	case *ir.Instr:
+		if k := x.Num(); k < len(fr.instrs) && fr.instrs[k] == x {
+			if s := fr.slots[k]; s.def {
+				return s.v, nil
+			}
+		} else if val, ok := fr.outside[x]; ok {
+			return val, nil
 		}
-		return val, nil
+	case *ir.Param:
+		if x.Parent == fr.f && x.Index >= 0 && x.Index < len(fr.f.Params) && fr.f.Params[x.Index] == x {
+			if s := fr.slots[len(fr.instrs)+x.Index]; s.def {
+				return s.v, nil
+			}
+		}
 	}
+	return 0, fmt.Errorf("interp: undefined value %s", v.Ref())
 }
 
 func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
@@ -194,10 +260,10 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 		return 0, ErrDepthLimit
 	}
 	m.res.Calls[f]++
-	fr := &frame{vals: make(map[ir.Value]int64, f.NumInstrs())}
-	for i, p := range f.Params {
+	fr := m.frameOf(f, depth)
+	for i := range f.Params {
 		if i < len(args) {
-			fr.vals[p] = args[i]
+			fr.slots[len(fr.instrs)+i] = slot{args[i], true}
 		}
 	}
 	blk := f.Entry()
@@ -210,10 +276,10 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 			}
 		}
 		// Phis evaluate atomically against the incoming edge.
-		phis := blk.Phis()
+		phis := blk.Instrs[:blk.NumPhis()]
 		if len(phis) > 0 {
-			tmp := make([]int64, len(phis))
-			for i, phi := range phis {
+			tmp := m.phiVals[:0]
+			for _, phi := range phis {
 				v, ok := phi.PhiIncoming(prev)
 				if !ok {
 					return 0, fmt.Errorf("interp: phi in %s missing incoming for pred", f.Name)
@@ -222,12 +288,13 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				tmp[i] = x
+				tmp = append(tmp, x)
 				m.steps++
 			}
 			for i, phi := range phis {
-				fr.vals[phi] = tmp[i]
+				fr.set(phi, tmp[i])
 			}
+			m.phiVals = tmp
 		}
 		if m.steps > m.lim.MaxSteps {
 			return 0, ErrStepLimit
@@ -250,7 +317,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if (in.Op == ir.OpSDiv || in.Op == ir.OpSRem) && b == 0 {
 					return 0, ErrDivByZero
 				}
-				fr.vals[in] = ir.EvalBinary(in.Op, in.Ty, a, b)
+				fr.set(in, ir.EvalBinary(in.Op, in.Ty, a, b))
 			case in.Op == ir.OpICmp:
 				a, err := fr.get(m, in.Args[0])
 				if err != nil {
@@ -265,9 +332,9 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 					bits = t.Bits
 				}
 				if in.Pred.Eval(a, b, bits) {
-					fr.vals[in] = 1
+					fr.set(in, 1)
 				} else {
-					fr.vals[in] = 0
+					fr.set(in, 0)
 				}
 			case in.Op == ir.OpSelect:
 				c, err := fr.get(m, in.Args[0])
@@ -283,7 +350,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in] = v
+				fr.set(in, v)
 			case in.Op == ir.OpAlloca:
 				n := 1
 				if in.AllocTy.Kind == ir.ArrayKind {
@@ -293,7 +360,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in] = p
+				fr.set(in, p)
 			case in.Op == ir.OpLoad:
 				p, err := fr.get(m, in.Args[0])
 				if err != nil {
@@ -303,7 +370,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in] = in.Ty.TruncVal(v)
+				fr.set(in, in.Ty.TruncVal(v))
 			case in.Op == ir.OpStore:
 				v, err := fr.get(m, in.Args[0])
 				if err != nil {
@@ -326,7 +393,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 					return 0, err
 				}
 				obj, off := decodePtr(p)
-				fr.vals[in] = encodePtr(obj, off+idx)
+				fr.set(in, encodePtr(obj, off+idx))
 			case in.Op == ir.OpMemset:
 				p, err := fr.get(m, in.Args[0])
 				if err != nil {
@@ -353,7 +420,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in] = ir.EvalCast(in.Op, in.Args[0].Type(), in.Ty, v)
+				fr.set(in, ir.EvalCast(in.Op, in.Args[0].Type(), in.Ty, v))
 			case in.Op == ir.OpCall:
 				cargs := make([]int64, len(in.Args))
 				for i, a := range in.Args {
@@ -368,7 +435,7 @@ func (m *machine) call(f *ir.Func, args []int64, depth int) (int64, error) {
 					return 0, err
 				}
 				if !in.Ty.IsVoid() {
-					fr.vals[in] = rv
+					fr.set(in, rv)
 				}
 			case in.Op == ir.OpPrint:
 				v, err := fr.get(m, in.Args[0])

@@ -74,7 +74,8 @@ func TestCFGAnalysisCacheAllocs(t *testing.T) {
 	}
 }
 
-// TestInstrSize: with the small fields sharing one word an instruction is
+// TestInstrSize: with the small fields sharing one word (the number
+// among them) an instruction is
 // 128 bytes, so a plain instruction takes the 128-byte size class, one
 // with one, two or three operands 144, 160 or 176 (instrA1..instrA3), an
 // unconditional branch 144 and a conditional one 160. At 152 bytes they
@@ -85,6 +86,11 @@ func TestInstrSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(ir.Instr{}); n > 128 {
 		t.Fatalf("ir.Instr is %d bytes, want at most 128", n)
+	}
+	// A block number field would take a block from the 48-byte size
+	// class to 64 (DESIGN "Instruction numbers").
+	if n := unsafe.Sizeof(ir.Block{}); n > 48 {
+		t.Fatalf("ir.Block is %d bytes, want at most 48", n)
 	}
 }
 
@@ -118,13 +124,10 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// TestFingerprintAllocs: the index maps come from a pool, so a repeated
-// Fingerprint allocates nothing, on a plain module and on an unsealed
-// copy-on-write one.
+// TestFingerprintAllocs: positions come from instruction numbers and
+// scans, so Fingerprint allocates nothing, on a plain module and on an
+// unsealed copy-on-write one.
 func TestFingerprintAllocs(t *testing.T) {
-	if raceBuild {
-		t.Skip("the race detector makes sync.Pool drop values")
-	}
 	for _, m := range progen.Benchmarks() {
 		cow := m.CloneCOW()
 		cow.Materialize(cow.Funcs[len(cow.Funcs)-1])
@@ -136,8 +139,9 @@ func TestFingerprintAllocs(t *testing.T) {
 	}
 }
 
-// TestFingerprintKeepsNoModule: the pooled index maps are cleared before
-// they go back to the pool, so a fingerprinted module can be collected.
+// TestFingerprintKeepsNoModule: Fingerprint keeps nothing of the module
+// it hashed (it once kept pooled index maps, which had to be cleared
+// before they went back), so a fingerprinted module can be collected.
 // Functions, blocks and instructions point back at their module, and a
 // finalizer on a cycle never runs, so the finalizers sit on the global and
 // on a constant operand, which point at nothing in the module: a retained
@@ -157,9 +161,9 @@ func TestFingerprintKeepsNoModule(t *testing.T) {
 		runtime.SetFinalizer(c, func(*ir.Const) { collected.Add(1) })
 		m.Fingerprint()
 	}()
-	// One cycle only: sync.Pool keeps what it held through one collection
-	// (in its victim cache), so a scratch still holding module pointers
-	// would keep them alive through this one.
+	// One cycle only: anything pooled survives one collection (in
+	// sync.Pool's victim cache), so a scratch still holding module
+	// pointers would keep them alive through this one.
 	runtime.GC()
 	for i := 0; i < 100 && collected.Load() < 2; i++ {
 		time.Sleep(10 * time.Millisecond)

@@ -149,32 +149,35 @@ func NewPhi(ty *Type, npreds int) *Instr {
 }
 
 // cloneFuncInto copies f's body into nf. Every slice is allocated once at
-// its exact length and both maps are presized, so nothing regrows.
+// its exact length. f is numbered first (only read when it already is, as
+// a published function always is), which finds an operand's or target's
+// copy by position without a map, and the copy gets f's numbers.
 func cloneFuncInto(f, nf *Func, fmap map[*Func]*Func, gmap map[*Global]*Global) {
-	bmap := make(map[*Block]*Block, len(f.Blocks))
+	f.Number()
 	nf.Blocks = make([]*Block, len(f.Blocks))
-	n := 0
 	for i, b := range f.Blocks {
-		nb := &Block{Name: b.Name, parent: nf, Instrs: make([]*Instr, len(b.Instrs))}
-		nf.Blocks[i] = nb
-		bmap[b] = nb
-		n += len(b.Instrs)
+		nf.Blocks[i] = &Block{Name: b.Name, parent: nf, Instrs: make([]*Instr, len(b.Instrs))}
 	}
-	imap := make(map[*Instr]*Instr, n)
 	for i, b := range f.Blocks {
 		nb := nf.Blocks[i]
 		for j, in := range b.Instrs {
 			ni := in.Copy()
-			ni.parent = nb
+			ni.parent, ni.id = nb, in.id
 			if in.Callee != nil {
 				if nc, ok := fmap[in.Callee]; ok {
 					ni.Callee = nc
 				}
 			}
 			for k, t := range in.Blocks {
-				ni.Blocks[k] = bmap[t]
+				// A target outside f (malformed IR) has no copy.
+				if t != nil && t.parent == f {
+					if ti, ok := f.blockPos(t); ok {
+						ni.Blocks[k] = nf.Blocks[ti]
+						continue
+					}
+				}
+				ni.Blocks[k] = nil
 			}
-			imap[in] = ni
 			nb.Instrs[j] = ni
 		}
 	}
@@ -182,8 +185,8 @@ func cloneFuncInto(f, nf *Func, fmap map[*Func]*Func, gmap map[*Global]*Global) 
 	remap := func(v Value) Value {
 		switch x := v.(type) {
 		case *Instr:
-			if ni, ok := imap[x]; ok {
-				return ni
+			if bi, j, ok := f.locate(x); ok {
+				return nf.Blocks[bi].Instrs[j]
 			}
 			return &Undef{Ty: x.Ty}
 		case *Param:

@@ -166,9 +166,10 @@ func (m *Module) RunOwned(f *Func, fn func(*Func) bool) bool {
 // every still-borrowed function that calls a replaced function is
 // materialized (which reroutes the call), repeating until settled. It then
 // drops every spare, and the dominator tree and loops (Func.Dom) of every
-// function m owns, so a sealed module (the form the compile cache
-// publishes) holds no scratch copies and no analyses. Cheap when nothing
-// was replaced. Idempotent.
+// function m owns, and numbers them (Func.Number), so a sealed module (the
+// form the compile cache publishes) holds no scratch copies and no
+// analyses, and its readers never write a number. Cheap when nothing was
+// replaced. Idempotent.
 func (m *Module) Seal() {
 	if m.cow != nil {
 		for again := len(m.cow.remap) > 0; again; {
@@ -186,6 +187,7 @@ func (m *Module) Seal() {
 	for _, f := range m.Funcs {
 		if !m.IsShared(f) {
 			f.dom.Store(nil)
+			f.Number()
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Fingerprint is a 128-bit structural hash of a module. It is canonical in
@@ -103,40 +102,17 @@ const (
 	fpNone       = ^uint64(0)
 )
 
-// fpScratch holds Fingerprint's index maps. They come from fpPool and go
-// back empty, so a fingerprint allocates nothing once the pooled maps have
-// grown to the module's size, and a pooled scratch keeps no module
-// reachable.
-type fpScratch struct {
-	gidx map[*Global]uint64
-	fidx map[*Func]uint64
-	bidx map[*Block]uint64 // one function's blocks
-	iidx map[*Instr]uint64 // one function's instructions
-}
-
-var fpPool = sync.Pool{New: func() any {
-	return &fpScratch{
-		gidx: make(map[*Global]uint64),
-		fidx: make(map[*Func]uint64),
-		bidx: make(map[*Block]uint64),
-		iidx: make(map[*Instr]uint64),
-	}
-}}
-
 // Fingerprint computes the module's structural fingerprint in one streaming
-// sweep (no intermediate serialization). Safe to call concurrently on a
-// module that is not being mutated. On a copy-on-write module that is not
-// sealed yet, a call to a replaced function hashes as a call to its
-// replacement, so the fingerprint already equals the sealed module's.
+// sweep (no intermediate serialization) and allocates nothing. Positions
+// come from the instruction numbers (Func.Number, which only reads a
+// function that is already numbered) and from scans of the module's short
+// global and function lists. Safe to call concurrently on a module that is
+// not being mutated and whose functions are numbered, as every published
+// module is. On a copy-on-write module that is not sealed yet, a call to a
+// replaced function hashes as a call to its replacement, so the
+// fingerprint already equals the sealed module's.
 func (m *Module) Fingerprint() Fingerprint {
 	h := fpHasher{hi: fnvBasisHi, lo: fnvBasisLo}
-	s := fpPool.Get().(*fpScratch)
-	for i, g := range m.Globals {
-		s.gidx[g] = uint64(i)
-	}
-	for i, f := range m.Funcs {
-		s.fidx[f] = uint64(i)
-	}
 	var remap map[*Func]*Func
 	if m.cow != nil {
 		remap = m.cow.remap
@@ -164,11 +140,8 @@ func (m *Module) Fingerprint() Fingerprint {
 		for _, p := range f.Params {
 			h.typ(p.Ty)
 		}
-		hashFuncBody(&h, f, s, remap)
+		hashFuncBody(&h, m, f, remap)
 	}
-	clear(s.gidx)
-	clear(s.fidx)
-	fpPool.Put(s)
 	return Fingerprint{Hi: h.hi, Lo: h.lo}
 }
 
@@ -192,17 +165,11 @@ func attrsBits(a FuncAttrs) uint64 {
 	return b
 }
 
-// hashFuncBody hashes f's body, indexing its blocks and instructions in
-// s.bidx and s.iidx, which it leaves empty.
-func hashFuncBody(h *fpHasher, f *Func, s *fpScratch, remap map[*Func]*Func) {
-	n := uint64(0)
-	for i, b := range f.Blocks {
-		s.bidx[b] = uint64(i)
-		for _, in := range b.Instrs {
-			s.iidx[in] = n
-			n++
-		}
-	}
+// hashFuncBody hashes f's body. Blocks and instructions are identified by
+// position: an instruction's number once f is numbered, a block's found
+// through the numbers (Func.locate, Func.blockPos).
+func hashFuncBody(h *fpHasher, m *Module, f *Func, remap map[*Func]*Func) {
+	f.Number()
 	h.word(uint64(len(f.Blocks)))
 	for _, b := range f.Blocks {
 		h.word(uint64(len(b.Instrs)))
@@ -217,8 +184,8 @@ func hashFuncBody(h *fpHasher, f *Func, s *fpScratch, remap map[*Func]*Func) {
 				if r, ok := remap[c]; ok {
 					c = r
 				}
-				if ci, ok := s.fidx[c]; ok {
-					h.word(ci)
+				if ci := indexOf(m.Funcs, c); ci >= 0 {
+					h.word(uint64(ci))
 				} else {
 					// Callee outside the module: fall back to its name so
 					// the stream stays deterministic.
@@ -229,7 +196,12 @@ func hashFuncBody(h *fpHasher, f *Func, s *fpScratch, remap map[*Func]*Func) {
 			}
 			h.word(uint64(len(in.Blocks)))
 			for _, t := range in.Blocks {
-				h.word(s.bidx[t])
+				// A target outside f hashes as block 0, as it always has.
+				bi := 0
+				if t != nil && t.parent == f {
+					bi, _ = f.blockPos(t)
+				}
+				h.word(uint64(bi))
 			}
 			h.word(uint64(len(in.Cases)))
 			for _, c := range in.Cases {
@@ -237,15 +209,24 @@ func hashFuncBody(h *fpHasher, f *Func, s *fpScratch, remap map[*Func]*Func) {
 			}
 			h.word(uint64(len(in.Args)))
 			for _, a := range in.Args {
-				hashOperand(h, a, f, s)
+				hashOperand(h, a, m, f)
 			}
 		}
 	}
-	clear(s.bidx)
-	clear(s.iidx)
 }
 
-func hashOperand(h *fpHasher, v Value, f *Func, s *fpScratch) {
+// indexOf returns the position of x in xs, or -1. Modules hold a handful
+// of functions and globals, so a scan beats any index.
+func indexOf[T comparable](xs []T, x T) int {
+	for i, y := range xs {
+		if y == x {
+			return i
+		}
+	}
+	return -1
+}
+
+func hashOperand(h *fpHasher, v Value, m *Module, f *Func) {
 	switch x := v.(type) {
 	case nil:
 		h.word(fpTagNil)
@@ -262,16 +243,17 @@ func hashOperand(h *fpHasher, v Value, f *Func, s *fpScratch) {
 			h.word(uint64(x.Index))
 		}
 	case *Instr:
-		if i, ok := s.iidx[x]; ok {
+		if _, _, ok := f.locate(x); ok {
 			h.word(fpTagInstr)
-			h.word(i)
+			h.word(uint64(x.id))
 		} else {
 			h.word(fpTagForeign)
 			h.word(uint64(x.Op))
 		}
 	case *Global:
+		// A global outside the module hashes as global 0, as it always has.
 		h.word(fpTagGlobal)
-		h.word(s.gidx[x])
+		h.word(uint64(max(indexOf(m.Globals, x), 0)))
 	case *Undef:
 		h.word(fpTagUndef)
 		h.typ(x.Ty)

@@ -78,16 +78,83 @@ func (f *Func) RemoveBlock(b *Block) {
 	}
 }
 
-// Renumber assigns stable sequential ids to all instructions, used for
-// printing and value-numbering.
-func (f *Func) Renumber() {
-	id := int32(0)
+// Number makes each instruction's number its position in f's block order
+// and returns the instruction count. It writes only the numbers that are
+// stale, so numbering a function that is already numbered only reads it:
+// concurrent readers of a published function, which Seal, cloning and
+// core.NewProgram leave numbered, never write (DESIGN "Instruction
+// numbers"). A number says nothing about membership on its own: an
+// instruction built after the last numbering, or outside f, carries a
+// stale or zero number, so a table indexed by numbers must check each
+// slot against its own instruction.
+func (f *Func) Number() int {
+	n := int32(0)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			in.id = id
-			id++
+			if in.id != n {
+				in.id = n
+			}
+			n++
 		}
 	}
+	return int(n)
+}
+
+// locate returns the block position and in-block offset of x in f, or
+// ok=false when x is not one of f's instructions. f must be numbered and
+// unchanged since: the block is found by binary search on the numbers of
+// the blocks' first instructions, and every answer is checked against
+// f's own blocks, so an instruction from elsewhere is never mistaken for
+// one of f's.
+func (f *Func) locate(x *Instr) (bi, j int, ok bool) {
+	b := x.parent
+	if b == nil || b.parent != f || len(b.Instrs) == 0 {
+		return 0, 0, false
+	}
+	bi, ok = f.blockPos(b)
+	if !ok {
+		return 0, 0, false
+	}
+	j = int(x.id - b.Instrs[0].id)
+	if j < 0 || j >= len(b.Instrs) || b.Instrs[j] != x {
+		return 0, 0, false
+	}
+	return bi, j, true
+}
+
+// blockPos returns b's position in f.Blocks; f must be numbered and
+// unchanged since. Blocks are in number order, so a non-empty block is
+// found by binary search on the number of its first instruction; an empty
+// block, or one the search misses, is looked for by a scan.
+func (f *Func) blockPos(b *Block) (int, bool) {
+	if len(b.Instrs) > 0 {
+		key := b.Instrs[0].id
+		lo, hi := 0, len(f.Blocks)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			mb := f.Blocks[mid]
+			if len(mb.Instrs) == 0 {
+				break
+			}
+			switch k := mb.Instrs[0].id; {
+			case k < key:
+				lo = mid + 1
+			case k > key:
+				hi = mid
+			default:
+				if mb == b {
+					return mid, true
+				}
+				lo = hi // an empty block shares its successor's key
+			}
+		}
+	}
+	for i, x := range f.Blocks {
+		if x == b {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // NumInstrs counts the instructions in the function.

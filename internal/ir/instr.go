@@ -241,7 +241,7 @@ type Instr struct {
 	// BranchWeight is -lower-expect metadata: >0 means the true edge of a
 	// conditional branch is expected (stripped by the lower-expect pass).
 	BranchWeight int8
-	id           int32 // stable per-function numbering assigned by Func.Renumber
+	id           int32 // position in the function's block order as of its last Func.Number
 
 	Ty      *Type // result type; Void for non-value instructions
 	Name    string
@@ -266,6 +266,11 @@ func (in *Instr) Ref() string {
 	// never collide with user-provided identifiers.
 	return fmt.Sprintf("%%%d", in.id)
 }
+
+// Num returns the instruction's number: its position in its function's
+// block order as of the last Func.Number, zero if it was never numbered.
+// Only a table that checks the slot's own instruction may trust it.
+func (in *Instr) Num() int { return int(in.id) }
 
 // Parent returns the containing basic block (nil if detached).
 func (in *Instr) Parent() *Block { return in.parent }

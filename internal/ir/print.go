@@ -45,7 +45,7 @@ func labelsOf(f *Func) map[*Block]string {
 
 // String renders the function in LLVM-like textual form.
 func (f *Func) String() string {
-	f.Renumber()
+	f.Number()
 	labels := labelsOf(f)
 	var sb strings.Builder
 	var ps []string

@@ -6,11 +6,25 @@ import "autophase/internal/ir"
 // (side effects and terminators) and mark transitively; everything unmarked
 // dies. Unlike the trivial sweep it removes dead phi cycles.
 func adce(f *ir.Func) bool {
-	live := make(map[*ir.Instr]bool)
+	live := newInstrTable[bool](f)
+	var outside map[*ir.Instr]bool // operands from outside f (malformed IR)
 	var wl []*ir.Instr
 	mark := func(in *ir.Instr) {
-		if in != nil && !live[in] {
-			live[in] = true
+		if in == nil {
+			return
+		}
+		if l := live.at(in); l != nil {
+			if !*l {
+				*l = true
+				wl = append(wl, in)
+			}
+			return
+		}
+		if !outside[in] {
+			if outside == nil {
+				outside = make(map[*ir.Instr]bool)
+			}
+			outside[in] = true
 			wl = append(wl, in)
 		}
 	}
@@ -34,7 +48,7 @@ func adce(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
-			if live[in] {
+			if live.get(in) {
 				continue
 			}
 			// Dead values may still appear as operands of other dead

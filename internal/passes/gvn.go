@@ -6,7 +6,7 @@ import "autophase/internal/ir"
 // elimination sweep with same-block store-to-load forwarding — the cheap
 // clean-up LLVM schedules early and often.
 func earlyCSE(f *ir.Func) bool {
-	changed := domCSE(f, make(map[vnKey]*ir.Instr))
+	changed := domCSE(f, newCSETable())
 	if blockLoadForward(f) {
 		changed = true
 	}
@@ -20,10 +20,10 @@ func earlyCSE(f *ir.Func) bool {
 // fixed point together with load forwarding, additionally value-numbering
 // pure (readnone) calls — which is what lets a hoisted or repeated call to
 // a pure function (the paper's mag() example) collapse to one. Every
-// round's CSE walk uses the same table.
+// round's CSE walk reuses the same table.
 func gvn(f *ir.Func) bool {
 	changed := false
-	avail := make(map[vnKey]*ir.Instr)
+	avail := newCSETable()
 	for {
 		once := domCSE(f, avail)
 		if blockLoadForward(f) {
@@ -40,13 +40,13 @@ func gvn(f *ir.Func) bool {
 }
 
 // domCSE walks the dominator tree keeping a table of available pure
-// expressions in avail, which it clears first; an instruction equal to an
+// expressions in avail, which it resets first; an instruction equal to an
 // available one is replaced by it. The walk never deletes from the table:
 // a leader whose block does not dominate the current block was left by a
 // finished subtree and is overwritten. So the table only grows, and how it
 // grows does not depend on the map's hash seed.
-func domCSE(f *ir.Func, avail map[vnKey]*ir.Instr) bool {
-	clear(avail)
+func domCSE(f *ir.Func, c *cseTable) bool {
+	c.reset(f)
 	dt := f.Dom()
 	children := dt.Children()
 	changed := false
@@ -57,15 +57,15 @@ func domCSE(f *ir.Func, avail map[vnKey]*ir.Instr) bool {
 			if !numberable(in) {
 				continue
 			}
-			k := keyOf(in)
-			if leader, ok := avail[k]; ok && dt.Dominates(leader.Parent(), b) {
+			k := c.keyOf(in)
+			if leader, ok := c.avail[k]; ok && dt.Dominates(leader.Parent(), b) {
 				f.ReplaceAllUses(in, leader)
 				b.Remove(in)
 				i--
 				changed = true
 				continue
 			}
-			avail[k] = in
+			c.avail[k] = in
 		}
 		for _, c := range children.Of(b) {
 			walk(c)

@@ -10,21 +10,17 @@ func mem2reg(f *ir.Func) bool {
 	// Allocas outside the entry block are also promotable if they dominate
 	// all their uses; keep to entry-block allocas (the common case our
 	// frontends produce) for safety.
-	allocas := promotableAllocas(f)
+	allocas, entrySlot := promotableAllocas(f)
 	if len(allocas) == 0 {
 		return false
 	}
-	slot := make(map[*ir.Instr]int, len(allocas)) // promoted alloca -> index
-	for i, al := range allocas {
-		slot[al] = i
-	}
-	promoted := func(v ir.Value) (int, bool) {
-		al, ok := v.(*ir.Instr)
-		if !ok {
-			return 0, false
+	// Until phis go in, a promoted alloca is found by its entry position.
+	entry := f.Entry().Instrs
+	promotedEntry := func(v ir.Value) (int, bool) {
+		if k, ok := entryPos(entry, v); ok && entrySlot[k] > 0 {
+			return int(entrySlot[k]) - 1, true
 		}
-		i, ok := slot[al]
-		return i, ok
+		return 0, false
 	}
 
 	dt := f.Dom()
@@ -43,7 +39,7 @@ func mem2reg(f *ir.Func) bool {
 			if in.Op != ir.OpStore {
 				continue
 			}
-			if i, ok := promoted(in.Args[1]); ok {
+			if i, ok := promotedEntry(in.Args[1]); ok {
 				if d := defBlocks[i]; len(d) == 0 || d[len(d)-1] != b {
 					defBlocks[i] = append(d, b)
 				}
@@ -71,10 +67,30 @@ func mem2reg(f *ir.Func) bool {
 		}
 	}
 
-	// Renaming walk over the dominator tree.
-	phiAlloca := make(map[*ir.Instr]int, len(phis))
+	// Renaming walk over the dominator tree. With the phis in, one table
+	// indexed by instruction number holds, for each promoted alloca and
+	// inserted phi, one more than its alloca's index, and for each
+	// promoted load the negated position, less one, of its replacement in
+	// repls.
+	tab := newInstrTable[int32](f)
+	var repls []ir.Value
+	for i, al := range allocas {
+		*tab.at(al) = int32(i) + 1
+	}
 	for _, pi := range phis {
-		phiAlloca[pi.phi] = slot[pi.alloca]
+		*tab.at(pi.phi) = tab.get(pi.alloca)
+	}
+	promoted := func(v ir.Value) (int, bool) {
+		if r := tab.of(v); r != nil && *r > 0 && v.(*ir.Instr).Op == ir.OpAlloca {
+			return int(*r) - 1, true
+		}
+		return 0, false
+	}
+	phiAlloca := func(phi *ir.Instr) (int, bool) {
+		if r := tab.get(phi); r > 0 && phi.Op == ir.OpPhi {
+			return int(r) - 1, true
+		}
+		return 0, false
 	}
 
 	children := dt.Children()
@@ -95,18 +111,13 @@ func mem2reg(f *ir.Func) bool {
 		log = append(log, undo{i, cur[i]})
 		cur[i] = v
 	}
-	repl := make(map[*ir.Instr]ir.Value)
 	resolve := func(v ir.Value) ir.Value {
 		for {
-			in, ok := v.(*ir.Instr)
-			if !ok {
+			r := tab.of(v)
+			if r == nil || *r >= 0 {
 				return v
 			}
-			r, ok := repl[in]
-			if !ok {
-				return v
-			}
-			v = r
+			v = repls[-*r-1]
 		}
 	}
 
@@ -119,7 +130,7 @@ func mem2reg(f *ir.Func) bool {
 			in := b.Instrs[k]
 			switch in.Op {
 			case ir.OpPhi:
-				if i, ok := phiAlloca[in]; ok {
+				if i, ok := phiAlloca(in); ok {
 					set(i, in)
 				}
 			case ir.OpLoad:
@@ -128,7 +139,8 @@ func mem2reg(f *ir.Func) bool {
 					if v == nil {
 						v = &ir.Undef{Ty: in.Ty}
 					}
-					repl[in] = v
+					repls = append(repls, v)
+					*tab.at(in) = -int32(len(repls))
 					b.Remove(in)
 					k--
 				}
@@ -146,7 +158,7 @@ func mem2reg(f *ir.Func) bool {
 				if phi.Op != ir.OpPhi {
 					break
 				}
-				if i, ok := phiAlloca[phi]; ok {
+				if i, ok := phiAlloca(phi); ok {
 					v := cur[i]
 					if v == nil {
 						v = &ir.Undef{Ty: phi.Ty}
@@ -165,7 +177,7 @@ func mem2reg(f *ir.Func) bool {
 		}
 	}
 	walk(f.Entry())
-	if len(repl) > 0 {
+	if len(repls) > 0 {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for k, a := range in.Args {

@@ -290,8 +290,8 @@ func reassociate(f *ir.Func) bool {
 	return changed
 }
 
-func isChainInterior(in *ir.Instr, uses map[*ir.Instr]int32) bool {
-	if uses[in] != 1 {
+func isChainInterior(in *ir.Instr, uses useCounts) bool {
+	if uses.get(in) != 1 {
 		return false
 	}
 	u := soleUser(in.Parent().Parent(), in)
@@ -300,11 +300,11 @@ func isChainInterior(in *ir.Instr, uses map[*ir.Instr]int32) bool {
 
 // flattenChain collects the leaves of the same-op single-use tree rooted at
 // in, restricted to instructions in block b.
-func flattenChain(in *ir.Instr, op ir.Op, uses map[*ir.Instr]int32, b *ir.Block) []ir.Value {
+func flattenChain(in *ir.Instr, op ir.Op, uses useCounts, b *ir.Block) []ir.Value {
 	var leaves []ir.Value
 	var walk func(v ir.Value)
 	walk = func(v ir.Value) {
-		if n, ok := v.(*ir.Instr); ok && n.Op == op && n.Parent() == b && (n == in || uses[n] == 1) {
+		if n, ok := v.(*ir.Instr); ok && n.Op == op && n.Parent() == b && (n == in || uses.get(n) == 1) {
 			walk(n.Args[0])
 			walk(n.Args[1])
 			return

@@ -22,7 +22,16 @@ type latVal struct {
 // their instructions; branch conditions become constants that -simplifycfg
 // subsequently folds (the classic sccp → simplifycfg phase interaction).
 func sccp(f *ir.Func) bool {
-	lat := make(map[ir.Value]latVal)
+	// The lattice is indexed by instruction number; instructions outside
+	// f (only in malformed IR) fall back to a map.
+	lat := newInstrTable[latVal](f)
+	var latOut map[*ir.Instr]latVal
+	latAt := func(in *ir.Instr) latVal {
+		if l := lat.at(in); l != nil {
+			return *l
+		}
+		return latOut[in]
+	}
 	execEdge := make(map[[2]*ir.Block]bool)
 	execBlock := make(map[*ir.Block]bool)
 	uses := newUseIndex(f) // the solve reads the IR without changing it
@@ -38,8 +47,10 @@ func sccp(f *ir.Func) bool {
 			return latVal{latConst, 0}
 		case *ir.Param, *ir.Global:
 			return latVal{latOver, 0}
+		case *ir.Instr:
+			return latAt(x)
 		default:
-			return lat[v]
+			return latVal{}
 		}
 	}
 
@@ -62,7 +73,7 @@ func sccp(f *ir.Func) bool {
 	}
 
 	raise := func(in *ir.Instr, nv latVal) {
-		old := lat[in]
+		old := latAt(in)
 		if old.state == nv.state && (nv.state != latConst || old.c == nv.c) {
 			return
 		}
@@ -73,7 +84,14 @@ func sccp(f *ir.Func) bool {
 		if old.state == latConst && nv.state == latConst && old.c != nv.c {
 			nv = latVal{latOver, 0}
 		}
-		lat[in] = nv
+		if l := lat.at(in); l != nil {
+			*l = nv
+		} else {
+			if latOut == nil {
+				latOut = make(map[*ir.Instr]latVal)
+			}
+			latOut[in] = nv
+		}
 		instrWL = append(instrWL, uses.of(in)...)
 	}
 
@@ -210,7 +228,7 @@ func sccp(f *ir.Func) bool {
 		}
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
-			lv := lat[in]
+			lv := latAt(in)
 			if lv.state != latConst || in.Ty.IsVoid() || in.HasSideEffects() {
 				continue
 			}

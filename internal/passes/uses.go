@@ -6,7 +6,8 @@ import "autophase/internal/ir"
 // a function: the answer f.Uses gives, computed for every instruction in one
 // sweep instead of one sweep per query. Users are stored compressed-row:
 // the users of the instruction numbered i are users[off[i]:off[i+1]], in
-// block order, each user once.
+// block order, each user once. i is the instruction's number
+// (ir.Func.Number), checked against instrs.
 //
 // The snapshot is only as fresh as the IR it was built from. Callers build
 // one where the IR is not rewritten between queries (an SCCP solve), or
@@ -14,17 +15,17 @@ import "autophase/internal/ir"
 // queried (one lcssa loop). Instructions created after the build, or
 // outside f.Blocks, have no entry.
 type useIndex struct {
-	num   map[*ir.Instr]int32 // dense per-build numbering, block order
-	off   []int32
-	users []*ir.Instr
+	instrs []*ir.Instr // the instruction numbered i
+	off    []int32
+	users  []*ir.Instr
 }
 
 func newUseIndex(f *ir.Func) *useIndex {
-	n := f.NumInstrs()
-	x := &useIndex{num: make(map[*ir.Instr]int32, n), off: make([]int32, n+1)}
+	n := f.Number()
+	x := &useIndex{instrs: make([]*ir.Instr, n), off: make([]int32, n+1)}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			x.num[in] = int32(len(x.num))
+			x.instrs[in.Num()] = in
 		}
 	}
 	// Count pass: off[i+1] collects the number of distinct users of i;
@@ -76,14 +77,22 @@ func (x *useIndex) operand(a ir.Value) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	i, ok := x.num[in]
-	return i, ok
+	return x.num(in)
+}
+
+// num returns in's number when in is an instruction of the indexed
+// function.
+func (x *useIndex) num(in *ir.Instr) (int32, bool) {
+	if k := in.Num(); k < len(x.instrs) && x.instrs[k] == in {
+		return int32(k), true
+	}
+	return 0, false
 }
 
 // of returns the users of in, as f.Uses(in) would at build time. The slice
 // aliases the index and must not be modified.
 func (x *useIndex) of(in *ir.Instr) []*ir.Instr {
-	i, ok := x.num[in]
+	i, ok := x.num(in)
 	if !ok {
 		return nil
 	}

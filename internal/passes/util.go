@@ -6,17 +6,77 @@ import (
 	"autophase/internal/ir"
 )
 
-// buildUseCounts returns, for each instruction used within f, the number of
-// operand slots referencing it. Only instructions are counted: every caller
-// asks about instructions, and a pointer-keyed map is far cheaper to fill
-// than one keyed by every operand value.
-func buildUseCounts(f *ir.Func) map[*ir.Instr]int32 {
-	uses := make(map[*ir.Instr]int32, f.NumInstrs())
+// instrTable holds a T for each instruction of one function, indexed by
+// instruction number (ir.Func.Number). Each slot records the instruction it
+// was made for, and a lookup checks it: an instruction built after the
+// table, or from elsewhere, carries a stale or zero number and finds no
+// slot. A table is valid until f is numbered again.
+type instrTable[T any] []instrSlot[T]
+
+type instrSlot[T any] struct {
+	in *ir.Instr
+	v  T
+}
+
+// newInstrTable numbers f and returns a table with a zero T for each of
+// its instructions.
+func newInstrTable[T any](f *ir.Func) instrTable[T] { return fillInstrTable[T](nil, f) }
+
+// fillInstrTable is newInstrTable reusing t's storage when it is large
+// enough.
+func fillInstrTable[T any](t instrTable[T], f *ir.Func) instrTable[T] {
+	n := f.Number()
+	if cap(t) < n {
+		t = make(instrTable[T], n)
+	} else {
+		t = t[:n]
+		clear(t)
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			t[in.Num()].in = in
+		}
+	}
+	return t
+}
+
+// at returns in's slot, or nil when the table has none for in.
+func (t instrTable[T]) at(in *ir.Instr) *T {
+	if k := in.Num(); k < len(t) && t[k].in == in {
+		return &t[k].v
+	}
+	return nil
+}
+
+// of is at for an operand: nil unless v is an instruction with a slot.
+func (t instrTable[T]) of(v ir.Value) *T {
+	if in, ok := v.(*ir.Instr); ok {
+		return t.at(in)
+	}
+	return nil
+}
+
+// get returns in's value, the zero T when in has no slot.
+func (t instrTable[T]) get(in *ir.Instr) T {
+	if p := t.at(in); p != nil {
+		return *p
+	}
+	var zero T
+	return zero
+}
+
+// useCounts counts, for each instruction of f, the operand slots of f that
+// reference it.
+type useCounts = instrTable[int32]
+
+// buildUseCounts returns the use counts of f's instructions, numbering f.
+func buildUseCounts(f *ir.Func) useCounts {
+	uses := newInstrTable[int32](f)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if ai, ok := a.(*ir.Instr); ok {
-					uses[ai]++
+				if n := uses.of(a); n != nil {
+					*n++
 				}
 			}
 		}
@@ -72,11 +132,11 @@ func removeTriviallyDead(f *ir.Func) bool {
 				if in.Ty.IsVoid() {
 					continue
 				}
-				if uses[in] == 0 {
+				if uses.get(in) == 0 {
 					b.Remove(in)
 					for _, a := range in.Args {
-						if ai, ok := a.(*ir.Instr); ok {
-							uses[ai]--
+						if n := uses.of(a); n != nil {
+							*n--
 						}
 					}
 					removed = true
@@ -205,40 +265,38 @@ func isLoopInvariant(v ir.Value, l *ir.Loop) bool {
 }
 
 // vnKey is a structural hash key for pure instructions, used by the
-// CSE/GVN family. Constant operands are canonicalized by (width, value) so
-// two equal constants number identically; other values use identity. The
-// key is at most 128 bytes: a Go map stores a larger key in an allocation
-// of its own.
+// CSE/GVN family. Operands are small: constants are canonicalized by
+// (width, value) so two equal constants number identically, and every
+// other operand is identified by a number (vnOperand), so a key is 80
+// bytes and a table of them stays compact.
 type vnKey struct {
 	op     ir.Op
 	pred   ir.CmpPred
 	nargs  uint8
 	ty     string
-	args   [3]vnOperand
 	callee *ir.Func
+	args   [3]vnOperand
 }
 
-// vnOperand is an operand's value-numbering form: the operand itself, or
-// for a constant (v nil) its width and value. It is a plain struct, not an
-// interface holding the constant's key, so building a vnKey allocates
-// nothing.
+// vnOperand is an operand's value-numbering form: a kind and a number. The
+// number is a constant's value, an instruction's number in the walked
+// function, a parameter's index, a global's position in the module, or,
+// for any other value, its index among the other values met (cseTable).
 type vnOperand struct {
-	v    ir.Value
-	bits int
-	val  int64
+	kind uint8
+	bits uint8 // a constant's width
+	n    int64
 }
 
-// canonVal maps an operand to its value-numbering representation.
-func canonVal(v ir.Value) vnOperand {
-	if c, ok := v.(*ir.Const); ok {
-		bits := 64
-		if c.Ty.IsInt() {
-			bits = c.Ty.Bits
-		}
-		return vnOperand{bits: bits, val: c.Val}
-	}
-	return vnOperand{v: v}
-}
+// Operand kinds.
+const (
+	vnNone uint8 = iota
+	vnConst
+	vnInstr
+	vnParam
+	vnGlobal
+	vnOther
+)
 
 func numberable(in *ir.Instr) bool {
 	switch {
@@ -251,7 +309,65 @@ func numberable(in *ir.Instr) bool {
 	return false
 }
 
-func keyOf(in *ir.Instr) vnKey {
+// cseTable is the state of domCSE's walks over one function: the
+// available expressions and what keys their operands.
+type cseTable struct {
+	f      *ir.Func
+	avail  map[vnKey]*ir.Instr
+	instrs instrTable[struct{}] // the instructions with numbers this walk
+	others map[ir.Value]int64   // operands numbered by first sight
+}
+
+func newCSETable() *cseTable { return &cseTable{avail: make(map[vnKey]*ir.Instr)} }
+
+// reset empties the table for a walk over f, numbering f.
+func (c *cseTable) reset(f *ir.Func) {
+	c.f = f
+	clear(c.avail)
+	clear(c.others)
+	c.instrs = fillInstrTable(c.instrs, f)
+}
+
+// operand maps v to its value-numbering form. Two operands map equal
+// exactly when they are the same value, or constants of one width and
+// value.
+func (c *cseTable) operand(v ir.Value) vnOperand {
+	switch x := v.(type) {
+	case *ir.Const:
+		bits := 64
+		if x.Ty.IsInt() {
+			bits = x.Ty.Bits
+		}
+		return vnOperand{kind: vnConst, bits: uint8(bits), n: x.Val}
+	case *ir.Instr:
+		if c.instrs.at(x) != nil {
+			return vnOperand{kind: vnInstr, n: int64(x.Num())}
+		}
+	case *ir.Param:
+		if x.Parent == c.f {
+			return vnOperand{kind: vnParam, n: int64(x.Index)}
+		}
+	case *ir.Global:
+		if m := c.f.Module(); m != nil {
+			for i, g := range m.Globals {
+				if g == x {
+					return vnOperand{kind: vnGlobal, n: int64(i)}
+				}
+			}
+		}
+	}
+	n, ok := c.others[v]
+	if !ok {
+		if c.others == nil {
+			c.others = make(map[ir.Value]int64)
+		}
+		n = int64(len(c.others))
+		c.others[v] = n
+	}
+	return vnOperand{kind: vnOther, n: n}
+}
+
+func (c *cseTable) keyOf(in *ir.Instr) vnKey {
 	args := in.Args
 	if len(args) > 3 {
 		args = args[:3]
@@ -259,11 +375,11 @@ func keyOf(in *ir.Instr) vnKey {
 	k := vnKey{op: in.Op, pred: in.Pred, nargs: uint8(len(args)), ty: in.Ty.String(), callee: in.Callee}
 	// Canonicalize commutative operand order before keying.
 	if in.Op.IsCommutative() && len(args) == 2 && lessValue(args[1], args[0]) {
-		k.args[0], k.args[1] = canonVal(args[1]), canonVal(args[0])
+		k.args[0], k.args[1] = c.operand(args[1]), c.operand(args[0])
 		return k
 	}
 	for i, a := range args {
-		k.args[i] = canonVal(a)
+		k.args[i] = c.operand(a)
 	}
 	return k
 }
@@ -315,22 +431,28 @@ func refParts(v ir.Value) (byte, string) {
 // promotableAllocas returns, in order, the entry-block allocas of f whose
 // address is only used directly by loads and stores (no GEP/bitcast/call
 // escapes, and never stored as a value), i.e. the ones mem2reg promotes.
-// One sweep over f decides all of them.
-func promotableAllocas(f *ir.Func) []*ir.Instr {
-	ok := make(map[*ir.Instr]bool)
-	for _, in := range f.Entry().Instrs {
+// One sweep over f decides all of them. It numbers f, so an entry-block
+// instruction's number is its position in the block, and returns slot:
+// slot[k] is one more than the index in allocas of the alloca at entry
+// position k, zero for the others.
+func promotableAllocas(f *ir.Func) (allocas []*ir.Instr, slot []int32) {
+	f.Number()
+	entry := f.Entry().Instrs
+	ok := make([]bool, len(entry))
+	candidates := false
+	for k, in := range entry {
 		if in.Op == ir.OpAlloca && in.AllocTy.Kind != ir.ArrayKind {
-			ok[in] = true
+			ok[k], candidates = true, true
 		}
 	}
-	if len(ok) == 0 {
-		return nil
+	if !candidates {
+		return nil, nil
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for ai, a := range in.Args {
-				al, isInstr := a.(*ir.Instr)
-				if !isInstr || !ok[al] {
+				k, isEntry := entryPos(entry, a)
+				if !isEntry || !ok[k] {
 					continue
 				}
 				switch {
@@ -338,16 +460,30 @@ func promotableAllocas(f *ir.Func) []*ir.Instr {
 				case in.Op == ir.OpStore && ai == 1:
 					// address operand only; storing the pointer escapes it
 				default:
-					ok[al] = false
+					ok[k] = false
 				}
 			}
 		}
 	}
-	var allocas []*ir.Instr
-	for _, in := range f.Entry().Instrs {
-		if ok[in] {
+	slot = make([]int32, len(entry))
+	for k, in := range entry {
+		if ok[k] {
 			allocas = append(allocas, in)
+			slot[k] = int32(len(allocas))
 		}
 	}
-	return allocas
+	return allocas, slot
+}
+
+// entryPos returns the position of v in entry, the instructions of a
+// numbered function's entry block, where position and number agree.
+func entryPos(entry []*ir.Instr, v ir.Value) (int, bool) {
+	in, ok := v.(*ir.Instr)
+	if !ok {
+		return 0, false
+	}
+	if k := in.Num(); k < len(entry) && entry[k] == in {
+		return k, true
+	}
+	return 0, false
 }

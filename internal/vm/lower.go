@@ -30,21 +30,12 @@ func declinef(format string, args ...any) error {
 // bodies don't block the fast path, exactly as the interpreter never
 // executes them).
 func Lower(mod *ir.Module, weight func(*ir.Block) int) (*Program, error) {
-	fnIdx := make(map[*ir.Func]int32, len(mod.Funcs))
-	for i, f := range mod.Funcs {
-		fnIdx[f] = int32(i)
-	}
 	p := &Program{main: -1}
-	gaddr := make(map[*ir.Global]int64, len(mod.Globals))
-	for i, g := range mod.Globals {
+	for _, g := range mod.Globals {
 		n := g.NumElems()
 		if n < 0 {
 			return nil, declinef("global @%s has negative size", g.Name)
 		}
-		// Address of global i is a compile-time constant under the
-		// interpreter's allocation scheme: objects are numbered in module
-		// order starting at 0, and encodePtr(i, 0) == (i+1)<<offBits.
-		gaddr[g] = int64(i+1) << offBits
 		p.globals = append(p.globals, globalInit{
 			cells: n,
 			init:  append([]int64(nil), g.Init...),
@@ -54,7 +45,7 @@ func Lower(mod *ir.Module, weight func(*ir.Block) int) (*Program, error) {
 	errs := make([]error, len(mod.Funcs))
 	p.funcs = make([]funcCode, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		fc, err := lowerFunc(f, fnIdx, gaddr, weight)
+		fc, err := lowerFunc(mod, f, weight)
 		if err != nil {
 			errs[i] = err
 			// Never-executed stub: reachability below declines the module
@@ -152,12 +143,89 @@ func widthICmp(t *ir.Type) (uint8, bool) {
 }
 
 type blockInfo struct {
-	phis []*ir.Instr
-	term int   // index of the terminator (always last, or the block declined)
-	head int32 // pc of the block's opEnter
+	b     *ir.Block
+	phis  []*ir.Instr
+	term  int      // index of the terminator (always last, or the block declined)
+	head  int32    // pc of the block's opEnter
+	edges []edgePC // the stub of each edge out of the block, once emitted
 }
 
-func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64, weight func(*ir.Block) int) (funcCode, error) {
+// edgePC is the pc of the stub for the edge into succ.
+type edgePC struct {
+	succ *ir.Block
+	pc   int32
+}
+
+// edge returns the stub pc of the edge into succ, once emitted.
+func (bi *blockInfo) edge(succ *ir.Block) (int32, bool) {
+	for _, e := range bi.edges {
+		if e.succ == succ {
+			return e.pc, true
+		}
+	}
+	return 0, false
+}
+
+// lowerSlot is what lowering knows about one instruction: its register
+// and, for a lowered block's terminator, that block's record (each one
+// more than the register or the index in infos; zero is none).
+type lowerSlot struct {
+	in  *ir.Instr
+	reg int32
+	blk int32
+}
+
+// constPool numbers a function's distinct constants in first-use order:
+// an open-addressing index over vals.
+type constPool struct {
+	vals  []int64
+	index []int32 // one more than a position in vals, zero for free; a power of two long
+}
+
+// of returns v's position in vals, appending v when it is new.
+func (cp *constPool) of(v int64) int32 {
+	if 2*(len(cp.vals)+1) > len(cp.index) {
+		cp.grow()
+	}
+	mask := uint64(len(cp.index) - 1)
+	for h := (uint64(v) * 0x9e3779b97f4a7c15) >> 32 & mask; ; h = (h + 1) & mask {
+		k := cp.index[h]
+		if k == 0 {
+			cp.vals = append(cp.vals, v)
+			cp.index[h] = int32(len(cp.vals))
+			return int32(len(cp.vals) - 1)
+		}
+		if cp.vals[k-1] == v {
+			return k - 1
+		}
+	}
+}
+
+func (cp *constPool) grow() {
+	n := max(16, 2*len(cp.index))
+	cp.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for i, v := range cp.vals {
+		h := (uint64(v) * 0x9e3779b97f4a7c15) >> 32 & mask
+		for cp.index[h] != 0 {
+			h = (h + 1) & mask
+		}
+		cp.index[h] = int32(i + 1)
+	}
+}
+
+// indexOf returns the position of x in xs, or -1. Modules hold a handful
+// of functions and globals, so a scan beats any index.
+func indexOf[T comparable](xs []T, x T) int {
+	for i, y := range xs {
+		if y == x {
+			return i
+		}
+	}
+	return -1
+}
+
+func lowerFunc(mod *ir.Module, f *ir.Func, weight func(*ir.Block) int) (funcCode, error) {
 	fail := func(err error) (funcCode, error) { return funcCode{}, err }
 	if len(f.Blocks) == 0 {
 		return fail(declinef("%s: empty function", f.Name))
@@ -170,16 +238,37 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	// Pass 1: shape checks and register assignment. Every value-producing
 	// instruction of a reachable block gets a dense register; uses of
 	// anything else (dead blocks, post-terminator code) decline via the
-	// missing map entry. Iteration follows f.Blocks order throughout, so
-	// the emitted code and pool layout are deterministic.
+	// missing register. Iteration follows f.Blocks order throughout, so
+	// the emitted code and pool layout are deterministic. Registers and
+	// block records live in one table indexed by instruction number
+	// (ir.Func.Number, which only reads a published function), each slot
+	// checked against its own instruction; a block's record is found
+	// through its terminator's slot.
 	nparams := len(f.Params)
-	paramOf := make(map[*ir.Param]int32, nparams)
-	for i, pr := range f.Params {
-		paramOf[pr] = int32(i)
+	slots := make([]lowerSlot, f.Number())
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			slots[in.Num()].in = in
+		}
 	}
-	regOf := make(map[*ir.Instr]int32)
-	info := make(map[*ir.Block]*blockInfo)
+	slotOf := func(in *ir.Instr) *lowerSlot {
+		if k := in.Num(); k < len(slots) && slots[k].in == in {
+			return &slots[k]
+		}
+		return nil
+	}
+	var infos []blockInfo
+	infoOf := func(b *ir.Block) *blockInfo {
+		if len(b.Instrs) == 0 {
+			return nil
+		}
+		if s := slotOf(b.Instrs[len(b.Instrs)-1]); s != nil && s.blk > 0 && infos[s.blk-1].b == b {
+			return &infos[s.blk-1]
+		}
+		return nil
+	}
 	var rblocks []*ir.Block
+	ncode := 0 // the code's length, unless phi moves need staging
 	next := int32(nparams)
 	maxPhis := 0
 	for _, b := range f.Blocks {
@@ -213,14 +302,22 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		if len(phis) > maxPhis {
 			maxPhis = len(phis)
 		}
+		// The block's opEnter and one inst per non-phi instruction, and
+		// for each edge into its phis a move per phi and a goto unless the
+		// moves go through staging.
+		ncode += 1 + len(b.Instrs) - np
+		if np > 0 {
+			ncode += len(dt.Preds(b)) * (np + 1)
+		}
 		for _, in := range b.Instrs {
 			if !in.Ty.IsVoid() {
-				regOf[in] = next
+				slotOf(in).reg = next + 1
 				next++
 			}
 		}
 		rblocks = append(rblocks, b)
-		info[b] = &blockInfo{phis: phis, term: term}
+		infos = append(infos, blockInfo{b: b, phis: phis, term: term})
+		slotOf(b.Instrs[term]).blk = int32(len(infos))
 	}
 
 	// Register file layout: [params | results | phi staging | consts].
@@ -228,17 +325,8 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	// code (including edge stubs that need staging indices) is emitted.
 	stagingBase := next
 	constBase := stagingBase + int32(maxPhis)
-	constReg := make(map[int64]int32)
-	var consts []int64
-	constRegFor := func(v int64) int32 {
-		if r, ok := constReg[v]; ok {
-			return r
-		}
-		r := constBase + int32(len(consts))
-		constReg[v] = r
-		consts = append(consts, v)
-		return r
-	}
+	var consts constPool
+	constRegFor := func(v int64) int32 { return constBase + consts.of(v) }
 	operand := func(v ir.Value) (int32, error) {
 		switch x := v.(type) {
 		case *ir.Const:
@@ -246,23 +334,25 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		case *ir.Undef:
 			return constRegFor(0), nil
 		case *ir.Global:
-			a, ok := gaddr[x]
-			if !ok {
+			gi := indexOf(mod.Globals, x)
+			if gi < 0 {
 				return 0, declinef("%s: foreign global %s", f.Name, x.Ref())
 			}
-			return constRegFor(a), nil
+			// Address of global i is a compile-time constant under the
+			// interpreter's allocation scheme: objects are numbered in
+			// module order starting at 0, and encodePtr(i, 0) == (i+1)<<offBits.
+			return constRegFor(int64(gi+1) << offBits), nil
 		case *ir.Param:
-			r, ok := paramOf[x]
-			if !ok {
+			if x.Index < 0 || x.Index >= nparams || f.Params[x.Index] != x {
 				return 0, declinef("%s: foreign param %s", f.Name, x.Ref())
 			}
-			return r, nil
+			return int32(x.Index), nil
 		case *ir.Instr:
-			r, ok := regOf[x]
-			if !ok {
+			s := slotOf(x)
+			if s == nil || s.reg == 0 {
 				return 0, declinef("%s: use of unlowered value %s", f.Name, x.Ref())
 			}
-			return r, nil
+			return s.reg - 1, nil
 		default:
 			return 0, declinef("%s: unknown operand kind %T", f.Name, v)
 		}
@@ -277,11 +367,11 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		return operand(v)
 	}
 	mustDst := func(in *ir.Instr) (int32, error) {
-		r, ok := regOf[in]
-		if !ok {
+		s := slotOf(in)
+		if s == nil || s.reg == 0 {
 			return 0, declinef("%s: value instruction %s with void type", f.Name, in.Op)
 		}
-		return r, nil
+		return s.reg - 1, nil
 	}
 
 	// Phase A: block bodies. Terminator targets can't resolve until the
@@ -300,7 +390,7 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		succ *ir.Block
 	}
 	var (
-		code      []inst
+		code      = make([]inst, 0, ncode)
 		patches   []patch
 		swPatches []swPatch
 		calls     []callDesc
@@ -310,8 +400,8 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		code = append(code, i)
 		return len(code) - 1
 	}
-	for _, b := range rblocks {
-		bi := info[b]
+	for i, b := range rblocks {
+		bi := &infos[i]
 		w := weight(b)
 		if w < 0 {
 			return fail(declinef("%s/%s: negative block weight", f.Name, b.Name))
@@ -505,8 +595,8 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 				if callee == nil {
 					return fail(declinef("%s: call without callee", f.Name))
 				}
-				ci, ok := fnIdx[callee]
-				if !ok {
+				ci := int32(indexOf(mod.Funcs, callee))
+				if ci < 0 {
 					return fail(declinef("%s: call to foreign function %s", f.Name, callee.Name))
 				}
 				np := len(callee.Params)
@@ -608,10 +698,9 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	// blocks jump straight to the head; phi edges copy the incoming values
 	// with the interpreter's read-all-then-write-all atomicity (via staging
 	// registers when a destination doubles as a source).
-	type edgeKey struct{ pred, succ *ir.Block }
-	edgePC := make(map[edgeKey]int32)
-	for _, b := range rblocks {
-		t := b.Instrs[info[b].term]
+	for i, b := range rblocks {
+		bi := &infos[i]
+		t := b.Instrs[bi.term]
 		var targets []*ir.Block
 		switch t.Op {
 		case ir.OpBr:
@@ -622,16 +711,15 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 			targets = t.Blocks[:len(t.Cases)+1]
 		}
 		for _, succ := range targets {
-			key := edgeKey{b, succ}
-			if _, seen := edgePC[key]; seen {
+			if _, seen := bi.edge(succ); seen {
 				continue
 			}
-			sbi, ok := info[succ]
-			if !ok {
+			sbi := infoOf(succ)
+			if sbi == nil {
 				return fail(declinef("%s/%s: edge into unlowered block", f.Name, b.Name))
 			}
 			if len(sbi.phis) == 0 {
-				edgePC[key] = sbi.head
+				bi.edges = append(bi.edges, edgePC{succ, sbi.head})
 				continue
 			}
 			stub := int32(len(code))
@@ -676,13 +764,13 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 				}
 			}
 			emit(inst{op: opGoto, dst: -1, a: sbi.head, b: -1, c: -1})
-			edgePC[key] = stub
+			bi.edges = append(bi.edges, edgePC{succ, stub})
 		}
 	}
 
 	// Phase C: resolve the recorded branch targets to stub addresses.
 	for _, pt := range patches {
-		pc, ok := edgePC[edgeKey{pt.pred, pt.succ}]
+		pc, ok := infoOf(pt.pred).edge(pt.succ)
 		if !ok {
 			return fail(declinef("%s: unresolved branch edge", f.Name))
 		}
@@ -696,7 +784,7 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 		}
 	}
 	for _, sp := range swPatches {
-		pc, ok := edgePC[edgeKey{sp.pred, sp.succ}]
+		pc, ok := infoOf(sp.pred).edge(sp.succ)
 		if !ok {
 			return fail(declinef("%s: unresolved switch edge", f.Name))
 		}
@@ -710,10 +798,10 @@ func lowerFunc(f *ir.Func, fnIdx map[*ir.Func]int32, gaddr map[*ir.Global]int64,
 	return funcCode{
 		name:      f.Name,
 		code:      code,
-		consts:    consts,
+		consts:    consts.vals,
 		constBase: constBase,
 		nparams:   nparams,
-		numRegs:   int(constBase) + len(consts),
+		numRegs:   int(constBase) + len(consts.vals),
 		calls:     calls,
 		switches:  switches,
 	}, nil
