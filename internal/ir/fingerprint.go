@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Fingerprint is a 128-bit structural hash of a module. It is canonical in
@@ -184,7 +185,7 @@ func hashFuncBody(h *fpHasher, m *Module, f *Func, remap map[*Func]*Func) {
 				if r, ok := remap[c]; ok {
 					c = r
 				}
-				if ci := indexOf(m.Funcs, c); ci >= 0 {
+				if ci := slices.Index(m.Funcs, c); ci >= 0 {
 					h.word(uint64(ci))
 				} else {
 					// Callee outside the module: fall back to its name so
@@ -215,17 +216,6 @@ func hashFuncBody(h *fpHasher, m *Module, f *Func, remap map[*Func]*Func) {
 	}
 }
 
-// indexOf returns the position of x in xs, or -1. Modules hold a handful
-// of functions and globals, so a scan beats any index.
-func indexOf[T comparable](xs []T, x T) int {
-	for i, y := range xs {
-		if y == x {
-			return i
-		}
-	}
-	return -1
-}
-
 func hashOperand(h *fpHasher, v Value, m *Module, f *Func) {
 	switch x := v.(type) {
 	case nil:
@@ -253,7 +243,7 @@ func hashOperand(h *fpHasher, v Value, m *Module, f *Func) {
 	case *Global:
 		// A global outside the module hashes as global 0, as it always has.
 		h.word(fpTagGlobal)
-		h.word(uint64(max(indexOf(m.Globals, x), 0)))
+		h.word(uint64(max(slices.Index(m.Globals, x), 0)))
 	case *Undef:
 		h.word(fpTagUndef)
 		h.typ(x.Ty)

@@ -6,25 +6,14 @@ import "autophase/internal/ir"
 // (side effects and terminators) and mark transitively; everything unmarked
 // dies. Unlike the trivial sweep it removes dead phi cycles.
 func adce(f *ir.Func) bool {
-	live := newInstrTable[bool](f)
-	var outside map[*ir.Instr]bool // operands from outside f (malformed IR)
+	live := newInstrMap[bool](f)
 	var wl []*ir.Instr
 	mark := func(in *ir.Instr) {
 		if in == nil {
 			return
 		}
-		if l := live.at(in); l != nil {
-			if !*l {
-				*l = true
-				wl = append(wl, in)
-			}
-			return
-		}
-		if !outside[in] {
-			if outside == nil {
-				outside = make(map[*ir.Instr]bool)
-			}
-			outside[in] = true
+		if l := live.ref(in); !*l {
+			*l = true
 			wl = append(wl, in)
 		}
 	}

@@ -22,16 +22,7 @@ type latVal struct {
 // their instructions; branch conditions become constants that -simplifycfg
 // subsequently folds (the classic sccp → simplifycfg phase interaction).
 func sccp(f *ir.Func) bool {
-	// The lattice is indexed by instruction number; instructions outside
-	// f (only in malformed IR) fall back to a map.
-	lat := newInstrTable[latVal](f)
-	var latOut map[*ir.Instr]latVal
-	latAt := func(in *ir.Instr) latVal {
-		if l := lat.at(in); l != nil {
-			return *l
-		}
-		return latOut[in]
-	}
+	lat := newInstrMap[latVal](f)
 	execEdge := make(map[[2]*ir.Block]bool)
 	execBlock := make(map[*ir.Block]bool)
 	uses := newUseIndex(f) // the solve reads the IR without changing it
@@ -48,7 +39,7 @@ func sccp(f *ir.Func) bool {
 		case *ir.Param, *ir.Global:
 			return latVal{latOver, 0}
 		case *ir.Instr:
-			return latAt(x)
+			return *lat.ref(x)
 		default:
 			return latVal{}
 		}
@@ -73,7 +64,7 @@ func sccp(f *ir.Func) bool {
 	}
 
 	raise := func(in *ir.Instr, nv latVal) {
-		old := latAt(in)
+		old := *lat.ref(in)
 		if old.state == nv.state && (nv.state != latConst || old.c == nv.c) {
 			return
 		}
@@ -84,14 +75,7 @@ func sccp(f *ir.Func) bool {
 		if old.state == latConst && nv.state == latConst && old.c != nv.c {
 			nv = latVal{latOver, 0}
 		}
-		if l := lat.at(in); l != nil {
-			*l = nv
-		} else {
-			if latOut == nil {
-				latOut = make(map[*ir.Instr]latVal)
-			}
-			latOut[in] = nv
-		}
+		*lat.ref(in) = nv
 		instrWL = append(instrWL, uses.of(in)...)
 	}
 
@@ -228,7 +212,7 @@ func sccp(f *ir.Func) bool {
 		}
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
-			lv := latAt(in)
+			lv := *lat.ref(in)
 			if lv.state != latConst || in.Ty.IsVoid() || in.HasSideEffects() {
 				continue
 			}

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"math/bits"
+	"slices"
 
 	"autophase/internal/ir"
 )
@@ -63,6 +64,35 @@ func (t instrTable[T]) get(in *ir.Instr) T {
 	}
 	var zero T
 	return zero
+}
+
+// instrMap is an instrTable that also answers for instructions without a
+// slot, from a map made on first need: those are operands from outside
+// the function (only in malformed IR), which a map keyed by *ir.Instr
+// would have held like any other.
+type instrMap[T any] struct {
+	instrTable[T]
+	outside map[*ir.Instr]*T
+}
+
+func newInstrMap[T any](f *ir.Func) *instrMap[T] {
+	return &instrMap[T]{instrTable: newInstrTable[T](f)}
+}
+
+// ref returns in's value, adding a zero one when in has none yet.
+func (m *instrMap[T]) ref(in *ir.Instr) *T {
+	if p := m.at(in); p != nil {
+		return p
+	}
+	p, ok := m.outside[in]
+	if !ok {
+		if m.outside == nil {
+			m.outside = make(map[*ir.Instr]*T)
+		}
+		p = new(T)
+		m.outside[in] = p
+	}
+	return p
 }
 
 // useCounts counts, for each instruction of f, the operand slots of f that
@@ -349,10 +379,8 @@ func (c *cseTable) operand(v ir.Value) vnOperand {
 		}
 	case *ir.Global:
 		if m := c.f.Module(); m != nil {
-			for i, g := range m.Globals {
-				if g == x {
-					return vnOperand{kind: vnGlobal, n: int64(i)}
-				}
+			if i := slices.Index(m.Globals, x); i >= 0 {
+				return vnOperand{kind: vnGlobal, n: int64(i)}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"autophase/internal/ir"
 )
@@ -214,17 +215,6 @@ func (cp *constPool) grow() {
 	}
 }
 
-// indexOf returns the position of x in xs, or -1. Modules hold a handful
-// of functions and globals, so a scan beats any index.
-func indexOf[T comparable](xs []T, x T) int {
-	for i, y := range xs {
-		if y == x {
-			return i
-		}
-	}
-	return -1
-}
-
 func lowerFunc(mod *ir.Module, f *ir.Func, weight func(*ir.Block) int) (funcCode, error) {
 	fail := func(err error) (funcCode, error) { return funcCode{}, err }
 	if len(f.Blocks) == 0 {
@@ -334,7 +324,7 @@ func lowerFunc(mod *ir.Module, f *ir.Func, weight func(*ir.Block) int) (funcCode
 		case *ir.Undef:
 			return constRegFor(0), nil
 		case *ir.Global:
-			gi := indexOf(mod.Globals, x)
+			gi := slices.Index(mod.Globals, x)
 			if gi < 0 {
 				return 0, declinef("%s: foreign global %s", f.Name, x.Ref())
 			}
@@ -595,7 +585,7 @@ func lowerFunc(mod *ir.Module, f *ir.Func, weight func(*ir.Block) int) (funcCode
 				if callee == nil {
 					return fail(declinef("%s: call without callee", f.Name))
 				}
-				ci := int32(indexOf(mod.Funcs, callee))
+				ci := int32(slices.Index(mod.Funcs, callee))
 				if ci < 0 {
 					return fail(declinef("%s: call to foreign function %s", f.Name, callee.Name))
 				}
