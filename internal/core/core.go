@@ -799,6 +799,7 @@ func (p *Program) buildIR(seq []int, key string, sanitize bool) (_ *ir.Module, _
 			// sequence must re-derive (and re-flag) from a clean prefix.
 			return m, ir.Fingerprint{}, false
 		}
+		m.Seal() // publish it numbered and without analyses, like the walk's
 		fp := m.Fingerprint()
 		p.irPut(key, m, fp)
 		return m, fp, true

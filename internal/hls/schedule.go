@@ -71,7 +71,6 @@ func scheduleBlock(b *ir.Block, cfg Config, s *blockScratch) *BlockSchedule {
 	budget := cfg.CycleNs()
 	finish := s.finish[:0]
 	s.memUse, s.divUse = s.memUse[:0], s.divUse[:0]
-	defer func() { s.finish = finish }()
 	base := 0
 	if len(b.Instrs) > 0 {
 		base = b.Instrs[0].Num()
@@ -148,6 +147,7 @@ func scheduleBlock(b *ir.Block, cfg Config, s *blockScratch) *BlockSchedule {
 			loadsSinceBarrier = append(loadsSinceBarrier, end)
 		}
 	}
+	s.finish = finish // keep the grown storage
 	states := int(math.Ceil(makespan/budget - eps))
 	if states < 1 {
 		states = 1

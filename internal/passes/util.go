@@ -314,11 +314,11 @@ type vnKey struct {
 // for any other value, its index among the other values met (cseTable).
 type vnOperand struct {
 	kind uint8
-	bits uint8 // a constant's width
+	bits int32 // a constant's width
 	n    int64
 }
 
-// Operand kinds.
+// Operand kinds; vnNone is an unused argument slot.
 const (
 	vnNone uint8 = iota
 	vnConst
@@ -368,13 +368,13 @@ func (c *cseTable) operand(v ir.Value) vnOperand {
 		if x.Ty.IsInt() {
 			bits = x.Ty.Bits
 		}
-		return vnOperand{kind: vnConst, bits: uint8(bits), n: x.Val}
+		return vnOperand{kind: vnConst, bits: int32(bits), n: x.Val}
 	case *ir.Instr:
 		if c.instrs.at(x) != nil {
 			return vnOperand{kind: vnInstr, n: int64(x.Num())}
 		}
 	case *ir.Param:
-		if x.Parent == c.f {
+		if ps := c.f.Params; x.Index >= 0 && x.Index < len(ps) && ps[x.Index] == x {
 			return vnOperand{kind: vnParam, n: int64(x.Index)}
 		}
 	case *ir.Global:
