@@ -210,9 +210,74 @@ var defaultArtifacts atomic.Pointer[artifact.Store]
 // done).
 func SetDefaultArtifacts(st *artifact.Store) { defaultArtifacts.Store(st) }
 
+// Baselines remembers, per module, the results NewProgram computes before
+// a search can start: the O0 profile, the -O3 module's fingerprint and its
+// profile. A Program built through it for a module it has seen skips both
+// baseline profiles and the -O3 pipeline, and seeds its fingerprint store
+// exactly as a fresh build does.
+//
+// The key is the original module's fingerprint. NewProgram always profiles
+// with a fresh profiler under hls.DefaultConfig and interp.DefaultLimits,
+// so the baselines are a pure function of the module, the same trust the
+// artifact store's profile key and the pass-step table place in a
+// fingerprint. Only successes are remembered: a baseline that fails or
+// panics is recomputed, and fails again, on the next build.
+//
+// The zero value is ready to use and safe for concurrent use. A nil
+// *Baselines remembers nothing.
+type Baselines struct {
+	mu   sync.Mutex
+	recs map[ir.Fingerprint]baseline // guarded by mu; keyed by the original module's fingerprint
+}
+
+// baseline is one module's remembered NewProgram results.
+type baseline struct {
+	o0Cycles, o0Area int64
+	o3FP             ir.Fingerprint
+	o3Cycles, o3Area int64
+}
+
+// baselinesCap bounds the modules a Baselines remembers; a record is 64
+// bytes with its key, so a full memo stays under a megabyte. Once full, a
+// new module's baselines are computed and not stored, so nothing is ever
+// evicted. It is a variable only so tests can shrink it.
+var baselinesCap = 4096
+
+func (b *Baselines) lookup(fp ir.Fingerprint) (baseline, bool) {
+	if b == nil {
+		return baseline{}, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.recs[fp]
+	return r, ok
+}
+
+func (b *Baselines) remember(fp ir.Fingerprint, r baseline) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.recs) >= baselinesCap {
+		return
+	}
+	if b.recs == nil {
+		b.recs = make(map[ir.Fingerprint]baseline)
+	}
+	b.recs[fp] = r
+}
+
 // NewProgram profiles the unoptimized and -O3 baselines and returns the
 // wrapped program. The module is cloned; the caller's copy is not touched.
 func NewProgram(name string, m *ir.Module) (*Program, error) {
+	return (*Baselines)(nil).NewProgram(name, m)
+}
+
+// NewProgram builds a Program as the package-level NewProgram does, but
+// takes the baselines from b when b remembers the module, and remembers
+// them in b when it computes them.
+func (b *Baselines) NewProgram(name string, m *ir.Module) (*Program, error) {
 	p := &Program{
 		Name:      name,
 		orig:      m.Clone(),
@@ -227,25 +292,40 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 		p.profiler.SetArtifacts(st)
 	}
 	p.origFP = p.orig.Fingerprint()
+	r, ok := b.lookup(p.origFP)
+	if !ok {
+		var err error
+		if r, err = p.profileBaselines(); err != nil {
+			return nil, err
+		}
+		b.remember(p.origFP, r)
+	}
+	p.O0Cycles, p.O3Cycles = r.o0Cycles, r.o3Cycles
+	// Seed the fingerprint store with the baselines: a search sequence that
+	// reproduces the unoptimized or the -O3 IR shares these profiles instead
+	// of re-running the profiler.
+	p.fpPublish(p.origFP, r.o0Cycles, r.o0Area)
+	p.fpPublish(r.o3FP, r.o3Cycles, r.o3Area)
+	return p, nil
+}
+
+// profileBaselines profiles the unoptimized module and its -O3 build.
+func (p *Program) profileBaselines() (baseline, error) {
 	r0, err := p.profiler.ProfileFP(p.orig, p.origFP)
 	if err != nil {
-		return nil, fmt.Errorf("core: O0 profile of %s: %w", name, err)
+		return baseline{}, fmt.Errorf("core: O0 profile of %s: %w", p.Name, err)
 	}
-	p.O0Cycles = r0.Cycles
 	o3 := p.orig.Clone()
 	passes.ApplyO3(o3)
 	fp3 := o3.Fingerprint()
 	r3, err := p.profiler.ProfileFP(o3, fp3)
 	if err != nil {
-		return nil, fmt.Errorf("core: O3 profile of %s: %w", name, err)
+		return baseline{}, fmt.Errorf("core: O3 profile of %s: %w", p.Name, err)
 	}
-	p.O3Cycles = r3.Cycles
-	// Seed the fingerprint store with the baselines: a search sequence that
-	// reproduces the unoptimized or the -O3 IR shares these profiles instead
-	// of re-running the profiler.
-	p.fpPublish(p.origFP, r0.Cycles, int64(r0.AreaLUT))
-	p.fpPublish(fp3, r3.Cycles, int64(r3.AreaLUT))
-	return p, nil
+	return baseline{
+		o0Cycles: r0.Cycles, o0Area: int64(r0.AreaLUT),
+		o3FP: fp3, o3Cycles: r3.Cycles, o3Area: int64(r3.AreaLUT),
+	}, nil
 }
 
 // Module returns a fresh clone of the original (unoptimized) module.

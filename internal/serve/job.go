@@ -51,7 +51,7 @@ type Job struct {
 	Deadline time.Duration
 
 	irText string
-	mod    *ir.Module
+	mod    *ir.Module // parsed irText; nil once the job is terminal
 
 	state       JobState
 	submitted   time.Time     // when this server life accepted/resumed the job

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"autophase/internal/core"
 	"autophase/internal/faults"
 	"autophase/internal/progen"
 )
@@ -804,8 +805,11 @@ func TestDrainInterruptCheckpoint(t *testing.T) {
 	}
 	s.Close()
 	s.mu.Lock()
-	state, used := j.state, j.samplesUsed
+	state, used, mod := j.state, j.samplesUsed, j.mod
 	s.mu.Unlock()
+	if mod == nil {
+		t.Fatal("an interrupted job must keep its parsed module for the requeue")
+	}
 	if state != StateCheckpointed {
 		t.Fatalf("interrupted job state %v, want checkpointed", state)
 	}
@@ -910,5 +914,122 @@ func TestServeResultsIndependentOfWorkers(t *testing.T) {
 					tc.workers, tc.overlap, id, g, w)
 			}
 		}
+	}
+}
+
+// TestServeRepeatedModuleMatchesFresh: a job on a module whose baselines
+// the server remembers reports the same best cycles, best sequence and
+// samples as the same job (same ID, so the same search seed) on a fresh
+// server, which has to compute them. Only its engine counters differ: a
+// job's engines answer one profile per physical compile plus the two
+// baseline profiles, and on a remembered module the baselines cost none.
+func TestServeRepeatedModuleMatchesFresh(t *testing.T) {
+	repeated := progen.Benchmark("qsort").String()
+	for _, algo := range []string{"random", "genetic"} {
+		// run submits first, then the repeated module, one job at a time,
+		// and returns the second job's status and engine counters.
+		run := func(first string) (JobStatus, core.EvalStats) {
+			s := newTestServer(t, testConfig())
+			s.Start()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer s.Close()
+			defer s.Shutdown(context.Background())
+			var st JobStatus
+			for _, ir := range []string{first, repeated} {
+				resp, body := submit(t, ts, SubmitRequest{Tenant: "acme", IR: ir, Algo: algo, Budget: 24, SeqLen: 6})
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
+				}
+				var ack SubmitResponse
+				if err := json.Unmarshal(body, &ack); err != nil {
+					t.Fatal(err)
+				}
+				if st = waitTerminal(t, ts, ack.ID); st.State != "done" || st.BestCycles <= 0 {
+					t.Fatalf("%s: job %s ended %s with best %d (%s)", algo, ack.ID, st.State, st.BestCycles, st.Error)
+				}
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return st, s.jobs[st.ID].stats
+		}
+		hit, hitStats := run(repeated)
+		fresh, freshStats := run(testIR)
+		if hit.ID != fresh.ID {
+			t.Fatalf("%s: compared jobs %s and %s, want one ID", algo, hit.ID, fresh.ID)
+		}
+		if hit.BestCycles != fresh.BestCycles || !reflect.DeepEqual(hit.BestSeq, fresh.BestSeq) || hit.SamplesUsed != fresh.SamplesUsed {
+			t.Fatalf("%s: remembered baseline gave best %d %v samples %d, fresh server best %d %v samples %d", algo,
+				hit.BestCycles, hit.BestSeq, hit.SamplesUsed, fresh.BestCycles, fresh.BestSeq, fresh.SamplesUsed)
+		}
+		engines := func(st core.EvalStats) int64 { return st.StaticHits + st.VMHits + st.InterpHits + st.DiskHits }
+		if got := engines(hitStats); got != hitStats.Compiles {
+			t.Fatalf("%s: remembered baseline: engines answered %d for %d compiles, want no baseline profile", algo, got, hitStats.Compiles)
+		}
+		if got := engines(freshStats); got != freshStats.Compiles+2 {
+			t.Fatalf("%s: fresh server: engines answered %d for %d compiles, want the two baselines on top", algo, got, freshStats.Compiles)
+		}
+	}
+}
+
+// TestTerminalJobReleasesModule: a job that reaches a terminal state drops
+// its parsed module but still reports its result, and a queued job next to
+// it still checkpoints and resumes from its text.
+func TestTerminalJobReleasesModule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	cfg := testConfig()
+	cfg.CheckpointPath = path
+	s := newTestServer(t, cfg)
+	var jobs []*Job
+	for _, ir := range []string{testIR, poisonIR, testIR} {
+		j, errText := s.buildJob(&SubmitRequest{Tenant: "a", IR: ir, Budget: 8, SeqLen: 4})
+		if errText != "" {
+			t.Fatal(errText)
+		}
+		if shed := s.admit(j); shed != nil {
+			t.Fatal(shed)
+		}
+		jobs = append(jobs, j)
+	}
+	// Run the first two by hand (one done, one fault); the third stays
+	// queued for the checkpoint.
+	for _, want := range []JobState{StateDone, StateFault} {
+		j := s.next()
+		s.runJob(j)
+		s.mu.Lock()
+		state, mod, st := j.state, j.mod, j.status()
+		s.mu.Unlock()
+		if state != want {
+			t.Fatalf("job %s ended %v (%s), want %v", j.ID, state, st.Error, want)
+		}
+		if mod != nil {
+			t.Fatalf("terminal job %s still holds its parsed module", j.ID)
+		}
+		if st.Stats == "" || (want == StateDone && (st.BestCycles <= 0 || st.SamplesUsed != 8)) {
+			t.Fatalf("terminal job %s reports %+v", j.ID, st)
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if st := s.Stats(); st.Checkpointed != 1 {
+		t.Fatalf("checkpointed = %d, want the one queued job", st.Checkpointed)
+	}
+
+	s2 := newTestServer(t, cfg)
+	s2.Start()
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	defer s2.Close()
+	defer s2.Shutdown(context.Background())
+	if st := waitTerminal(t, ts, jobs[2].ID); st.State != "done" || st.SamplesUsed != 8 || !st.Resumed {
+		t.Fatalf("resumed job %s: %+v", jobs[2].ID, st)
+	}
+	s2.mu.Lock()
+	_, stale := s2.jobs[jobs[0].ID]
+	s2.mu.Unlock()
+	if stale {
+		t.Fatalf("terminal job %s was checkpointed", jobs[0].ID)
 	}
 }

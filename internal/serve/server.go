@@ -105,6 +105,11 @@ type Server struct {
 	// shares: a job running alone spreads its batches over the idle cores,
 	// and jobs that run together take them back.
 	compile *core.Budget
+	// baselines remembers each module's O0 and -O3 baselines, so a job on
+	// a module the server has seen skips the -O3 pipeline and both
+	// baseline profiles. Records are pure functions of the module, so one
+	// memo serves every tenant, as the artifact store does.
+	baselines core.Baselines
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -406,6 +411,10 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.state = out.state
+	// A terminal job never runs again, and s.jobs keeps every job for the
+	// server's life: release its parsed module. The interrupted branch
+	// above keeps it for the requeue; a checkpoint holds irText anyway.
+	j.mod = nil
 	j.errText = out.errText
 	j.stats = out.stats
 	j.samplesUsed = clampSamples(int64(prior)+out.stats.Samples, j.Budget)
@@ -457,7 +466,7 @@ func (s *Server) runSearch(j *Job, prior int, cancel <-chan struct{}) (out searc
 	if rem <= 0 {
 		return searchOutcome{state: StateDeadline, errText: "deadline exhausted while queued"}
 	}
-	p, err := core.NewProgram(j.ID, j.mod)
+	p, err := s.baselines.NewProgram(j.ID, j.mod)
 	if err != nil {
 		// Baseline profiling failed: the module itself is pathological
 		// (stalls, traps, blows limits). Fault-classed — this is exactly
