@@ -70,17 +70,6 @@ func cyclesAfter(m *ir.Module, seq []int) int64 {
 	return rep.Cycles
 }
 
-func nameSeq(seq []int) string {
-	s := ""
-	for i, p := range seq {
-		if i > 0 {
-			s += " "
-		}
-		s += passes.Table1Names[p]
-	}
-	return s
-}
-
 func main() {
 	const (
 		mem2reg       = 38

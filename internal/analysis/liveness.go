@@ -114,31 +114,6 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 	return lv
 }
 
-// LiveAt reports whether v is live immediately before instruction at.
-// It walks from at to the block end consuming local uses.
-func (lv *Liveness) LiveAt(v ir.Value, at *ir.Instr) bool {
-	b := at.Parent()
-	if b == nil || !trackedValue(v) {
-		return false
-	}
-	seen := false
-	for _, in := range b.Instrs {
-		if in == at {
-			seen = true
-		}
-		if !seen || in.Op == ir.OpPhi {
-			continue
-		}
-		for _, a := range in.Args {
-			if a == v {
-				return true
-			}
-		}
-	}
-	out := lv.LiveOut[b]
-	return out != nil && out.Has(v)
-}
-
 // DeadDefs returns the instruction results that are defined but never live
 // after their definition point — candidates for dead-code elimination (side
 // effecting instructions are excluded).

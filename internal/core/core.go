@@ -59,21 +59,15 @@ type Program struct {
 	O0Cycles int64 // cycles with no optimization
 	O3Cycles int64 // cycles after the -O3 reference pipeline
 
-	hlsCfg hls.Config
-
-	// profiler is the unified engine front end (VM, or the interpreter on
-	// a module the VM's lowerer declines). It owns the per-engine hit
-	// counters; its limits and cross-check mode are only ever changed
-	// under cfgMu so in-flight compiles (which hold cfgMu for read) never
-	// observe a mid-compile switch.
-	profiler *hls.Profiler
-
-	// cfgMu guards the compile configuration (interpreter limits,
-	// sanitizer mode) against whole-cache operations: compiles hold it for
-	// read, so SetLimits/ResetSamples/EnableSanitizer observe no in-flight
-	// compile using the old configuration.
+	// cfgMu guards the compile configuration against whole-cache
+	// operations: compiles hold it for read, so SetLimits, ResetSamples,
+	// EnableSanitizer and SetArtifacts observe no in-flight compile using
+	// the old configuration. The profiler (VM, or the interpreter on a
+	// module the lowerer declines) is built from the rest by newProfiler.
 	cfgMu    sync.RWMutex
-	sanitize bool // guarded by cfgMu
+	sanitize bool          // guarded by cfgMu
+	lim      interp.Limits // guarded by cfgMu; zero means interp.DefaultLimits
+	profiler *hls.Profiler // guarded by cfgMu
 
 	// mu guards the sequence table, the residency order of its optimized
 	// modules, the fingerprint store (one record per structural
@@ -89,8 +83,8 @@ type Program struct {
 	// artifacts is the optional persistent tier beneath the fingerprint
 	// store: feature vectors for previously seen fingerprints are read
 	// from disk instead of re-extracted, and fresh extractions are written
-	// behind. The profiler holds the same store for profile verdicts. Nil
-	// means memory-only.
+	// behind. The profiler is built with the same store for profile
+	// verdicts. Nil means memory-only.
 	artifacts atomic.Pointer[artifact.Store]
 
 	// The Program's own counters (evalCounters declares them). Every
@@ -278,24 +272,21 @@ func NewProgram(name string, m *ir.Module) (*Program, error) {
 // takes the baselines from b when b remembers the module, and remembers
 // them in b when it computes them.
 func (b *Baselines) NewProgram(name string, m *ir.Module) (*Program, error) {
+	st := defaultArtifacts.Load()
 	p := &Program{
 		Name:      name,
 		orig:      m.Clone(),
-		hlsCfg:    hls.DefaultConfig,
-		profiler:  hls.NewProfiler(hls.ProfileOptions{}),
+		profiler:  newProfiler(interp.Limits{}, false, st),
 		seqs:      make(map[string]*seqEntry),
 		fpEntries: make(map[ir.Fingerprint]*fpEntry),
 		next:      make(map[stepKey]ir.Fingerprint),
 	}
-	if st := defaultArtifacts.Load(); st != nil {
-		p.artifacts.Store(st)
-		p.profiler.SetArtifacts(st)
-	}
+	p.artifacts.Store(st)
 	p.origFP = p.orig.Fingerprint()
 	r, ok := b.lookup(p.origFP)
 	if !ok {
 		var err error
-		if r, err = p.profileBaselines(); err != nil {
+		if r, err = p.profileBaselines(p.profiler); err != nil {
 			return nil, err
 		}
 		b.remember(p.origFP, r)
@@ -310,18 +301,20 @@ func (b *Baselines) NewProgram(name string, m *ir.Module) (*Program, error) {
 }
 
 // profileBaselines profiles the unoptimized module and its -O3 build.
-func (p *Program) profileBaselines() (baseline, error) {
-	r0, err := p.profiler.ProfileFP(p.orig, p.origFP)
+func (p *Program) profileBaselines(prof *hls.Profiler) (baseline, error) {
+	r0, err := prof.ProfileFP(p.orig, p.origFP)
 	if err != nil {
 		return baseline{}, fmt.Errorf("core: O0 profile of %s: %w", p.Name, err)
 	}
+	p.countProfile(r0)
 	o3 := p.orig.Clone()
 	passes.ApplyO3(o3)
 	fp3 := o3.Fingerprint()
-	r3, err := p.profiler.ProfileFP(o3, fp3)
+	r3, err := prof.ProfileFP(o3, fp3)
 	if err != nil {
 		return baseline{}, fmt.Errorf("core: O3 profile of %s: %w", p.Name, err)
 	}
+	p.countProfile(r3)
 	return baseline{
 		o0Cycles: r0.Cycles, o0Area: int64(r0.AreaLUT),
 		o3FP: fp3, o3Cycles: r3.Cycles, o3Area: int64(r3.AreaLUT),
@@ -336,8 +329,15 @@ func (p *Program) Module() *ir.Module { return p.orig.Clone() }
 // wiring goes through SetDefaultArtifacts so the NewProgram baselines warm
 // too.
 func (p *Program) SetArtifacts(st *artifact.Store) {
+	p.cfgMu.Lock()
+	defer p.cfgMu.Unlock()
 	p.artifacts.Store(st)
-	p.profiler.SetArtifacts(st)
+	p.profiler = newProfiler(p.lim, p.sanitize, st)
+}
+
+// newProfiler builds the profiler for one compile configuration.
+func newProfiler(lim interp.Limits, sanitize bool, st *artifact.Store) *hls.Profiler {
+	return hls.NewProfiler(hls.ProfileOptions{Limits: lim, CrossCheck: sanitize, Store: st})
 }
 
 // EnableSanitizer switches every subsequent Compile into sanitized mode:
@@ -348,12 +348,12 @@ func (p *Program) SetArtifacts(st *artifact.Store) {
 func (p *Program) EnableSanitizer() {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
-	p.sanitize = true
 	// Profiles join in: all three engines (static estimator, VM,
 	// interpreter) run and must agree bit-for-bit wherever they answer, so
 	// an engine bug cannot slip a wrong cycle count into the reward. This
 	// is the only place the static estimator runs on the reward path.
-	p.profiler.SetCrossCheck(true)
+	p.sanitize = true
+	p.profiler = newProfiler(p.lim, true, p.artifacts.Load())
 }
 
 // SanitizerReport returns the report of the first miscompiling sequence a
@@ -633,10 +633,6 @@ func (p *Program) SetFaultHook(h FaultHook) {
 	p.hookMu.Unlock()
 }
 
-// IRText returns the textual IR of the unoptimized module — what a custom
-// FaultHook embeds in its own crash bundles.
-func (p *Program) IRText() string { return p.orig.String() }
-
 // compileMiss does the uncached work — build the optimized IR, then either
 // share an existing profile by fingerprint or physically profile — outside
 // the table lock, so misses on different sequences run in parallel. Each
@@ -675,7 +671,7 @@ func (p *Program) compileMiss(seq []int, key string) (res compileResult, cacheab
 		}
 	}
 	p.ctr[cCompiles].Add(1)
-	rep, pfault := p.profileSafe(m, fp, seq)
+	rep, pfault := p.profileSafe(p.profiler, m, fp, seq)
 	if pfault != nil {
 		// Profile-class faults (limit overruns, traps, injected errors) are
 		// deliberately not cached or quarantined: the verdict depends on the
@@ -774,14 +770,14 @@ func decodeVec(data []byte, n int) ([]int64, bool) {
 // (transient under contention) get one bounded retry; everything else gets
 // none. Panics inside scheduling, the VM, the interpreter, or the static
 // estimator that the sanitizer's cross-check adds become panic-class faults.
-func (p *Program) profileSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (*hls.Report, *EvalFault) {
-	rep, err, fault := p.profileRecover(m, fp, seq)
+func (p *Program) profileSafe(prof *hls.Profiler, m *ir.Module, fp ir.Fingerprint, seq []int) (*hls.Report, *EvalFault) {
+	rep, err, fault := p.profileRecover(prof, m, fp, seq)
 	if fault != nil {
 		return nil, fault
 	}
 	if err != nil && errors.Is(err, interp.ErrDeadline) {
 		p.ctr[cRetries].Add(1)
-		rep, err, fault = p.profileRecover(m, fp, seq)
+		rep, err, fault = p.profileRecover(prof, m, fp, seq)
 		if fault != nil {
 			return nil, fault
 		}
@@ -789,17 +785,31 @@ func (p *Program) profileSafe(m *ir.Module, fp ir.Fingerprint, seq []int) (*hls.
 	if err != nil {
 		return nil, classifyProfileErr(err, p.Name, seq)
 	}
+	p.countProfile(rep)
 	return rep, nil
 }
 
-func (p *Program) profileRecover(m *ir.Module, fp ir.Fingerprint, seq []int) (rep *hls.Report, err error, fault *EvalFault) {
+// engineHits names the counter of each engine a report can carry.
+var engineHits = [...]counter{hls.EngineStatic: cStaticHits, hls.EngineVM: cVMHits, hls.EngineInterp: cInterpHits}
+
+// countProfile charges a successful profile to the store when it answered,
+// otherwise to the engine that did.
+func (p *Program) countProfile(rep *hls.Report) {
+	c := engineHits[rep.Engine]
+	if rep.Stored {
+		c = cDiskHits
+	}
+	p.ctr[c].Add(1)
+}
+
+func (p *Program) profileRecover(prof *hls.Profiler, m *ir.Module, fp ir.Fingerprint, seq []int) (rep *hls.Report, err error, fault *EvalFault) {
 	defer func() {
 		if v := recover(); v != nil {
 			rep, err = nil, nil
 			fault = newPanicFault(v, "profile", p.Name, seq)
 		}
 	}()
-	rep, err = p.profiler.ProfileFP(m, fp)
+	rep, err = prof.ProfileFP(m, fp)
 	return
 }
 
@@ -1084,7 +1094,8 @@ func (p *Program) ResetSamples(dropCache bool) {
 func (p *Program) SetLimits(lim interp.Limits) {
 	p.cfgMu.Lock()
 	defer p.cfgMu.Unlock()
-	p.profiler.SetLimits(lim)
+	p.lim = lim
+	p.profiler = newProfiler(lim, p.sanitize, p.artifacts.Load())
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for k, e := range p.seqs {

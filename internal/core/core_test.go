@@ -261,6 +261,38 @@ func TestAreaObjective(t *testing.T) {
 	}
 }
 
+// TestMultiPhaseAreaObjective: the multi-action environment rewards the
+// configured objective, as PhaseEnv does: under MinimizeArea its cost is the
+// slot-decoded sequence's area and each step's reward is the area drop.
+func TestMultiPhaseAreaObjective(t *testing.T) {
+	p := mustProgram(t, "matmul")
+	cfg := DefaultEnv()
+	cfg.Objective = MinimizeArea
+	cfg.ActionList = []int{38, 31, 30} // mem2reg, simplifycfg, instcombine
+	env := NewMultiPhaseEnv(p, cfg, 2, 3)
+	env.Reset()
+	_, prev, ok := p.CompileArea(env.Sequence())
+	if !ok || env.BestCycles() != prev {
+		t.Fatalf("reset cost %d, area of %v is %d (ok=%v)", env.BestCycles(), env.Sequence(), prev, ok)
+	}
+	areaMoved := false
+	for _, acts := range [][]int{{0, 1}, {1, 2}, {2, 0}} {
+		_, r, _ := env.Step(acts)
+		c, cur, ok := p.CompileArea(env.Sequence())
+		if !ok {
+			t.Fatalf("%v failed", env.Sequence())
+		}
+		if want := cfg.reward(prev, cur, p.O0Cycles); r != want {
+			t.Fatalf("%v: reward %v, want the area drop %v (cycles %d)", env.Sequence(), r, want, c)
+		}
+		areaMoved = areaMoved || cur != prev
+		prev = cur
+	}
+	if !areaMoved {
+		t.Fatal("no step changed the area; the test cannot tell area from cycles")
+	}
+}
+
 func TestAreaDelayObjective(t *testing.T) {
 	p := mustProgram(t, "sha")
 	cfg := DefaultEnv()

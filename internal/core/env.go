@@ -30,12 +30,10 @@ type PhaseEnv struct {
 	Cfg     EnvConfig
 	Program *Program
 
-	seq       []int
-	hist      []int
-	cycles    int64
-	best      int64
-	steps     int     // actions taken this episode, including rolled-back faults
-	lastFeats []int64 // features of the last healthy compile, for fault observations
+	seq   []int
+	hist  []int
+	steps int // actions taken this episode, including rolled-back faults
+	score
 }
 
 // NewPhaseEnv builds an environment over one program.
@@ -77,14 +75,56 @@ func (e *PhaseEnv) observe(rawFeats []int64) []float64 {
 	return obs
 }
 
-// cost evaluates the configured objective for the sequence.
-func (e *PhaseEnv) cost(seq []int) (int64, []int64, bool, *EvalFault) {
-	if e.Cfg.NoProfile {
-		// Inference mode: observation only, no profiler sample, no reward.
-		return 0, e.Program.FeaturesAfter(seq), true, nil
+// score is the episode state both environment kinds reward from: the cost
+// of the current sequence, the best cost seen, and the features of the
+// last healthy compile, which a fault's observation reuses.
+type score struct {
+	cycles, best int64
+	lastFeats    []int64
+}
+
+// BestCycles returns the best cost seen this episode (the cycle count,
+// under the default objective).
+func (s *score) BestCycles() int64 { return s.best }
+
+// start scores the episode's first sequence and returns its features; a
+// failing compile starts from the unoptimized program.
+func (s *score) start(cfg EnvConfig, p *Program, seq []int) []int64 {
+	cost, feats, ok, _ := cfg.cost(p, seq)
+	if !ok {
+		cost, feats = p.O0Cycles, p.Features()
 	}
-	r := e.Program.compile(seq)
-	switch e.Cfg.Objective {
+	s.cycles, s.best, s.lastFeats = cost, cost, feats
+	return feats
+}
+
+// advance scores seq as the episode's next sequence and returns the
+// features to observe and the reward. A contained panic- or deadline-class
+// fault keeps the last healthy state (rollback: the caller undoes the
+// action); any other failure (limit blowout, sanitizer flag) ends the
+// episode. Both are charged −1.
+func (s *score) advance(cfg EnvConfig, p *Program, seq []int) (feats []int64, r float64, rollback, end bool) {
+	cost, feats, ok, fault := cfg.cost(p, seq)
+	switch {
+	case ok:
+		r = cfg.reward(s.cycles, cost, p.O0Cycles)
+		s.cycles, s.best, s.lastFeats = cost, min(s.best, cost), feats
+		return feats, r, false, false
+	case fault != nil && fault.Kind.quarantinable():
+		return s.lastFeats, -1, true, false
+	}
+	return p.Features(), -1, false, true
+}
+
+// cost evaluates the configured objective for seq on p. It is the one
+// objective rule both environment kinds reward.
+func (c EnvConfig) cost(p *Program, seq []int) (int64, []int64, bool, *EvalFault) {
+	if c.NoProfile {
+		// Inference mode: observation only, no profiler sample, no reward.
+		return 0, p.FeaturesAfter(seq), true, nil
+	}
+	r := p.compile(seq)
+	switch c.Objective {
 	case MinimizeArea:
 		return r.area, r.feats, r.ok, r.fault
 	case MinimizeAreaDelay:
@@ -100,19 +140,12 @@ func (e *PhaseEnv) Reset() []float64 {
 	e.seq = e.seq[:0]
 	e.hist = make([]int, len(e.Cfg.actions()))
 	e.steps = 0
-	cycles, feats, ok, _ := e.cost(nil)
-	if !ok {
-		cycles = e.Program.O0Cycles
-		feats = e.Program.Features()
-	}
-	e.cycles = cycles
-	e.best = cycles
-	e.lastFeats = feats
-	return e.observe(feats)
+	return e.observe(e.start(e.Cfg, e.Program, nil))
 }
 
 // Step implements rl.Env. The action indexes the configured pass list; the
-// environment applies the pass, recompiles, and rewards the cycle drop.
+// environment applies the pass, recompiles, and rewards the drop in the
+// configured objective.
 //
 // A contained panic- or deadline-class fault does not forfeit the episode:
 // the faulting pass is rolled back (it is quarantined and would fault again
@@ -130,32 +163,16 @@ func (e *PhaseEnv) Step(actions []int) ([]float64, float64, bool) {
 	e.hist[a]++
 	e.steps++
 
-	cycles, feats, ok, fault := e.cost(e.seq)
-	done := e.steps >= e.Cfg.EpisodeLen || pass == passes.TerminateIndex
-	if !ok {
-		if fault != nil && fault.Kind.quarantinable() {
-			e.seq = e.seq[:len(e.seq)-1]
-			e.hist[a]--
-			return e.observe(e.lastFeats), -1, done
-		}
-		// A failing compile (limit blowout, sanitizer flag) ends the
-		// episode with a strong penalty, as before containment existed.
-		return e.observe(e.Program.Features()), -1, true
+	feats, r, rollback, end := e.advance(e.Cfg, e.Program, e.seq)
+	if rollback {
+		e.seq = e.seq[:len(e.seq)-1]
+		e.hist[a]--
 	}
-	r := e.Cfg.reward(e.cycles, cycles, e.Program.O0Cycles)
-	e.cycles = cycles
-	if cycles < e.best {
-		e.best = cycles
-	}
-	e.lastFeats = feats
-	return e.observe(feats), r, done
+	return e.observe(feats), r, end || e.steps >= e.Cfg.EpisodeLen || pass == passes.TerminateIndex
 }
 
 // Sequence returns the passes applied so far this episode.
 func (e *PhaseEnv) Sequence() []int { return append([]int(nil), e.seq...) }
-
-// BestCycles returns the best cycle count seen this episode.
-func (e *PhaseEnv) BestCycles() int64 { return e.best }
 
 // CurrentCycles returns the cycle count of the current sequence.
 func (e *PhaseEnv) CurrentCycles() int64 { return e.cycles }
@@ -169,11 +186,9 @@ type MultiPhaseEnv struct {
 	Slots   int // N
 	Steps   int // RL steps per episode
 
-	slots     []int
-	step      int
-	cycles    int64
-	best      int64
-	lastFeats []int64 // features of the last healthy compile, for fault observations
+	slots []int
+	step  int
+	score
 }
 
 // NewMultiPhaseEnv builds the multiple-passes-per-action environment.
@@ -203,7 +218,8 @@ func (e *MultiPhaseEnv) ActionDims() []int {
 	return dims
 }
 
-func (e *MultiPhaseEnv) sequence() []int {
+// Sequence returns the current slot-decoded pass sequence.
+func (e *MultiPhaseEnv) Sequence() []int {
 	acts := e.Cfg.actions()
 	seq := make([]int, len(e.slots))
 	for i, s := range e.slots {
@@ -232,14 +248,7 @@ func (e *MultiPhaseEnv) Reset() []float64 {
 		e.slots[i] = k / 2
 	}
 	e.step = 0
-	cycles, feats, ok := e.Program.Compile(e.sequence())
-	if !ok {
-		cycles, feats = e.Program.O0Cycles, e.Program.Features()
-	}
-	e.cycles = cycles
-	e.best = cycles
-	e.lastFeats = feats
-	return e.observe(feats)
+	return e.observe(e.start(e.Cfg, e.Program, e.Sequence()))
 }
 
 // Step implements rl.Env: one −1/0/+1 update per slot, then a single
@@ -259,29 +268,12 @@ func (e *MultiPhaseEnv) Step(actions []int) ([]float64, float64, bool) {
 		}
 	}
 	e.step++
-	res := e.Program.compile(e.sequence())
-	done := e.step >= e.Steps
-	if !res.ok {
-		if res.fault != nil && res.fault.Kind.quarantinable() {
-			e.slots = prev
-			return e.observe(e.lastFeats), -1, done
-		}
-		return e.observe(e.Program.Features()), -1, true
+	feats, r, rollback, end := e.advance(e.Cfg, e.Program, e.Sequence())
+	if rollback {
+		e.slots = prev
 	}
-	r := e.Cfg.reward(e.cycles, res.cycles, e.Program.O0Cycles)
-	e.cycles = res.cycles
-	if res.cycles < e.best {
-		e.best = res.cycles
-	}
-	e.lastFeats = res.feats
-	return e.observe(res.feats), r, done
+	return e.observe(feats), r, end || e.step >= e.Steps
 }
-
-// BestCycles returns the best cycle count seen this episode.
-func (e *MultiPhaseEnv) BestCycles() int64 { return e.best }
-
-// Sequence returns the current slot-decoded pass sequence.
-func (e *MultiPhaseEnv) Sequence() []int { return e.sequence() }
 
 // InferGreedy runs one inference rollout: the policy picks passes from
 // observations served by a NoProfile environment (feature extraction only),

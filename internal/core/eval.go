@@ -136,15 +136,15 @@ const (
 	cFPHits
 	cNoopIR
 	cFPMismatches
+	cStaticHits
+	cVMHits
+	cInterpHits
+	cDiskHits
 	numCounters // Program.ctr holds the counters above; snapshot reads the rest elsewhere
 )
 
 const (
-	cStaticHits = numCounters + iota
-	cVMHits
-	cInterpHits
-	cDiskHits
-	cQuarantined
+	cQuarantined = numCounters + iota
 	cBatches
 	cBatchWall
 	numSources
@@ -238,9 +238,6 @@ func (p *Program) snapshot(batches, wallNS int64) EvalStats {
 	for c := range p.ctr {
 		v[c] = p.ctr[c].Load()
 	}
-	eng := p.profiler.Stats()
-	v[cStaticHits], v[cVMHits] = eng.StaticHits, eng.VMHits
-	v[cInterpHits], v[cDiskHits] = eng.InterpHits, eng.DiskHits
 	v[cQuarantined], v[cBatches], v[cBatchWall] = int64(p.QuarantineCount()), batches, wallNS
 	var s EvalStats
 	for _, c := range evalCounters {

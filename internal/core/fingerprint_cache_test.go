@@ -142,8 +142,8 @@ func TestSetLimitsKeepsVectors(t *testing.T) {
 // TestFingerprintSharedMatchesFresh is the sharing differential: every
 // result served through the fingerprint store on a long-lived Program must
 // be identical to a fresh Program compiling the sequence from scratch, on
-// every benchmark, and hls.Recheck must reproduce the stored verdicts from
-// the optimized IR alone.
+// every benchmark, and a cross-checked profile must reproduce the stored
+// verdicts from the optimized IR alone.
 func TestFingerprintSharedMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, name := range progen.BenchmarkNames {
@@ -170,11 +170,17 @@ func TestFingerprintSharedMatchesFresh(t *testing.T) {
 				t.Fatalf("%s seq %v: shared features differ from fresh", name, seq)
 			}
 			if sok {
-				// Recompute-and-compare from the optimized IR alone.
+				// Recompute-and-compare from the optimized IR alone, on the
+				// fully cross-checked path.
 				m := fresh.Module()
 				passes.Apply(m, seq)
-				if err := hls.Recheck(m, hls.DefaultConfig, interp.DefaultLimits, sc, sa); err != nil {
-					t.Fatalf("%s seq %v: %v", name, seq, err)
+				rep, err := hls.NewProfiler(hls.ProfileOptions{CrossCheck: true}).Profile(m)
+				if err != nil {
+					t.Fatalf("%s seq %v: recheck: %v", name, seq, err)
+				}
+				if rep.Cycles != sc || int64(rep.AreaLUT) != sa {
+					t.Fatalf("%s seq %v: recomputed cycles %d / area %d, stored cycles %d / area %d",
+						name, seq, rep.Cycles, rep.AreaLUT, sc, sa)
 				}
 			}
 		}

@@ -153,9 +153,6 @@ func Enable(sp Spec) error {
 // fast path.
 func Disable() { current.Store(nil) }
 
-// Active reports whether an injector is enabled.
-func Active() bool { return current.Load() != nil }
-
 // Hit draws the next decision for p: true means the site must inject its
 // fault. Inactive injectors (and zero-rate points) never hit and never
 // advance a counter.

@@ -22,6 +22,9 @@ type Report struct {
 	// profiler, derived by the SCEV-based static estimator, Exit is only
 	// populated when the return value is itself statically determined.
 	Engine Engine
+	// Stored marks a report the artifact store answered with no engine
+	// run; Engine then names the engine that produced the stored record.
+	Stored bool
 }
 
 // interpProfile is the interpreter engine: it returns the raw interp.Result

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"autophase/internal/artifact"
 	"autophase/internal/faults"
@@ -48,7 +46,7 @@ var ErrEngineDeclined = errors.New("hls: pinned engine declined the module")
 
 // ProfileOptions configures a Profiler. The zero value means: paper-default
 // synthesis constraints, default interpreter limits, automatic engine
-// selection, no cross-checking.
+// selection, no cross-checking, no persistence.
 type ProfileOptions struct {
 	// Config sets the synthesis constraints; the zero value means
 	// DefaultConfig.
@@ -62,39 +60,28 @@ type ProfileOptions struct {
 	// CrossCheck runs every applicable engine on every profile and errors
 	// on any cycle/step/exit/trace disagreement (the sanitizer mode).
 	CrossCheck bool
+	// Store, when set, is the read-through/write-behind tier beneath the
+	// profiler: profiles for previously seen (fingerprint, config, limits,
+	// engine-policy) keys are answered from disk without running any
+	// engine, and fresh successes are written behind. The bit-identical
+	// contract holds by construction: every stored value is a pure function
+	// of its key, errors are never persisted, and CrossCheck bypasses the
+	// store entirely.
+	Store *artifact.Store
 }
 
 // Profiler is the unified profiling surface: one object owning the
-// synthesis config, the execution limits and the engine policy.
-//
-// A Profiler is safe for concurrent use. The synthesis config and the
-// engine are fixed at construction (both are part of every stored
-// profile's key); limits and cross-check mode may be changed at runtime.
+// synthesis config, the execution limits, the engine policy and the
+// optional store. It is a fixed function of the ProfileOptions it was
+// built with and holds no mutable state, so it is safe for concurrent use;
+// a caller that wants other options builds another Profiler.
 type Profiler struct {
 	cfg    Config
-	cfgKey uint64 // artifact.HashString of the rendered config
+	lim    interp.Limits
 	engine Engine
-
-	mu     sync.RWMutex
-	lim    interp.Limits   // guarded by mu
-	check  bool            // guarded by mu
-	store  *artifact.Store // guarded by mu; nil = no persistence
-	limKey uint64          // guarded by mu; limitsKey(lim)
-
-	staticHits atomic.Int64
-	vmHits     atomic.Int64
-	interpHits atomic.Int64
-	diskHits   atomic.Int64
-}
-
-// ProfilerStats counts which engine answered successful profiles, and the
-// profiles the artifact store answered with no engine running. The store
-// keeps its own counters (artifact.Stats).
-type ProfilerStats struct {
-	StaticHits int64
-	VMHits     int64
-	InterpHits int64
-	DiskHits   int64
+	check  bool
+	store  *artifact.Store
+	aux    uint64 // the stored-profile key's Aux (config, limits, engine); set only with a store
 }
 
 // NewProfiler builds a Profiler from opts (zero-value fields take the
@@ -106,45 +93,21 @@ func NewProfiler(opts ProfileOptions) *Profiler {
 	if opts.Limits == (interp.Limits{}) {
 		opts.Limits = interp.DefaultLimits
 	}
-	return &Profiler{
+	p := &Profiler{
 		cfg:    opts.Config,
-		cfgKey: artifact.HashString(fmt.Sprintf("%#v", opts.Config)),
 		lim:    opts.Limits,
-		limKey: limitsKey(opts.Limits),
 		engine: opts.Engine,
 		check:  opts.CrossCheck,
+		store:  opts.Store,
 	}
-}
-
-// SetArtifacts attaches (or with nil detaches) a persistent artifact store
-// as the read-through/write-behind tier beneath this profiler: profile
-// verdicts for previously seen (fingerprint, config, limits, engine-policy)
-// keys are answered from disk without running any engine. The bit-identical
-// contract is preserved by construction — every stored value is a pure
-// function of its key, errors are never persisted, and the sanitizer
-// (CrossCheck) mode bypasses the store entirely.
-func (p *Profiler) SetArtifacts(st *artifact.Store) {
-	p.mu.Lock()
-	p.store = st
-	p.mu.Unlock()
-}
-
-// Config returns the synthesis constraints the profiler was built with.
-func (p *Profiler) Config() Config { return p.cfg }
-
-// Limits returns the current execution limits.
-func (p *Profiler) Limits() interp.Limits {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.lim
-}
-
-// SetLimits replaces the execution limits for subsequent profiles.
-func (p *Profiler) SetLimits(lim interp.Limits) {
-	p.mu.Lock()
-	p.lim = lim
-	p.limKey = limitsKey(lim)
-	p.mu.Unlock()
+	if p.store != nil {
+		// The engine is part of the key: a pinned engine must see exactly
+		// the profiles (and the declines-as-errors) it would compute itself,
+		// so records written under one engine never answer another.
+		p.aux = artifact.MixAux(artifact.HashString(fmt.Sprintf("%#v", p.cfg)),
+			limitsKey(p.lim), uint64(p.engine))
+	}
+	return p
 }
 
 // limitsKey hashes the limits a stored profile depends on. The wall-clock
@@ -155,23 +118,6 @@ func (p *Profiler) SetLimits(lim interp.Limits) {
 func limitsKey(lim interp.Limits) uint64 {
 	lim.Deadline = 0
 	return artifact.HashString(fmt.Sprintf("%#v", lim))
-}
-
-// SetCrossCheck toggles the run-every-engine sanitizer mode.
-func (p *Profiler) SetCrossCheck(on bool) {
-	p.mu.Lock()
-	p.check = on
-	p.mu.Unlock()
-}
-
-// Stats snapshots the per-engine success counters and the disk hits.
-func (p *Profiler) Stats() ProfilerStats {
-	return ProfilerStats{
-		StaticHits: p.staticHits.Load(),
-		VMHits:     p.vmHits.Load(),
-		InterpHits: p.interpHits.Load(),
-		DiskHits:   p.diskHits.Load(),
-	}
 }
 
 // Profile estimates the clock-cycle count of the circuit synthesized from
@@ -195,57 +141,45 @@ func (p *Profiler) profile(m *ir.Module, fp ir.Fingerprint, haveFP bool) (*Repor
 	if err := faults.Fail(faults.ProfileErr); err != nil {
 		return nil, fmt.Errorf("hls profile: %w", err)
 	}
-	p.mu.RLock()
-	lim, check := p.lim, p.check
-	store, limKey := p.store, p.limKey
-	p.mu.RUnlock()
-	if check {
+	if p.check {
 		// The sanitizer's whole point is running the engines; disk results
 		// would defeat it. (The fault-injection draw above already happened,
 		// so draw streams are identical with and without a store.)
-		return p.crossProfile(m, lim)
+		return p.crossProfile(m)
 	}
-	var diskKey artifact.Key
-	if store != nil {
-		if !haveFP {
-			fp = m.Fingerprint()
-		}
-		// The engine is part of the key: a pinned engine must see exactly
-		// the profiles (and the declines-as-errors) it would compute itself,
-		// so records written under one engine never answer another.
-		diskKey = artifact.Key{
-			FP:   fp,
-			Kind: artifact.KindProfile,
-			Aux:  artifact.MixAux(p.cfgKey, limKey, uint64(p.engine)),
-		}
-		if data, ok := store.Get(diskKey); ok {
-			if rep, ok := decodeReport(data); ok {
-				p.diskHits.Add(1)
-				return rep, nil
-			}
-			store.NoteCorrupt(diskKey)
-		}
+	if p.store == nil {
+		return p.runEngine(m)
 	}
-	rep, err := p.runEngine(m, lim)
-	if err == nil && store != nil {
+	if !haveFP {
+		fp = m.Fingerprint()
+	}
+	key := artifact.Key{FP: fp, Kind: artifact.KindProfile, Aux: p.aux}
+	if data, ok := p.store.Get(key); ok {
+		if rep, ok := decodeReport(data); ok {
+			rep.Stored = true
+			return rep, nil
+		}
+		p.store.NoteCorrupt(key)
+	}
+	rep, err := p.runEngine(m)
+	if err == nil {
 		// Only successes persist: an error is not a pure function of the key
 		// in any way the store should vouch for (and declines must re-decline
 		// live so a pinned engine behaves identically warm and cold).
-		store.Put(diskKey, encodeReport(rep))
+		p.store.Put(key, encodeReport(rep))
 	}
 	return rep, err
 }
 
 // runEngine dispatches one profile to the profiler's engine (the live,
 // non-disk path).
-func (p *Profiler) runEngine(m *ir.Module, lim interp.Limits) (*Report, error) {
+func (p *Profiler) runEngine(m *ir.Module) (*Report, error) {
 	switch p.engine {
 	case EngineStatic:
-		rep, ok := StaticProfile(m, p.cfg, lim)
+		rep, ok := StaticProfile(m, p.cfg, p.lim)
 		if !ok {
 			return nil, fmt.Errorf("hls profile: %w: static", ErrEngineDeclined)
 		}
-		p.staticHits.Add(1)
 		return rep, nil
 	case EngineVM, EngineAuto:
 		prog, err := lowerModule(m, p.cfg)
@@ -253,21 +187,14 @@ func (p *Profiler) runEngine(m *ir.Module, lim interp.Limits) (*Report, error) {
 			// A VM runtime error is a property of the program (trap,
 			// limit), not of the engine: the interpreter would fail the
 			// same way, so there is no fallback past this point.
-			rep, err := runVM(prog, lim)
-			if err == nil {
-				p.vmHits.Add(1)
-			}
-			return rep, err
+			return runVM(prog, p.lim)
 		}
 		if p.engine == EngineVM {
 			return nil, fmt.Errorf("hls profile: %w: %v", ErrEngineDeclined, err)
 		}
 	}
 	// EngineInterp, and EngineAuto on a module the lowerer declines.
-	rep, _, err := interpProfile(m, p.cfg, lim)
-	if err == nil {
-		p.interpHits.Add(1)
-	}
+	rep, _, err := interpProfile(m, p.cfg, p.lim)
 	return rep, err
 }
 
@@ -364,10 +291,9 @@ func sameErrClass(a, b error) bool {
 // value, print trace, and error class, and the static estimator, wherever
 // it answers, must match its cycles and steps. The returned report is the
 // interpreter's, tagged EngineStatic when the static estimator answered
-// and agreed, otherwise with the engine EngineAuto would have chosen; the
-// tag picks the hit counter the profile is charged to.
-func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error) {
-	static, sok := StaticProfile(m, p.cfg, lim)
+// and agreed, otherwise with the engine EngineAuto would have chosen.
+func (p *Profiler) crossProfile(m *ir.Module) (*Report, error) {
+	static, sok := StaticProfile(m, p.cfg, p.lim)
 
 	var (
 		vmRes *vm.Result
@@ -376,10 +302,10 @@ func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error
 	)
 	if prog, lerr := lowerModule(m, p.cfg); lerr == nil {
 		vmOK = true
-		vmRes, vmErr = vm.Run(prog, lim)
+		vmRes, vmErr = vm.Run(prog, p.lim)
 	}
 
-	rep, ires, err := interpProfile(m, p.cfg, lim)
+	rep, ires, err := interpProfile(m, p.cfg, p.lim)
 
 	if vmOK {
 		switch {
@@ -406,10 +332,6 @@ func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error
 		}
 		if vmOK {
 			rep.Engine = EngineVM
-			p.vmHits.Add(1)
-		} else {
-			rep.Engine = EngineInterp
-			p.interpHits.Add(1)
 		}
 		return rep, nil
 	}
@@ -421,7 +343,6 @@ func (p *Profiler) crossProfile(m *ir.Module, lim interp.Limits) (*Report, error
 			static.Cycles, static.Steps, rep.Cycles, rep.Steps)
 	}
 	rep.Engine = EngineStatic
-	p.staticHits.Add(1)
 	return rep, nil
 }
 

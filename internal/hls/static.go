@@ -1,7 +1,6 @@
 package hls
 
 import (
-	"fmt"
 	"math"
 
 	"autophase/internal/analysis"
@@ -203,23 +202,6 @@ func StaticProfile(m *ir.Module, cfg Config, lim interp.Limits) (*Report, bool) 
 		rep.Exit = fsMain.ret.Lo
 	}
 	return rep, true
-}
-
-// Recheck profiles m from scratch on the fully cross-checked path and
-// errors when the result disagrees with the expected cycle count or area —
-// the differential probe for results shared between pass sequences by IR
-// fingerprint: the caller asserts that a stored (cycles, area) verdict is
-// exactly what recomputation yields.
-func Recheck(m *ir.Module, cfg Config, lim interp.Limits, wantCycles, wantArea int64) error {
-	rep, err := NewProfiler(ProfileOptions{Config: cfg, Limits: lim, CrossCheck: true}).Profile(m)
-	if err != nil {
-		return fmt.Errorf("hls recheck: %w", err)
-	}
-	if rep.Cycles != wantCycles || int64(rep.AreaLUT) != wantArea {
-		return fmt.Errorf("hls recheck: recomputed cycles %d / area %d, stored cycles %d / area %d",
-			rep.Cycles, rep.AreaLUT, wantCycles, wantArea)
-	}
-	return nil
 }
 
 // analyze returns f's memoized summary in the given calling context,

@@ -73,9 +73,6 @@ func NewMLP(rng *rand.Rand, act Activation, sizes ...int) *MLP {
 	return m
 }
 
-// NumLayers returns the number of weight layers.
-func (m *MLP) NumLayers() int { return len(m.W) }
-
 // Forward computes the network output for a single input vector.
 func (m *MLP) Forward(x []float64) []float64 {
 	h := x

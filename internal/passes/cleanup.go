@@ -339,15 +339,30 @@ func deadArgElim(m *ir.Module) bool {
 // callers (licm, gvn) may speculate and deduplicate the call — this is the
 // pass that certifies the paper's mag() example for hoisting.
 func functionAttrs(m *ir.Module) bool {
+	return attrFixpoint(m, attrsOf, func(f *ir.Func, a attrTriple) {
+		f.Attrs.ReadOnly, f.Attrs.ReadNone, f.Attrs.NoTrap = a.ro, a.rn, a.nt
+	})
+}
+
+// attrTriple is the (ReadOnly, ReadNone, NoTrap) attribute set
+// functionattrs derives.
+type attrTriple struct{ ro, rn, nt bool }
+
+func attrsOf(f *ir.Func) attrTriple {
+	return attrTriple{f.Attrs.ReadOnly, f.Attrs.ReadNone, f.Attrs.NoTrap}
+}
+
+// attrFixpoint re-derives every function's attributes until none changes,
+// reading current attributes through get and recording changed ones
+// through set, and reports whether any changed. functionAttrs writes the
+// functions; its scan writes a shadow map.
+func attrFixpoint(m *ir.Module, get func(*ir.Func) attrTriple, set func(*ir.Func, attrTriple)) bool {
 	changed := false
 	for again := true; again; {
 		again = false
 		for _, f := range m.Funcs {
-			ro, rn, nt := deriveAttrs(f)
-			if ro != f.Attrs.ReadOnly || rn != f.Attrs.ReadNone || nt != f.Attrs.NoTrap {
-				f.Attrs.ReadOnly = ro
-				f.Attrs.ReadNone = rn
-				f.Attrs.NoTrap = nt
+			if a := deriveAttrs(f, get); a != get(f) {
+				set(f, a)
 				changed, again = true, true
 			}
 		}
@@ -355,8 +370,10 @@ func functionAttrs(m *ir.Module) bool {
 	return changed
 }
 
-func deriveAttrs(f *ir.Func) (readOnly, readNone, noTrap bool) {
-	readOnly, readNone, noTrap = true, true, true
+// deriveAttrs derives f's attributes from its body, reading each callee's
+// through get.
+func deriveAttrs(f *ir.Func, get func(*ir.Func) attrTriple) attrTriple {
+	readOnly, readNone, noTrap := true, true, true
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
@@ -369,15 +386,16 @@ func deriveAttrs(f *ir.Func) (readOnly, readNone, noTrap bool) {
 				// covered by the OpLoad case.
 			case ir.OpCall:
 				if in.Callee == nil {
-					return false, false, false
+					return attrTriple{}
 				}
-				if !in.Callee.Attrs.ReadOnly && !in.Callee.Attrs.ReadNone {
+				ca := get(in.Callee)
+				if !ca.ro && !ca.rn {
 					readOnly, readNone = false, false
 				}
-				if !in.Callee.Attrs.ReadNone {
+				if !ca.rn {
 					readNone = false
 				}
-				if !in.Callee.Attrs.NoTrap {
+				if !ca.nt {
 					noTrap = false
 				}
 			case ir.OpSDiv, ir.OpSRem:
@@ -390,6 +408,5 @@ func deriveAttrs(f *ir.Func) (readOnly, readNone, noTrap bool) {
 		}
 	}
 	// ReadNone retains its speculation contract: pure AND trap-free.
-	readNone = readNone && noTrap
-	return readOnly, readNone, noTrap
+	return attrTriple{readOnly, readNone && noTrap, noTrap}
 }

@@ -137,67 +137,17 @@ func scanDeadArgElim(m *ir.Module) bool {
 	return false
 }
 
-// scanFunctionAttrs simulates the functionattrs fixpoint without writing:
-// it reports whether any function's derived attributes differ from its
-// current ones. The simulation reads callee attributes through a shadow map
-// so multi-step propagation is modelled exactly like the real run.
-type attrTriple struct{ ro, rn, nt bool }
-
+// scanFunctionAttrs runs the functionattrs fixpoint without writing: it
+// reports whether any function's derived attributes differ from its
+// current ones. Derived attributes go to a shadow map, and callees are read
+// through it, so multi-step propagation is modelled exactly like the real
+// run.
 func scanFunctionAttrs(m *ir.Module) bool {
 	shadow := make(map[*ir.Func]attrTriple, len(m.Funcs))
-	for _, f := range m.Funcs {
-		shadow[f] = attrTriple{f.Attrs.ReadOnly, f.Attrs.ReadNone, f.Attrs.NoTrap}
-	}
-	diff := false
-	for again := true; again; {
-		again = false
-		for _, f := range m.Funcs {
-			ro, rn, nt := deriveAttrsShadow(f, shadow)
-			if cur := shadow[f]; ro != cur.ro || rn != cur.rn || nt != cur.nt {
-				shadow[f] = attrTriple{ro, rn, nt}
-				diff, again = true, true
-			}
+	return attrFixpoint(m, func(f *ir.Func) attrTriple {
+		if a, ok := shadow[f]; ok {
+			return a
 		}
-	}
-	return diff
-}
-
-// deriveAttrsShadow mirrors deriveAttrs but reads callee attributes from
-// the shadow map instead of the functions themselves.
-func deriveAttrsShadow(f *ir.Func, shadow map[*ir.Func]attrTriple) (readOnly, readNone, noTrap bool) {
-	readOnly, readNone, noTrap = true, true, true
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpStore, ir.OpMemset, ir.OpPrint:
-				readOnly, readNone = false, false
-			case ir.OpLoad:
-				readNone = false
-			case ir.OpAlloca:
-			case ir.OpCall:
-				if in.Callee == nil {
-					return false, false, false
-				}
-				ca, ok := shadow[in.Callee]
-				if !ok {
-					ca = attrTriple{in.Callee.Attrs.ReadOnly, in.Callee.Attrs.ReadNone, in.Callee.Attrs.NoTrap}
-				}
-				if !ca.ro && !ca.rn {
-					readOnly, readNone = false, false
-				}
-				if !ca.rn {
-					readNone = false
-				}
-				if !ca.nt {
-					noTrap = false
-				}
-			case ir.OpSDiv, ir.OpSRem:
-				if c, ok := ir.IsConst(in.Args[1]); !ok || c == 0 {
-					noTrap = false
-				}
-			}
-		}
-	}
-	readNone = readNone && noTrap
-	return readOnly, readNone, noTrap
+		return attrsOf(f)
+	}, func(f *ir.Func, a attrTriple) { shadow[f] = a })
 }

@@ -200,8 +200,7 @@ func benchModules() []*ir.Module {
 // profiler backed by st — a new profiler per call, so in-memory memoization
 // never leaks between iterations and a warm run measures the disk tier.
 func benchProfileAll(b *testing.B, st *artifact.Store, ms []*ir.Module) {
-	prof := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineInterp})
-	prof.SetArtifacts(st)
+	prof := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineInterp, Store: st})
 	for _, m := range ms {
 		if _, err := prof.Profile(m); err != nil {
 			b.Fatal(err)
